@@ -312,25 +312,27 @@ def _semistability_warnings(e, p):
     Additive reduction elsewhere on the supplied model therefore signals
     either a non-minimal model or a spurious consistency.
     """
-    warnings = []
     disc = abs(e.discriminant)
+    while disc % 2 == 0:
+        disc //= 2
+    odd_primes = []
     q = 3
-    seen = set()
-    while q * q <= disc or disc > 1:
-        if q > disc:
-            break
+    while q * q <= disc:
         if disc % q == 0:
+            odd_primes.append(q)
             while disc % q == 0:
                 disc //= q
-            if q != p and q not in seen:
-                seen.add(q)
-                if reduction_type(e, q) == ReductionType.ADDITIVE:
-                    warnings.append(
-                        f"additive reduction at {q} on the supplied model; "
-                        "a real shape failure would be semistable outside "
-                        f"{p} (check model minimality)"
-                    )
-        q += 2 if q > 2 else 1
+        q += 2
+    if disc > 1:  # no factor up to its square root: a prime
+        odd_primes.append(disc)
+    warnings = []
+    for q in odd_primes:
+        if q != p and reduction_type(e, q) == ReductionType.ADDITIVE:
+            warnings.append(
+                f"additive reduction at {q} on the supplied model; "
+                "a real shape failure would be semistable outside "
+                f"{p} (check model minimality)"
+            )
     if e.discriminant % 2 == 0:
         warnings.append("reduction type at 2 not analyzed (odd primes only)")
     return warnings

@@ -25,10 +25,6 @@ class NonInvertibleGenerator(ShadivError):
     """A subgroup generator is singular mod p."""
 
 
-class SizeCapExceeded(ShadivError):
-    """Subgroup closure exceeded the order of GL2(F_p)."""
-
-
 class ModeUnsupported(ShadivError):
     """Enumeration mode not available for this prime."""
 

@@ -6,6 +6,11 @@ canonical throughout.  For p <= 7 the full multiplication table is built
 once (|GL2(F_7)| = 2016, an 8 MB uint16 table), which turns closure and
 cohomology sweeps into array lookups.  For p = 11, 13 operations fall back
 to direct modular arithmetic on encoded elements.
+
+Every closure goes through one kernel, `_close`, which grows a boolean
+membership mask from a known subgroup.  The seeded subgroup stream interns
+the subgroups it meets and memoizes their joins, within one stream only;
+its output stays a pure function of (p, count, seed).
 """
 
 import random
@@ -19,7 +24,6 @@ from .errors import (
     InternalInconsistency,
     ModeUnsupported,
     NonInvertibleGenerator,
-    SizeCapExceeded,
 )
 from .fp_linalg import is_prime
 
@@ -299,40 +303,49 @@ def _normalize_generator(gen):
     return rows
 
 
-def _closure_ids(amb, gen_ids):
-    if not gen_ids:
-        return (amb.identity_id,)
-    cap = amb.size
-    if amb.mul is not None:
+def _close(amb, gen_ids, start=None):
+    """Membership mask of the subgroup generated by `start` and `gen_ids`.
+
+    `start` is the boolean membership mask of a known subgroup (the trivial
+    group when None); it is not modified.  The closure is a breadth-first
+    search under left multiplication by the generators: each level is one
+    gather of the generators' rows of the multiplication table at the newest
+    elements, and the mask alone tells which products are new.  A finite
+    set closed under multiplication by the generators is the group they
+    generate.  By Lagrange, a subgroup holding more than half of GL2(F_p)
+    is all of it, so the search stops there.
+    """
+    if start is None:
         seen = np.zeros(amb.size, dtype=bool)
         seen[amb.identity_id] = True
-        frontier = np.array([amb.identity_id], dtype=np.int32)
-        gen_arr = np.asarray(sorted(set(gen_ids)), dtype=np.int32)
-        while len(frontier):
-            prods = amb.mul[np.ix_(frontier, gen_arr)].ravel()
-            prods = np.unique(prods)
-            new = prods[~seen[prods]]
-            seen[new] = True
-            frontier = new.astype(np.int32)
-        ids = np.nonzero(seen)[0]
-        if len(ids) > cap:
-            raise SizeCapExceeded(f"closure exceeded |GL2(F_{amb.p})|")
-        return tuple(int(i) for i in ids)
-    seen = {amb.identity_id}
-    frontier = [amb.identity_id]
-    gens = sorted(set(gen_ids))
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = amb.mul_ids(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-        if len(seen) > cap:
-            raise SizeCapExceeded(f"closure exceeded |GL2(F_{amb.p})|")
-    return tuple(sorted(seen))
+    else:
+        seen = start.copy()
+    gens = np.asarray(gen_ids, dtype=np.intp)
+    rows = amb.mul[gens].astype(np.intp) if amb.mul is not None else None
+    frontier = seen.nonzero()[0]
+    found = frontier.size
+    while frontier.size:
+        new = seen.copy()
+        if rows is not None:
+            seen[rows.take(frontier, axis=1)] = True
+        else:
+            seen[amb.products(gens, frontier)] = True
+        new ^= seen
+        frontier = new.nonzero()[0]
+        found += frontier.size
+        if 2 * found > amb.size:
+            seen[:] = True
+            break
+    return seen
+
+
+def _ids(mask):
+    """Sorted element ids of a membership mask, as Python ints."""
+    return tuple(np.flatnonzero(mask).tolist())
+
+
+def _closure_ids(amb, gen_ids):
+    return _ids(_close(amb, gen_ids))
 
 
 def closure(p, generators):
@@ -353,12 +366,12 @@ def subgroup_from_ids(p, element_ids, generator_ids=None):
 
 def _greedy_generators(amb, ids):
     gens = []
-    have = {amb.identity_id}
+    have = _close(amb, ())
     for eid in ids:
-        if eid not in have:
+        if not have[eid]:
             gens.append(eid)
-            have = set(_closure_ids(amb, tuple(gens)))
-            if len(have) == len(ids):
+            have = _close(amb, gens, start=have)
+            if np.count_nonzero(have) == len(ids):
                 break
     return tuple(gens)
 
@@ -396,22 +409,23 @@ def p_sylow(g: Subgroup) -> Subgroup:
     max_order = max(o for o, _ in p_power_elts)
     seed = next(eid for o, eid in p_power_elts if o == max_order)
     gens = [seed]
-    current = _closure_ids(amb, tuple(gens))
-    while len(current) < target:
-        cur_set = set(current)
+    current = _close(amb, gens)
+    outside = np.ones(amb.size, dtype=bool)
+    outside[list(g.element_ids)] = False
+    while np.count_nonzero(current) < target:
         extended = False
         for o, eid in p_power_elts:
-            if eid in cur_set:
+            if current[eid]:
                 continue
-            candidate = _closure_ids(amb, tuple(gens + [eid]))
-            if _is_p_power(len(candidate), p) and set(candidate) <= g.id_set:
+            candidate = _close(amb, gens + [eid], start=current)
+            if _is_p_power(np.count_nonzero(candidate), p) and not (candidate & outside).any():
                 gens.append(eid)
                 current = candidate
                 extended = True
                 break
         if not extended:
             raise InternalInconsistency("could not extend to a full Sylow subgroup")
-    return Subgroup(p, tuple(gens), tuple(sorted(current)))
+    return Subgroup(p, tuple(gens), _ids(current))
 
 
 def _is_p_power(n, p):
@@ -660,7 +674,9 @@ def enumerate_subgroups(p, mode):
     Exhaustive mode builds the full subgroup lattice by iterated extension:
     every cyclic subgroup is a seed, and each known subgroup is closed with
     each outside element until a fixpoint.  Sampled mode draws generator
-    sets of size <= 3 from a seeded RNG and deduplicates.
+    sets of size <= 3 from a seeded RNG and deduplicates; the stream
+    memoizes its joins of known subgroups, and its output is a pure
+    function of (p, count, seed).
     """
     if isinstance(mode, Exhaustive):
         if p > EXHAUSTIVE_MAX_P:
@@ -702,17 +718,80 @@ def _enumerate_all(p):
         yield Subgroup(p, known[ids], ids)
 
 
+class _Known:
+    """A subgroup met by one stream: its membership mask packed into bytes, and generators."""
+
+    __slots__ = ("bits", "gens")
+
+    def __init__(self, bits, gens):
+        self.bits = bits
+        self.gens = gens
+
+    def __contains__(self, eid):
+        return self.bits[eid >> 3] & (128 >> (eid & 7))
+
+    def mask(self, size):
+        return np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8), count=size).view(bool)
+
+
+class _Joins:
+    """Subgroups generated by id tuples, with every subgroup interned and every join memoized.
+
+    A tuple (g1, ..., gk) is resolved from the cyclic subgroup of g1 by
+    joining one generator at a time.  A generator already inside the
+    current subgroup is skipped; otherwise the join is looked up under the
+    unordered pair {current subgroup, cyclic subgroup of the generator}
+    (a join is symmetric), and computed by `_close` from the current
+    subgroup only when that pair is new.  Subgroups are interned by their
+    packed membership mask, so each is kept once, in size/8 bytes.
+    """
+
+    def __init__(self, amb):
+        self.amb = amb
+        self.interned = {}  # packed mask -> _Known
+        self.cyclic = {}  # element id -> _Known of the cyclic subgroup it generates
+        self.joins = {}  # {_Known, _Known of a cyclic subgroup} -> _Known
+
+    def _intern(self, mask, gens):
+        bits = np.packbits(mask).tobytes()
+        return self.interned.setdefault(bits, _Known(bits, gens))
+
+    def _cyclic(self, g):
+        known = self.cyclic.get(g)
+        if known is None:
+            known = self.cyclic[g] = self._intern(_close(self.amb, (g,)), (g,))
+        return known
+
+    def generated(self, gen_ids):
+        cur = self._cyclic(gen_ids[0])
+        for g in gen_ids[1:]:
+            if g in cur:
+                continue
+            key = frozenset((cur, self._cyclic(g)))
+            joined = self.joins.get(key)
+            if joined is None:
+                gens = cur.gens + (g,)
+                mask = _close(self.amb, gens, start=cur.mask(self.amb.size))
+                joined = self.joins[key] = self._intern(mask, gens)
+            cur = joined
+        return cur
+
+
 def _sample(p, count, seed):
     """Distinct subgroups from seeded <=3-generator draws.
 
     GL2(F_p) can have fewer subgroups than requested (GL2(F_5) has exactly
     466 in total), so the stream saturates: it stops early, after yielding
     everything it found, once a deterministic attempt or stall budget runs
-    out.  Output is a pure function of (p, count, seed).
+    out.  Output is a pure function of (p, count, seed): the generator ids
+    are the drawn tuple and the element ids its closure.  Past saturation
+    nearly every draw is a subgroup met before, so the stream memoizes its
+    joins (`_Joins`); the memo lives and dies with the stream.
     """
     amb = ambient(p)
+    joins = _Joins(amb)
     rng = random.Random(seed)
-    seen = set()
+    yielded = set()
     produced = 0
     attempts = 0
     stall = 0
@@ -722,11 +801,11 @@ def _sample(p, count, seed):
         attempts += 1
         k = rng.randint(1, 3)
         gen_ids = tuple(rng.randrange(amb.size) for _ in range(k))
-        ids = _closure_ids(amb, gen_ids)
-        if ids in seen:
+        known = joins.generated(gen_ids)
+        if known in yielded:
             stall += 1
             continue
         stall = 0
-        seen.add(ids)
+        yielded.add(known)
         produced += 1
-        yield Subgroup(p, gen_ids, ids)
+        yield Subgroup(p, gen_ids, _ids(known.mask(amb.size)))

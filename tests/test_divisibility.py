@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -264,3 +265,29 @@ def test_twist_scan_caps_small():
 def test_twist_scan_rejects_large_p():
     with pytest.raises(ValueError):
         twist_scan(embedded_curve("121-B1"), 11, 10)
+
+
+def _timed_verdict(ainvs, p):
+    t0 = time.monotonic()
+    v = verdict_over_Q(curve(ainvs), p)
+    return v, time.monotonic() - t0
+
+
+def test_semistability_scan_stops_at_square_root_of_cofactor():
+    # rational 5-torsion; disc = 3^10 * 11113^5 * 10002300101, whose largest
+    # prime the scan used to reach by trial division
+    t = 100017
+    v, elapsed = _timed_verdict((1 - t, -t, -t, 0, 0), 5)
+    assert v.outcome == Outcome.CRITERION_FAILS
+    assert "semistability_warnings" not in v.evidence
+    assert elapsed < 5
+
+
+def test_semistability_scan_divides_out_two():
+    # t = 80 in the 7-torsion family: disc = 2^28 * 5^7 * 13^2 * 79^7 * 2729
+    v, elapsed = _timed_verdict((-6319, -505600, -505600, 0, 0), 7)
+    assert v.outcome == Outcome.CRITERION_FAILS
+    assert v.evidence["semistability_warnings"] == [
+        "reduction type at 2 not analyzed (odd primes only)"
+    ]
+    assert elapsed < 5

@@ -1,6 +1,8 @@
+import hashlib
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from shadiv.errors import ModeUnsupported, NonInvertibleGenerator
@@ -9,6 +11,7 @@ from shadiv.gl2 import (
     Exhaustive,
     Sampled,
     Subgroup,
+    _close,
     ambient,
     classify,
     closure,
@@ -41,6 +44,32 @@ def brute_closure(p, mats):
         if not new:
             return frozenset(ids)
         ids |= new
+
+
+def test_close_from_a_known_subgroup_matches_bruteforce():
+    # the kernel grown from a known subgroup's mask, with a multiplication
+    # table (p = 5, any invertible draws, often all of GL2) and without one
+    # (p = 11, upper-triangular draws with diagonal +-1, small enough for
+    # the brute-force oracle)
+    rng = random.Random(3)
+    draws = {
+        5: lambda: ((rng.randrange(5), rng.randrange(5)), (rng.randrange(5), rng.randrange(5))),
+        11: lambda: ((rng.choice((1, 10)), rng.randrange(11)), (0, rng.choice((1, 10)))),
+    }
+    for p, draw in draws.items():
+        amb = ambient(p)
+        for _ in range(15):
+            k = rng.randint(1, 3)
+            mats = []
+            while len(mats) < k:
+                m = draw()
+                if (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p:
+                    mats.append(m)
+            gens = tuple(amb.id_of_mat(m) for m in mats)
+            start = _close(amb, gens[:-1])
+            grown = _close(amb, gens, start=start)
+            assert frozenset(np.flatnonzero(grown).tolist()) == brute_closure(p, mats)
+            assert (start <= grown).all()
 
 
 def test_closure_empty_is_trivial():
@@ -268,9 +297,10 @@ def test_sampling_deterministic_and_distinct():
     assert a != c
 
 
-def test_sampling_saturates_instead_of_looping():
-    # GL2(F_5) has exactly 466 subgroups; a large request saturates early
-    subs = list(enumerate_subgroups(5, Sampled(5000, 1)))
+def test_sampling_saturates_instead_of_looping(sampled_p5):
+    # GL2(F_5) has exactly 466 subgroups; a large request (the fixture's
+    # Sampled(5000, 1)) saturates early
+    subs = list(sampled_p5)
     assert 400 <= len(subs) <= 466
     assert len({s.element_ids for s in subs}) == len(subs)
 
@@ -280,3 +310,21 @@ def test_subgroup_from_ids_greedy_generators():
     rebuilt = subgroup_from_ids(3, g.element_ids)
     assert rebuilt == g
     assert len(rebuilt.generator_ids) <= 3
+
+
+def _stream_digest(subgroups):
+    h = hashlib.sha256()
+    for g in subgroups:
+        h.update(repr((tuple(g.generator_ids), tuple(g.element_ids))).encode())
+    return h.hexdigest()
+
+
+def test_sampled_streams_are_pinned(sampled_p5, sampled_p7):
+    # sha256 over (generator ids, element ids) in stream order, as the
+    # benchmark's stream_digest: the streams are the same element for element
+    assert _stream_digest(sampled_p5) == (
+        "e7a8991b70a12fdb8e87ef1149440085aa3690bf8a11a505fa86bde80a1918c9"
+    )
+    assert _stream_digest(sampled_p7) == (
+        "ea114a333db0917b428db53ac5b19f52eaa29a53fbde8fac068c8153cf411d2f"
+    )
