@@ -8,17 +8,21 @@ whose steps are tagged rigorous / heuristic / user-supplied.
 """
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache
+
+import numpy as np
 
 from .datasets import regular_prime_resolutions
 from .elliptic import (
     EllipticCurveQ,
     ReductionType,
+    _twist_model,
     frobenius_traces,
     has_full_rational_2torsion,
     is_supersingular,
-    quadratic_twist,
     reduction_type,
 )
 from .errors import UnsupportedPrime
@@ -132,6 +136,23 @@ def _shape_name(p, pair):
 
 def verdict_over_Q(e: EllipticCurveQ, p: int, cfg: RunConfig = DEFAULT_CONFIG) -> DivisibilityVerdict:
     """Divisibility verdict for an elliptic curve over Q at an odd prime."""
+    return _verdict(
+        e,
+        p,
+        cfg,
+        traces=lambda bound: frobenius_traces(e, bound),
+        supersingular=lambda: is_supersingular(e, p),
+        full_2torsion=lambda: has_full_rational_2torsion(e),
+    )
+
+
+def _verdict(e, p, cfg, traces, supersingular, full_2torsion):
+    """verdict_over_Q with its curve data taken from sources.
+
+    traces(bound) gives the FrobeniusData of e up to bound; supersingular()
+    (asked only when e is good at p) and full_2torsion() answer for e.
+    Each is consulted only on the path that needs it.
+    """
     if p == 2:
         raise UnsupportedPrime("the divisibility criteria concern odd primes")
     if not is_prime(p):
@@ -158,7 +179,7 @@ def verdict_over_Q(e: EllipticCurveQ, p: int, cfg: RunConfig = DEFAULT_CONFIG) -
             )
         return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
 
-    if p >= 5 and has_full_rational_2torsion(e):
+    if p >= 5 and full_2torsion():
         chain.append(
             ChainStep(
                 "rational.full_2torsion",
@@ -171,7 +192,7 @@ def verdict_over_Q(e: EllipticCurveQ, p: int, cfg: RunConfig = DEFAULT_CONFIG) -
 
     good_at_p = e.discriminant % p != 0
     if good_at_p:
-        if is_supersingular(e, p):
+        if supersingular():
             chain.append(
                 ChainStep(
                     "rational.supersingular",
@@ -194,7 +215,7 @@ def verdict_over_Q(e: EllipticCurveQ, p: int, cfg: RunConfig = DEFAULT_CONFIG) -
             )
             return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
 
-    return _scan_bad_shapes(e, p, cfg, chain)
+    return _scan_bad_shapes(e, p, cfg, chain, traces)
 
 
 def _large_prime_route(p):
@@ -212,14 +233,14 @@ def _large_prime_route(p):
     return "norm-3 sieve via potentially good reduction"
 
 
-def _scan_bad_shapes(e, p, cfg, chain):
+def _scan_bad_shapes(e, p, cfg, chain, traces):
     bounds = [b for b in TRACE_ESCALATION if b < cfg.trace_bound] + [cfg.trace_bound]
     pending = list(BAD_SHAPE_PAIRS[p])
     refuted = []
     consistent = []
     fd = None
     for bound in bounds:
-        fd = frobenius_traces(e, bound)
+        fd = traces(bound)
         consistent = []
         still = []
         for pair in pending:
@@ -400,8 +421,6 @@ def verdict_number_field(degree, p, good_place_norms=(), cfg=DEFAULT_CONFIG,
         failed.append("torsion bound p > (1 + 3^(d/2))^2 not met and no certificate supplied")
     witness = None
     for nv in good_place_norms:
-        import math
-
         if math.gcd(nv, 3 * p) != 1:
             continue
         if nv_sieve_bound(nv).admits(p):
@@ -478,52 +497,53 @@ TWIST_FAILURE_CAPS = {3: 2, 5: 2, 7: 1}
 
 
 def fundamental_discriminants(dmax):
-    """All fundamental discriminants d with |d| <= dmax, including 1."""
-    from .elliptic import _squarefree
+    """All fundamental discriminants d with |d| <= dmax, including 1.
 
-    out = []
-    for d in range(-dmax, dmax + 1):
-        if d == 0:
-            continue
-        if d == 1:
-            out.append(d)
-        elif d % 4 == 1 and _squarefree(d):
-            out.append(d)
-        elif d % 4 == 0:
-            m = d // 4
-            if m % 4 in (2, 3) and _squarefree(m):
-                out.append(d)
-    return sorted(out, key=lambda x: (abs(x), x))
-
-
-def _squarefree_core(d):
-    core = 1
-    d_abs = abs(d)
-    q = 2
-    while q * q <= d_abs:
-        e = 0
-        while d_abs % q == 0:
-            d_abs //= q
-            e += 1
-        if e % 2:
-            core *= q
-        q += 1
-    core *= d_abs
-    return core if d > 0 else -core
+    d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree;
+    ordered by |d|, the negative one first.
+    """
+    if dmax < 1:
+        return []
+    squarefree = np.ones(dmax + 1, dtype=bool)
+    squarefree[0] = False
+    for q in range(2, math.isqrt(dmax) + 1):
+        squarefree[q * q :: q * q] = False
+    n = np.arange(1, dmax + 1)
+    d = np.stack([-n, n], axis=1).ravel()
+    m = d // 4
+    fundamental = ((d % 4 == 1) & squarefree[np.abs(d)]) | (
+        (d % 4 == 0) & (m % 4 >= 2) & squarefree[np.abs(m)]
+    )
+    return d[fundamental].tolist()
 
 
 def twist_scan(e: EllipticCurveQ, p: int, dmax: int, cfg: RunConfig = DEFAULT_CONFIG) -> TwistScanReport:
-    """verdict_over_Q across all twists by fundamental discriminants |d| <= dmax."""
+    """verdict_over_Q across all twists by fundamental discriminants |d| <= dmax.
+
+    Each twist's verdict inputs come from the base curve: its traces by
+    a_ell(E^d) = (d/ell) a_ell(E) (FrobeniusData.twist), and its
+    supersingularity at p and full rational 2-torsion, which the twist
+    leaves unchanged (a_p(E^d) = +-a_p(E) wherever E^d is good at p; the
+    2-division cubic of E^d is that of E rescaled by 4d).  Rows are those
+    of verdict_over_Q on each twisted curve.
+    """
     if p not in TWIST_FAILURE_CAPS:
         raise ValueError("twist caps are stated for p in {3, 5, 7}")
     if dmax > 10 ** 4:
         raise ValueError("dmax capped at 10^4")
+    full = cache(lambda: frobenius_traces(e, cfg.trace_bound))
+    base_traces = cache(lambda bound: full().upto(bound))
+    supersingular = cache(lambda: is_supersingular(e, p))
+    full_2torsion = cache(lambda: has_full_rational_2torsion(e))
     rows = []
     for d in fundamental_discriminants(dmax):
-        twisted = e if d == 1 else quadratic_twist(e, _squarefree_core(d))
-        if d != 1 and e.label:
-            twisted = replace(twisted, label=f"{e.label}^({d})")
-        rows.append((d, verdict_over_Q(twisted, p, cfg)))
+        core = d if d % 4 == 1 else d // 4
+        if d == 1:
+            twisted = e
+        else:
+            twisted = _twist_model(e, core, label=f"{e.label}^({d})" if e.label else None)
+        traces = lambda bound, twisted=twisted, core=core: base_traces(bound).twist(twisted, core)
+        rows.append((d, _verdict(twisted, p, cfg, traces, supersingular, full_2torsion)))
     return TwistScanReport(e, p, dmax, tuple(rows), TWIST_FAILURE_CAPS[p])
 
 

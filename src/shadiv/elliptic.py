@@ -5,6 +5,7 @@ decided by p not dividing the discriminant of the given model.  All
 arithmetic is exact (python integers, numpy int64 for counting sweeps).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -98,8 +99,7 @@ def count_points(e: EllipticCurveQ, ell: int) -> int:
     fx = (4 * x + e.b2 % ell) % ell
     fx = (fx * x + 2 * e.b4 % ell) % ell
     fx = (fx * x + e.b6 % ell) % ell
-    counts = np.zeros(ell, dtype=np.int64)
-    np.add.at(counts, (x * x) % ell, 1)
+    counts = np.bincount(x * x % ell, minlength=ell)
     return int(counts[fx].sum()) + 1
 
 
@@ -151,6 +151,26 @@ class FrobeniusData:
             if l == ell:
                 return a
         return None
+
+    def upto(self, bound):
+        """The entries with ell <= bound."""
+        k = bisect_right(self.entries, bound, key=lambda entry: entry[0])
+        return FrobeniusData(self.curve, self.entries[:k])
+
+    def twist(self, twisted, d):
+        """The traces of `twisted` = quadratic_twist(self.curve, d), read off these.
+
+        Delta(E^d) = 2^12 d^6 Delta(E), so every prime good for the twist is
+        odd, prime to d and good for E, and there a_ell(E^d) = (d/ell) a_ell(E).
+        """
+        disc = twisted.discriminant
+        return FrobeniusData(
+            twisted,
+            tuple(
+                (ell, legendre_symbol(d, ell) * a, True) if disc % ell else (ell, None, False)
+                for ell, a, _ in self.entries
+            ),
+        )
 
 
 TRACE_BOUND_MAX = 10 ** 5
@@ -269,7 +289,12 @@ def quadratic_twist(e: EllipticCurveQ, d: int) -> EllipticCurveQ:
     """
     if not _squarefree(d):
         raise ValueError(f"twist discriminant {d} must be squarefree and nonzero")
-    return derive_invariants(0, d * e.b2, 0, 8 * d * d * e.b4, 16 * d ** 3 * e.b6)
+    return _twist_model(e, d)
+
+
+def _twist_model(e, d, label=None):
+    """quadratic_twist without the squarefree check, for d known squarefree."""
+    return derive_invariants(0, d * e.b2, 0, 8 * d * d * e.b4, 16 * d ** 3 * e.b6, label)
 
 
 def two_division_roots(e: EllipticCurveQ):

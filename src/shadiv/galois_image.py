@@ -8,6 +8,7 @@ arithmetic (radicals cleared by squaring), never floating point.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetExceeded
 from .fp_linalg import is_prime
@@ -33,13 +34,6 @@ class DirichletPairHypothesis:
     modulus: int
     character: tuple  # generator values in F_p*, () for one_eps
     checked_primes: tuple
-
-
-@dataclass(frozen=True)
-class IrreducibleOrUnknown:
-    """Placeholder hypothesis when no split decomposition is asserted."""
-
-    p: int
 
 
 @dataclass(frozen=True)
@@ -159,31 +153,38 @@ def _factorize(n):
     return out
 
 
-def unit_group_generators(m):
-    """Cyclic decomposition of (Z/m)*: list of (generator mod m, order)."""
-    gens = []
+@lru_cache(maxsize=None)
+def _unit_group(m):
+    """(Z/m)* by prime-power factor: (q, q^e, ((local generator mod q^e, order), ...)).
+
+    The factor at 2^e, e >= 3, is <-1> x <5>; every other factor is cyclic.
+    """
+    factors = []
     for q, e in sorted(_factorize(m).items()):
         qe = q ** e
-        rest = m // qe
-        local = []
-        if q == 2:
-            if e == 2:
-                local = [(3, 2)]
-            elif e >= 3:
-                local = [(qe - 1, 2), (5, 2 ** (e - 2))]
+        if q != 2:
+            local = ((_primitive_root(q, e), (q - 1) * q ** (e - 1)),)
+        elif e == 1:
+            local = ()
+        elif e == 2:
+            local = ((3, 2),)
         else:
-            local = [(_primitive_root(q, e), (q - 1) * q ** (e - 1))]
-        for g, order in local:
-            if rest == 1:
-                gens.append((g % m, order))
-            else:
-                # CRT lift: g at q^e, 1 elsewhere
-                inv = pow(qe, -1, rest)
-                lift = (1 + (g - 1) * qe * inv) % m
-                # fix the residue mod q^e explicitly
-                lift = _crt(g, qe, 1, rest)
-                gens.append((lift, order))
-    return gens
+            local = ((qe - 1, 2), (5, 2 ** (e - 2)))
+        factors.append((q, qe, local))
+    return tuple(factors)
+
+
+def unit_group_generators(m):
+    """Cyclic decomposition of (Z/m)*: list of (generator mod m, order).
+
+    Each generator is its local generator at one prime power q^e || m,
+    lifted by CRT to 1 at the others.
+    """
+    return [
+        (_crt(g, qe, 1, m // qe), order)
+        for _, qe, local in _unit_group(m)
+        for g, order in local
+    ]
 
 
 def _crt(r1, m1, r2, m2):
@@ -205,38 +206,47 @@ class DirichletCharacterFp:
         if math.gcd(n, self.modulus) != 1:
             raise ValueError(f"{n} is not a unit mod {self.modulus}")
         result = 1
-        for (g, order), v in zip(self.generators, self.values):
-            k = _dlog(n, g, order, self.modulus)
+        for k, v in zip(_unit_exponents(n, self.modulus, self.p - 1), self.values):
             result = result * pow(v, k, self.p) % self.p
         return result
 
 
-def _dlog(n, g, order, m):
-    """Exponent of the g-component of n in the cyclic decomposition.
+def _unit_exponents(n, m, c):
+    """Exponents of the unit n on unit_group_generators(m), each right
+    modulo gcd(h, c) for its generator's order h.
 
-    Brute force over the factor's order; moduli here are tiny.  Works
-    because projection onto the factor generated by g is computed by
-    first killing the complementary component.
+    n mod q^e is a word in the local generators at q^e alone.  A character
+    into F_p* sends a generator of order h to an element of order dividing
+    gcd(h, p - 1), so with c = p - 1 these exponents determine its value.
     """
-    # project n onto <g>: raise to the complementary exponent
-    # order of the full group
-    full = _euler_phi(m)
-    comp = full // order
-    target = pow(n, comp, m)
-    base = pow(g, comp, m)
+    exponents = []
+    for q, qe, local in _unit_group(m):
+        r = n % qe
+        if q == 2 and len(local) == 2:  # r = (-1)^s 5^k mod 2^e
+            s = 0 if r % 4 == 1 else 1
+            g, order = local[1]
+            exponents += [s, _dlog(r if s == 0 else qe - r, g, order, qe, c)]
+        else:
+            for g, order in local:
+                exponents.append(_dlog(r, g, order, qe, c))
+    return exponents
+
+
+def _dlog(x, g, order, m, c):
+    """k mod gcd(order, c) for x = g^k mod m, g of the given order mod m.
+
+    Raising to order / gcd(order, c) maps <g> onto its subgroup of order
+    gcd(order, c) <= c, where a scan of at most c steps finds k.
+    """
+    h = math.gcd(order, c)
+    base = pow(g, order // h, m)
+    target = pow(x, order // h, m)
     cur = 1
-    for k in range(order):
+    for k in range(h):
         if cur == target:
             return k
         cur = cur * base % m
-    raise ValueError("element not in cyclic factor projection")
-
-
-def _euler_phi(m):
-    phi = 1
-    for q, e in _factorize(m).items():
-        phi *= (q - 1) * q ** (e - 1)
-    return phi
+    raise ValueError(f"{x} is not a power of {g} mod {m}")
 
 
 def enumerate_characters(m, p):

@@ -14,6 +14,9 @@ from .errors import BudgetExceeded, PrecisionInsufficient
 from .fp_linalg import is_prime
 
 SCAN_TABLE_BUDGET = 4 * 10 ** 6
+# has_local_point scans p^k rows of p^k entries; 7^10 admits every
+# default-precision scan at p <= 7 (k = 5, or 6 at p = 3)
+SCAN_WORK_BUDGET = 7 ** 10
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,9 @@ def has_local_point(cubic: DiagonalCubic, p, precision=None) -> bool:
     sweep primitive triples mod p^k: a triple with F = 0 mod p^k and some
     partial derivative of valuation j with k > 2j certifies a point; if no
     primitive root mod p^k exists at all the curve is rigorously pointless
-    over Q_p; roots without certificates raise PrecisionInsufficient.
+    over Q_p; roots without certificates raise PrecisionInsufficient.  A
+    sweep of more than SCAN_WORK_BUDGET steps (p^k rows of p^k entries)
+    raises BudgetExceeded before it starts.
     """
     a, b, c = cubic.a, cubic.b, cubic.c
     if (3 * a * b * c) % p != 0:
@@ -184,8 +189,8 @@ def has_local_point(cubic: DiagonalCubic, p, precision=None) -> bool:
     if k < 5:
         raise ValueError("precision must be at least 5")
     pk = p ** k
-    if pk > SCAN_TABLE_BUDGET:
-        raise BudgetExceeded(f"p^k = {pk} exceeds the scan budget")
+    if pk * pk > SCAN_WORK_BUDGET:
+        raise BudgetExceeded(f"a scan mod {p}^{k} takes {pk}^2 steps, over the budget {SCAN_WORK_BUDGET}")
     res = np.arange(pk, dtype=np.int64)
     cubes = res * res % pk * res % pk
     val = np.full(pk, k, dtype=np.int64)

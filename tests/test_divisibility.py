@@ -1,5 +1,8 @@
+import hashlib
 import json
+import math
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +18,7 @@ from shadiv.divisibility import (
     verdict_number_field,
     verdict_over_Q,
 )
-from shadiv.elliptic import curve, is_supersingular, reduction_type, trace_at
+from shadiv.elliptic import curve, is_supersingular, quadratic_twist, reduction_type, trace_at
 from shadiv.errors import UnsupportedPrime
 
 
@@ -260,6 +263,80 @@ def test_twist_scan_caps_small():
     assert report.failure_count <= report.cap
     for p in (5, 7):
         assert twist_scan(e, p, 100).failure_count == 0
+
+
+def _core(d):
+    """Squarefree part of d, by trial division (independent of the scan)."""
+    core, n, q = 1, abs(d), 2
+    while q * q <= n:
+        while n % (q * q) == 0:
+            n //= q * q
+        if n % q == 0:
+            core *= q
+            n //= q
+        q += 1
+    return core * n * (1 if d > 0 else -1)
+
+
+@pytest.mark.parametrize("label", ["121-B1", "selmer-jacobian", "legendre-test"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_twist_scan_rows_equal_direct_verdicts(label, p):
+    # every row, derived from the base curve, equals verdict_over_Q run on
+    # the relabelled twisted curve, whose traces are counted afresh
+    e = embedded_curve(label)
+    report = twist_scan(e, p, 300)
+    ds = [d for d, _ in report.rows]
+    assert any(d % 2 == 0 for d in ds)
+    assert any(d % p == 0 for d in ds)
+    assert any(math.gcd(d, e.discriminant) > 1 and d % p for d in ds)
+    for d, v in report.rows:
+        direct = e if d == 1 else replace(quadratic_twist(e, _core(d)), label=f"{label}^({d})")
+        assert v.curve == direct
+        assert v.to_json() == verdict_over_Q(direct, p).to_json(), d
+
+
+def test_twist_scans_are_pinned():
+    # sha256 over (d, verdict JSON) of every row of nine scans; the value
+    # was computed by point-counting every twist on its own model
+    h = hashlib.sha256()
+    for label in ("121-B1", "121-C1", "selmer-jacobian"):
+        for p in (3, 5, 7):
+            for d, v in twist_scan(embedded_curve(label), p, 1000).rows:
+                h.update(f"{d}\t{v.to_json()}\n".encode())
+    assert h.hexdigest() == "8231980f9402dda6caa280078228b7d7b39758b2ccfa4831f8b2f3c5f180ec52"
+
+
+def test_twist_scan_point_counts_do_not_grow_with_dmax(monkeypatch):
+    import shadiv.elliptic as ell
+
+    calls = []
+    real = ell.count_points
+
+    def counting(e, l):
+        calls.append(l)
+        return real(e, l)
+
+    monkeypatch.setattr(ell, "count_points", counting)
+    e = embedded_curve("selmer-jacobian")  # its d = 1 row scans to the full bound
+    counts = []
+    for dmax in (1, 100, 3000):
+        ell.trace_at.cache_clear()
+        calls.clear()
+        report = twist_scan(e, 3, dmax)
+        assert report.rows[0][1].outcome == Outcome.CRITERION_FAILS
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] <= len(ell.primes_up_to(1000)) + 1
+
+
+def test_fundamental_discriminants_match_definition():
+    def fundamental(d):
+        if d % 4 == 1:
+            return _core(d) == d
+        return d % 4 == 0 and (d // 4) % 4 in (2, 3) and _core(d // 4) == d // 4
+
+    for dmax in (0, 1, 2, 17, 300):
+        expected = [d for n in range(1, dmax + 1) for d in (-n, n) if fundamental(d)]
+        assert fundamental_discriminants(dmax) == expected
 
 
 def test_twist_scan_rejects_large_p():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from shadiv.datasets import embedded_curve
 from shadiv.elliptic import (
     ReductionType,
     count_points,
@@ -210,6 +211,25 @@ def test_quadratic_twist_invariants():
         ]
         ell = rng.choice(good)
         assert trace_at(tw, ell) == legendre_symbol(d, ell) * trace_at(base, ell)
+
+
+def test_frobenius_twist_matches_direct_traces():
+    # FrobeniusData.twist reads the twist's traces off the base curve; here
+    # they are counted on the twisted model itself, including at 2, at the
+    # primes of d and at the bad primes of the base
+    for label in ("121-B1", "121-C1", "selmer-jacobian", "legendre-test", "cm-j1728"):
+        base = embedded_curve(label)
+        fd = frobenius_traces(base, 1000)
+        for d in (-1, 2, -2, 3, -3, 5, -5, 6, 7, -11, 13, 15, -30, 105, -1155):
+            tw = quadratic_twist(base, d)
+            assert fd.twist(tw, d) == frobenius_traces(tw, 1000), (label, d)
+
+
+def test_frobenius_upto_truncates():
+    e = embedded_curve("121-B1")
+    fd = frobenius_traces(e, 1000)
+    for bound in (1, 2, 50, 199, 200, 997, 1000):
+        assert fd.upto(bound) == frobenius_traces(e, bound)
 
 
 def test_two_torsion_detection():

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shadiv.elliptic import curve, frobenius_traces, quadratic_twist, trace_at
 from shadiv.errors import BudgetExceeded
@@ -128,6 +130,42 @@ def test_enumerate_characters_count_and_multiplicativity():
         for a in (2, 3, 7):
             for b in (2, 5, 8):
                 assert chi(a * b % 11) == chi(a) * chi(b) % 5
+
+
+def test_characters_mod_15_are_homomorphisms():
+    # (Z/15)* = Z/2 x Z/4, whose factor orders share the factor 2
+    chars = enumerate_characters(15, 5)
+    assert len(chars) == 8
+    units = [a for a in range(1, 15) if math.gcd(a, 15) == 1]
+    tables = set()
+    for chi in chars:
+        for (g, _), v in zip(chi.generators, chi.values):
+            assert chi(g) == v
+        for a in units:
+            for b in units:
+                assert chi(a * b) == chi(a) * chi(b) % 5
+        tables.add(tuple(chi(a) for a in units))
+    assert len(tables) == 8
+
+
+COMPOSITE_MODULI = [m for m in range(4, 400) if any(m % q == 0 for q in range(2, math.isqrt(m) + 1))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.sampled_from(COMPOSITE_MODULI),
+    p=st.sampled_from([3, 5, 7, 11, 13]),
+    pick=st.integers(min_value=0),
+    a=st.integers(min_value=1, max_value=10 ** 6),
+    b=st.integers(min_value=1, max_value=10 ** 6),
+)
+def test_dirichlet_characters_are_multiplicative(m, p, pick, a, b):
+    assume(math.gcd(a * b, m) == 1)
+    chars = enumerate_characters(m, p)
+    chi = chars[pick % len(chars)]
+    assert chi(a * b) == chi(a) * chi(b) % p
+    for (g, _), v in zip(chi.generators, chi.values):
+        assert chi(g) == v
 
 
 def test_dirichlet_scan_one_eps():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,17 @@ def test_has_local_point_precision_floor_and_budget():
         has_local_point(DiagonalCubic(1, 2, 4), 2, precision=3)
     with pytest.raises(BudgetExceeded):
         has_local_point(DiagonalCubic(1, 1, 97), 97)
+
+
+def test_has_local_point_work_budget():
+    # 13^5 rows of 13^5 entries: refused before any table is built
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        has_local_point(DiagonalCubic(1, 2, 13), 13)
+    assert time.monotonic() - t0 < 5
+    # every default-precision scan at p <= 7 is admitted
+    for p in (2, 3, 5, 7):
+        assert has_local_point(DiagonalCubic(1, 1, 3 * p), p) is True
 
 
 def test_certificates_replay():
