@@ -6,9 +6,7 @@ or internal errors, never for mathematical outcomes.
 """
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -31,15 +29,6 @@ from .local_cubic import selmer_example_report
 
 def _dump_json(payload):
     click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-
-
-def _thread_count():
-    raw = os.environ.get("SHA_DIV_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise click.ClickException(f"SHA_DIV_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def parse_curve_spec(text, label=None):
@@ -123,19 +112,8 @@ def analyze(curve_spec, curve_file, embedded, label, primes, trace_bound,
         assume_minimal=assume_minimal,
         analytic_rank=analytic_rank,
     )
-    jobs = [(e, p) for e in curves for p in plist]
-
-    def run(job):
-        e, p = job
-        return verdict_over_Q(e, p, cfg)
-
-    workers = _thread_count()
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                verdicts = list(pool.map(run, jobs))
-        else:
-            verdicts = [run(job) for job in jobs]
+        verdicts = [verdict_over_Q(e, p, cfg) for e in curves for p in plist]
     except (ShadivError, ValueError) as exc:
         raise click.ClickException(str(exc))
     if fmt == "json":

@@ -1,8 +1,8 @@
 """p-adic solvability of diagonal plane cubics and cube classes in Q_p*.
 
 Covers exactly what the worked Selmer-curve example needs: cube class
-computations in Q_p*/(Q_p*)^3, coordinate-section point tests, and an
-exhaustive mod-p^k point search with Hensel certification.
+computations in Q_p*/(Q_p*)^3, coordinate-section point tests, and a
+search for primitive roots mod p^k with Hensel certification.
 """
 
 from dataclasses import dataclass
@@ -13,9 +13,8 @@ import numpy as np
 from .errors import BudgetExceeded, PrecisionInsufficient
 from .fp_linalg import is_prime
 
-SCAN_TABLE_BUDGET = 4 * 10 ** 6
-# has_local_point scans p^k rows of p^k entries; 7^10 admits every
-# default-precision scan at p <= 7 (k = 5, or 6 at p = 3)
+# bound on p^(2k), the steps of a sweep of all triples mod p^k; 7^10 admits
+# every default precision at p <= 7 (k = 5, or 6 at p = 3)
 SCAN_WORK_BUDGET = 7 ** 10
 
 
@@ -170,17 +169,78 @@ def _vp_int(n, p, cap):
     return v
 
 
+def _certified_root(cubic: DiagonalCubic, p, k):
+    """Search the primitive roots mod p^k of the cubic, one per unit multiple.
+
+    Scaling by a unit keeps a primitive root a root and keeps the
+    valuations of its partial derivatives, so it is enough to search the
+    triples whose first unit coordinate is 1: the charts (1, y, z),
+    (p*, 1, z) and (p*, p*, 1).  In each, one coordinate runs over its
+    residues mod p^k and the last is read from a table of the least
+    valuation of a solution t of coef * t^3 = r for each residue r: p^k +
+    2p^(k-1) candidates, where a sweep of all triples takes p^(2k).
+
+    Returns (certificate, roots): (x, y, z, j) for a primitive root mod
+    p^k whose partials have least valuation j with 2j < k, or None; and
+    whether any primitive root mod p^k exists.  BudgetExceeded when p^(2k)
+    is over SCAN_WORK_BUDGET.
+    """
+    pk = p ** k
+    if pk * pk > SCAN_WORK_BUDGET:
+        raise BudgetExceeded(f"a scan mod {p}^{k} takes {pk}^2 steps, over the budget {SCAN_WORK_BUDGET}")
+    res = np.arange(pk, dtype=np.int64)
+    cubes = res * res % pk * res % pk
+    val = np.zeros(pk, dtype=np.int64)  # v_p of each residue, k for 0
+    for e in range(1, k):
+        val[:: p ** e] += 1
+    val[0] = k
+    coeffs = [coef % pk for coef in (cubic.a, cubic.b, cubic.c)]
+    v3 = [_vp_int(3 * coef, p, k) for coef in (cubic.a, cubic.b, cubic.c)]
+    mult = res[::p]
+
+    def least_valuations(coef, ts):
+        """For each residue r, the least v_p(t) over t in ts with coef t^3 = r; k + 1 if none."""
+        least = np.full(pk, k + 1, dtype=np.int64)
+        np.minimum.at(least, coef * cubes[ts] % pk, val[ts])
+        return least
+
+    z_any, y_mult = least_valuations(coeffs[2], res), least_valuations(coeffs[1], mult)
+    roots = False
+    # (fixed, free, solved): the coordinate set to 1, the one that runs
+    # over its residues and the one read from its table
+    for fixed, (free, frees), (solved, solveds, table) in (
+        (0, (1, res), (2, res, z_any)),
+        (1, (0, mult), (2, res, z_any)),
+        (2, (0, mult), (1, mult, y_mult)),
+    ):
+        r = (-coeffs[fixed] - coeffs[free] * cubes[frees]) % pk
+        v = table[r]
+        solvable = v <= k
+        roots = roots or bool(solvable.any())
+        j = np.minimum(np.minimum(v3[fixed], v3[free] + 2 * val[frees]), v3[solved] + 2 * v)
+        hit = np.flatnonzero(solvable & (2 * j < k))
+        if len(hit):
+            i = hit[0]
+            t = solveds[(coeffs[solved] * cubes[solveds] % pk == r[i]) & (val[solveds] == v[i])][0]
+            point = [0, 0, 0]
+            point[fixed], point[free], point[solved] = 1, int(frees[i]), int(t)
+            return (*point, int(j[i])), True
+    return None, roots
+
+
 def has_local_point(cubic: DiagonalCubic, p, precision=None) -> bool:
-    """Whether the cubic has a Q_p-point, by scan plus Hensel certificates.
+    """Whether the cubic has a Q_p-point, by root search plus Hensel certificates.
 
     For p not dividing 3abc the reduction is a smooth plane cubic, which
     has an F_p-point by Hasse-Weil, and smoothness lifts it.  Otherwise we
-    sweep primitive triples mod p^k: a triple with F = 0 mod p^k and some
-    partial derivative of valuation j with k > 2j certifies a point; if no
-    primitive root mod p^k exists at all the curve is rigorously pointless
-    over Q_p; roots without certificates raise PrecisionInsufficient.  A
-    sweep of more than SCAN_WORK_BUDGET steps (p^k rows of p^k entries)
-    raises BudgetExceeded before it starts.
+    search primitive roots mod p^k up to unit multiples (_certified_root):
+    a root with some partial derivative of valuation j with k > 2j
+    certifies a point; if no primitive root mod p^k exists at all the
+    curve is rigorously pointless over Q_p; roots without certificates
+    raise PrecisionInsufficient.  Unit multiples share roots and
+    valuations, so these are the outcomes of a sweep of all primitive
+    triples mod p^k (the tests' oracle).  When that sweep would exceed
+    SCAN_WORK_BUDGET steps, BudgetExceeded is raised before any work.
     """
     a, b, c = cubic.a, cubic.b, cubic.c
     if (3 * a * b * c) % p != 0:
@@ -188,55 +248,10 @@ def has_local_point(cubic: DiagonalCubic, p, precision=None) -> bool:
     k = precision if precision is not None else (6 if p == 3 else 5)
     if k < 5:
         raise ValueError("precision must be at least 5")
-    pk = p ** k
-    if pk * pk > SCAN_WORK_BUDGET:
-        raise BudgetExceeded(f"a scan mod {p}^{k} takes {pk}^2 steps, over the budget {SCAN_WORK_BUDGET}")
-    res = np.arange(pk, dtype=np.int64)
-    cubes = res * res % pk * res % pk
-    val = np.full(pk, k, dtype=np.int64)
-    nonzero = res > 0
-    v = np.zeros(pk, dtype=np.int64)
-    tmp = res.copy()
-    for _ in range(k):
-        divisible = nonzero & (tmp % p == 0)
-        v[divisible] += 1
-        tmp[divisible] //= p
-    val[nonzero] = v[nonzero]
-
-    cz = c % pk * cubes % pk
-    vz_of = np.full(pk, k, dtype=np.int64)  # min valuation of z with c z^3 = R
-    has_any = np.zeros(pk, dtype=bool)
-    has_unit_z = np.zeros(pk, dtype=bool)
-    np.minimum.at(vz_of, cz, val)
-    has_any[cz] = True
-    unit_mask = res % p != 0
-    has_unit_z[cz[unit_mask]] = True
-
-    va = _vp_int(3 * a, p, k)
-    vb = _vp_int(3 * b, p, k)
-    vc = _vp_int(3 * c, p, k)
-    ax3 = a % pk * cubes % pk
-    by3 = b % pk * cubes % pk
-    jx_row = np.minimum(va + 2 * val, np.full(pk, k))  # valuation of dF/dX per x
-    jy = np.minimum(vb + 2 * val, np.full(pk, k))
-
-    roots_seen = False
-    for x in range(pk):
-        r_row = (-ax3[x] - by3) % pk
-        hit = has_any[r_row]
-        if x % p == 0:
-            # primitive needs y or z a unit
-            hit = hit & ((res % p != 0) | has_unit_z[r_row])
-        if not hit.any():
-            continue
-        roots_seen = True
-        jz = np.minimum(vc + 2 * vz_of[r_row], k)
-        jmin = np.minimum(np.minimum(jx_row[x], jy), jz)
-        certified = hit & (2 * jmin < k)
-        idx = np.nonzero(certified)[0]
-        if len(idx):
-            return True
-    if not roots_seen:
+    certificate, roots = _certified_root(cubic, p, k)
+    if certificate is not None:
+        return True
+    if not roots:
         return False
     raise PrecisionInsufficient(
         f"roots mod {p}^{k} exist but none carries a Hensel certificate"
@@ -244,29 +259,13 @@ def has_local_point(cubic: DiagonalCubic, p, precision=None) -> bool:
 
 
 def find_certified_point(cubic: DiagonalCubic, p, precision=None):
-    """A certified triple (x, y, z, j) mod p^k, or None; used for replay tests."""
-    a, b, c = cubic.a, cubic.b, cubic.c
+    """A certified triple (x, y, z, j) mod p^k, or None; used for replay tests.
+
+    The search of has_local_point, with its budget: j is the least
+    valuation of the partial derivatives at the triple, and k > 2j.
+    """
     k = precision if precision is not None else (6 if p == 3 else 5)
-    pk = p ** k
-    if pk > SCAN_TABLE_BUDGET:
-        raise BudgetExceeded(f"p^k = {pk} exceeds the scan budget")
-    f = lambda x, y, z: (a * x ** 3 + b * y ** 3 + c * z ** 3) % pk
-    for x in range(pk):
-        for y in range(pk):
-            rhs = (-(a * x ** 3 + b * y ** 3)) % pk
-            for z in range(pk):
-                if (c * z ** 3) % pk != rhs:
-                    continue
-                if x % p == 0 and y % p == 0 and z % p == 0:
-                    continue
-                j = min(
-                    _vp_int(3 * a * x * x, p, k),
-                    _vp_int(3 * b * y * y, p, k),
-                    _vp_int(3 * c * z * z, p, k),
-                )
-                if k > 2 * j:
-                    return x, y, z, j
-    return None
+    return _certified_root(cubic, p, k)[0]
 
 
 def lift_certificate(cubic: DiagonalCubic, point, p, k):

@@ -78,14 +78,6 @@ def test_analyze_curve_file_error_line_number(runner, tmp_path):
     assert "line 2" in result.output
 
 
-def test_analyze_threads_env_determinism(runner):
-    args = ["analyze", "--embedded", "selmer-jacobian", "--primes", "3,5,7", "--format", "json"]
-    single = runner.invoke(main, args, env={"SHA_DIV_THREADS": "1"})
-    multi = runner.invoke(main, args, env={"SHA_DIV_THREADS": "4"})
-    assert single.exit_code == multi.exit_code == 0
-    assert single.output == multi.output
-
-
 def test_groupcrit_verify_exhaustive_p3(runner):
     result = runner.invoke(main, ["groupcrit-verify", "--p", "3", "--mode", "exhaustive", "--format", "json"])
     assert result.exit_code == 0

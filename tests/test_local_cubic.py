@@ -2,12 +2,14 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shadiv.datasets import SELMER_COMPANIONS, SELMER_CUBIC
-from shadiv.errors import BudgetExceeded
+from shadiv.errors import BudgetExceeded, PrecisionInsufficient
 from shadiv.fp_linalg import is_prime
 from shadiv.local_cubic import (
+    SCAN_WORK_BUDGET,
     CubeClass,
     DiagonalCubic,
     PAdicApprox,
@@ -23,6 +25,7 @@ from shadiv.local_cubic import (
     lift_certificate,
     selmer_example_report,
     unit_cube_class_count,
+    _vp_int,
 )
 
 
@@ -193,3 +196,139 @@ def test_report_is_deterministic():
     a = json.dumps(selmer_example_report(), sort_keys=True)
     b = json.dumps(selmer_example_report(), sort_keys=True)
     assert a == b
+
+
+def sweep_has_local_point(cubic: DiagonalCubic, p, precision=None) -> bool:
+    """Oracle for has_local_point: a sweep of all primitive triples mod p^k.
+
+    For p not dividing 3abc the reduction is a smooth plane cubic, which
+    has an F_p-point by Hasse-Weil, and smoothness lifts it.  Otherwise we
+    sweep primitive triples mod p^k: a triple with F = 0 mod p^k and some
+    partial derivative of valuation j with k > 2j certifies a point; if no
+    primitive root mod p^k exists at all the curve is rigorously pointless
+    over Q_p; roots without certificates raise PrecisionInsufficient.  A
+    sweep of more than SCAN_WORK_BUDGET steps (p^k rows of p^k entries)
+    raises BudgetExceeded before it starts.
+    """
+    a, b, c = cubic.a, cubic.b, cubic.c
+    if (3 * a * b * c) % p != 0:
+        return True
+    k = precision if precision is not None else (6 if p == 3 else 5)
+    if k < 5:
+        raise ValueError("precision must be at least 5")
+    pk = p ** k
+    if pk * pk > SCAN_WORK_BUDGET:
+        raise BudgetExceeded(f"a scan mod {p}^{k} takes {pk}^2 steps, over the budget {SCAN_WORK_BUDGET}")
+    res = np.arange(pk, dtype=np.int64)
+    cubes = res * res % pk * res % pk
+    val = np.full(pk, k, dtype=np.int64)
+    nonzero = res > 0
+    v = np.zeros(pk, dtype=np.int64)
+    tmp = res.copy()
+    for _ in range(k):
+        divisible = nonzero & (tmp % p == 0)
+        v[divisible] += 1
+        tmp[divisible] //= p
+    val[nonzero] = v[nonzero]
+
+    cz = c % pk * cubes % pk
+    vz_of = np.full(pk, k, dtype=np.int64)  # min valuation of z with c z^3 = R
+    has_any = np.zeros(pk, dtype=bool)
+    has_unit_z = np.zeros(pk, dtype=bool)
+    np.minimum.at(vz_of, cz, val)
+    has_any[cz] = True
+    unit_mask = res % p != 0
+    has_unit_z[cz[unit_mask]] = True
+
+    va = _vp_int(3 * a, p, k)
+    vb = _vp_int(3 * b, p, k)
+    vc = _vp_int(3 * c, p, k)
+    ax3 = a % pk * cubes % pk
+    by3 = b % pk * cubes % pk
+    jx_row = np.minimum(va + 2 * val, np.full(pk, k))  # valuation of dF/dX per x
+    jy = np.minimum(vb + 2 * val, np.full(pk, k))
+
+    roots_seen = False
+    for x in range(pk):
+        r_row = (-ax3[x] - by3) % pk
+        hit = has_any[r_row]
+        if x % p == 0:
+            # primitive needs y or z a unit
+            hit = hit & ((res % p != 0) | has_unit_z[r_row])
+        if not hit.any():
+            continue
+        roots_seen = True
+        jz = np.minimum(vc + 2 * vz_of[r_row], k)
+        jmin = np.minimum(np.minimum(jx_row[x], jy), jz)
+        certified = hit & (2 * jmin < k)
+        idx = np.nonzero(certified)[0]
+        if len(idx):
+            return True
+    if not roots_seen:
+        return False
+    raise PrecisionInsufficient(
+        f"roots mod {p}^{k} exist but none carries a Hensel certificate"
+    )
+
+
+def _outcome(search, cubic, p):
+    try:
+        return search(cubic, p)
+    except (BudgetExceeded, PrecisionInsufficient) as exc:
+        return type(exc)
+
+
+def _cubic_grid(n=210, seed=11):
+    """Seeded diagonal cubics: coefficient valuations 0-3, both signs, and a
+    quarter whose coefficients all share a power of p.  Weighted towards
+    small p, where the oracle is cheap: at p = 7 it takes seconds per
+    cubic without a certified point."""
+    rng = random.Random(seed)
+    primes = [2] * 7 + [3] * 7 + [5] * 5 + [7]
+    cubics = []
+    for _ in range(n):
+        p = rng.choice(primes)
+        low = rng.randint(1, 3) if rng.random() < 0.25 else 0
+        coeffs = [
+            rng.choice((1, -1)) * rng.choice([u for u in range(1, 40) if u % p]) * p ** rng.randint(low, 3)
+            for _ in range(3)
+        ]
+        cubics.append((DiagonalCubic(*coeffs), p))
+    return cubics
+
+
+def test_has_local_point_matches_sweep_on_grid():
+    grid = _cubic_grid()
+    assert len(grid) >= 200 and {p for _, p in grid} == {2, 3, 5, 7}
+    outcomes = set()
+    for cubic, p in grid:
+        expected = _outcome(sweep_has_local_point, cubic, p)
+        assert _outcome(has_local_point, cubic, p) == expected, (cubic, p)
+        outcomes.add(expected)
+        point = find_certified_point(cubic, p)
+        assert (point is not None) == (expected is True), (cubic, p)
+        if point is not None:
+            x, y, z, j = point
+            k = 6 if p == 3 else 5
+            assert (cubic.a * x ** 3 + cubic.b * y ** 3 + cubic.c * z ** 3) % p ** k == 0
+            assert any(t % p for t in (x, y, z))
+            assert k > 2 * j
+    assert outcomes == {True, False, PrecisionInsufficient}
+
+
+def test_pointless_7adic_cubics_answer_fast():
+    # a point would need units x, y with -b/a a cube mod 7, and it is not;
+    # the oracle sweeps all 7^5 rows on these
+    for cubic in (DiagonalCubic(1, 2, 7), DiagonalCubic(3, 1, 7)):
+        t0 = time.monotonic()
+        assert has_local_point(cubic, 7) is False
+        assert find_certified_point(cubic, 7) is None
+        assert time.monotonic() - t0 < 1
+
+
+def test_certificates_replay_at_7():
+    for cubic in (DiagonalCubic(1, 1, 7), DiagonalCubic(-1764, 735, -2401)):
+        x, y, z, j = find_certified_point(cubic, 7)
+        assert 5 > 2 * j
+        lifted = lift_certificate(cubic, (x, y, z), 7, 5)
+        assert (cubic.a * lifted[0] ** 3 + cubic.b * lifted[1] ** 3 + cubic.c * lifted[2] ** 3) % 7 ** 6 == 0
