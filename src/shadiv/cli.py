@@ -84,11 +84,9 @@ def main():
 @click.option("--primes", required=True, help="comma-separated odd primes")
 @click.option("--trace-bound", default=1000, show_default=True)
 @click.option("--character-mode", type=click.Choice(["cyclotomic", "dirichlet"]), default="cyclotomic", show_default=True)
-@click.option("--assume-minimal", is_flag=True, default=False)
-@click.option("--analytic-rank", type=int, default=None, help="user-supplied analytic rank")
 @click.option("--format", "fmt", type=click.Choice(["json", "tsv", "text"]), default="text", show_default=True)
 def analyze(curve_spec, curve_file, embedded, label, primes, trace_bound,
-            character_mode, assume_minimal, analytic_rank, fmt):
+            character_mode, fmt):
     """Divisibility verdicts for curves at odd primes."""
     curves = []
     if curve_spec:
@@ -106,12 +104,7 @@ def analyze(curve_spec, curve_file, embedded, label, primes, trace_bound,
         plist = [int(p) for p in primes.split(",")]
     except ValueError:
         raise click.ClickException(f"--primes: {primes!r} is not a comma-separated integer list")
-    cfg = RunConfig(
-        trace_bound=trace_bound,
-        character_mode=character_mode,
-        assume_minimal=assume_minimal,
-        analytic_rank=analytic_rank,
-    )
+    cfg = RunConfig(trace_bound=trace_bound, character_mode=character_mode)
     try:
         verdicts = [verdict_over_Q(e, p, cfg) for e in curves for p in plist]
     except (ShadivError, ValueError) as exc:

@@ -6,15 +6,14 @@ edge contributes linear constraints.  This keeps the unknown count at
 dim(M) * #generators independently of |G|.
 """
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from .errors import BudgetExceeded, SizeExceeded
-from .fp_linalg import det_raw, kernel_basis, subspace_count
+from .fp_linalg import det_raw, echelon_bases, kernel_basis, rref
 from .gl2 import Subgroup, ambient, invariant_line
 
 H1_MAX_ORDER = 10 ** 4
@@ -118,39 +117,6 @@ def _validate_hom(mod):
 # invariant subspace machinery (echelon representatives, vectorized scan)
 
 
-_rref_cache = {}
-_rref_lock = threading.Lock()
-
-
-def _echelon_bases(p, n, d):
-    """All d-dim subspaces of F_p^n grouped by pivot columns.
-
-    Returns a list of (pivot_cols, bases) with bases of shape (m, d, n).
-    """
-    key = (p, n, d)
-    with _rref_lock:
-        if key not in _rref_cache:
-            if subspace_count(p, n, d) > 10 ** 6:
-                raise BudgetExceeded("subspace enumeration budget exceeded")
-            groups = []
-            for pivots in combinations(range(n), d):
-                free_positions = []
-                for i, piv in enumerate(pivots):
-                    for col in range(piv + 1, n):
-                        if col not in pivots:
-                            free_positions.append((i, col))
-                shape_count = p ** len(free_positions)
-                bases = np.zeros((shape_count, d, n), dtype=np.int64)
-                for i, piv in enumerate(pivots):
-                    bases[:, i, piv] = 1
-                for idx, values in enumerate(product(range(p), repeat=len(free_positions))):
-                    for (i, col), val in zip(free_positions, values):
-                        bases[idx, i, col] = val
-                groups.append((pivots, bases))
-            _rref_cache[key] = groups
-    return _rref_cache[key]
-
-
 def _invariant_mask(gen_mats, p, pivots, bases):
     """Boolean mask of which echelon bases span invariant subspaces."""
     mask = np.ones(len(bases), dtype=bool)
@@ -171,7 +137,7 @@ def invariant_subspaces(gen_mats, p, n, d):
         return [np.zeros((0, n), dtype=np.int64)]
     found = []
     gen_mats = np.asarray(gen_mats, dtype=np.int64) % p
-    for pivots, bases in _echelon_bases(p, n, d):
+    for pivots, bases in echelon_bases(p, n, d):
         mask = _invariant_mask(gen_mats, p, pivots, bases)
         found.extend(bases[mask])
     return found
@@ -181,7 +147,7 @@ def _first_invariant_subspace(gen_mats, p, n, max_dim):
     """First (canonical) invariant subspace of minimal dimension, or None."""
     gen_mats = np.asarray(gen_mats, dtype=np.int64) % p
     for d in range(1, max_dim + 1):
-        for pivots, bases in _echelon_bases(p, n, d):
+        for pivots, bases in echelon_bases(p, n, d):
             mask = _invariant_mask(gen_mats, p, pivots, bases)
             idx = np.nonzero(mask)[0]
             if len(idx):
@@ -300,46 +266,15 @@ class CohomologyClassSpace:
     basis: tuple  # cocycle value tables: per basis vector, per generator, a vector
 
 
-class _FpRowReducer:
-    """Incremental row reduction mod p with a fixed column count."""
-
-    def __init__(self, ncols, p):
-        self.ncols = ncols
-        self.p = p
-        self.pivot_rows = {}  # leading column -> normalized row (numpy)
-
-    def add(self, row):
-        p = self.p
-        row = row % p
-        while True:
-            nz = np.nonzero(row)[0]
-            if len(nz) == 0:
-                return False
-            lead = int(nz[0])
-            existing = self.pivot_rows.get(lead)
-            if existing is None:
-                inv = pow(int(row[lead]), -1, p)
-                self.pivot_rows[lead] = row * inv % p
-                return True
-            row = (row - int(row[lead]) * existing) % p
-
-    @property
-    def rank(self):
-        return len(self.pivot_rows)
-
-    def kernel(self):
-        rows = [tuple(int(x) for x in r) for r in self.pivot_rows.values()]
-        return kernel_basis(rows, self.ncols, self.p)
-
-
 def _cayley_schedule(subgroup):
-    """BFS order and edge list of the Cayley graph on the generators.
+    """Breadth-first spanning tree and non-tree edges of the Cayley graph.
 
-    Returns (order, tree, extra) where order is the visit order of element
-    positions, tree maps visited position -> (parent_pos, gen_index) and
-    extra lists non-tree edges (pos, gen_index, target_pos).  Cached by
-    (p, elements, generators): Subgroup equality ignores the generator
-    set, which the schedule depends on.
+    Returns (parent, steps, tree, extra) over element positions.  parent[x]
+    is x's parent in the tree, the identity its own; 2^steps is at least
+    the tree's depth; tree and extra are the (src, gen, dst) triples of the
+    tree edges and of every other edge x -> x*s, s the gen-th generator.
+    Cached by (p, elements, generators): Subgroup equality ignores the
+    generator set, which the schedule depends on.
     """
     return _cayley_schedule_cached(
         subgroup.p, subgroup.element_ids, subgroup.generator_ids
@@ -348,37 +283,41 @@ def _cayley_schedule(subgroup):
 
 @lru_cache(maxsize=64)
 def _cayley_schedule_cached(p, element_ids, generator_ids):
-    from .gl2 import Subgroup as _S
-
-    subgroup = _S(p, generator_ids, element_ids)
-    amb = subgroup.ambient
-    pos = _position_index(subgroup)
-    gens = subgroup.generator_ids
-    start = pos[amb.identity_id]
-    visited = {start}
-    order = [start]
-    tree = {}
-    extra = []
-    queue = [start]
-    ids = subgroup.element_ids
-    while queue:
-        nxt = []
-        for src in queue:
-            for j, gid in enumerate(gens):
-                dst = pos[amb.mul_ids(ids[src], gid)]
-                if dst not in visited:
-                    visited.add(dst)
-                    tree[dst] = (src, j)
-                    order.append(dst)
-                    nxt.append(dst)
-                else:
-                    extra.append((src, j, dst))
-        queue = nxt
-    return tuple(order), tree, tuple(extra)
+    amb = ambient(p)
+    order = len(element_ids)
+    k = len(generator_ids)
+    pos = np.zeros(amb.size, dtype=np.intp)
+    pos[list(element_ids)] = np.arange(order)
+    targets = pos[amb.products(element_ids, np.asarray(generator_ids, dtype=np.intp))]
+    rows = targets.tolist()
+    root = int(pos[amb.identity_id])
+    parent = np.full(order, root)
+    depth = [-1] * order
+    depth[root] = 0
+    in_tree = np.zeros(order * k, dtype=bool)
+    queue = [root]
+    for x in queue:
+        for j, y in enumerate(rows[x]):
+            if depth[y] < 0:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                in_tree[x * k + j] = True
+                queue.append(y)
+    edges = (*np.divmod(np.arange(order * k), k), targets.ravel())
+    steps = max(depth[queue[-1]] - 1, 0).bit_length()
+    return parent, steps, tuple(e[in_tree] for e in edges), tuple(e[~in_tree] for e in edges)
 
 
-def h1(g: Subgroup, m: GModule) -> CohomologyClassSpace:
-    """H^1(G, M) with explicit cocycle basis on the generators."""
+def _relations(g, m):
+    """Cocycle values along the Cayley tree, and the relations between them.
+
+    A cocycle is fixed by its values on the k generators: n*k unknowns.
+    Returns (t, rel).  t[x] is the (n, n*k) matrix taking the unknowns to
+    f(x): the sum of y.f(s) over the tree edges y -> y*s from the identity
+    to x, by f(y*s) = f(y) + y.f(s), summed by pointer doubling.  rel
+    stacks t[x*s] - t[x] - x.f(s) over the non-tree edges, n rows each;
+    its kernel is Z^1.
+    """
     if g != m.subgroup:
         raise ValueError("module does not belong to the subgroup")
     if g.order > H1_MAX_ORDER:
@@ -386,75 +325,55 @@ def h1(g: Subgroup, m: GModule) -> CohomologyClassSpace:
     p = g.p
     n = m.dim
     k = len(g.generator_ids)
-    nunk = n * k
-    if k == 0:
-        return CohomologyClassSpace(0, 0, 0, ())
-    pos = _position_index(g)
-    order, tree, extra = _cayley_schedule(g)
-    gen_pos = [pos[gid] for gid in g.generator_ids]
-    t = np.zeros((g.order, n, nunk), dtype=np.int64)
-    reducer = _FpRowReducer(nunk, p)
-    for dst in order[1:]:
-        src, j = tree[dst]
-        prop = t[src].copy()
-        prop[:, j * n : (j + 1) * n] += m.mats[src]
-        t[dst] = prop % p
-    for src, j, dst in extra:
-        prop = t[src].copy()
-        prop[:, j * n : (j + 1) * n] += m.mats[src]
-        diff = (prop - t[dst]) % p
-        for row in diff:
-            reducer.add(row)
-    z1_basis = reducer.kernel()
-    dim_z1 = len(z1_basis)
-    cob_rows = []
-    for gp in gen_pos:
-        block = (m.mats[gp] - np.eye(n, dtype=np.int64)) % p
-        cob_rows.append(block)
-    cob = np.concatenate(cob_rows, axis=0)  # (n*k, n): v -> coboundary values
-    dim_b1 = _rank_np(cob.T, p)
-    basis = tuple(
-        tuple(tuple(int(x) for x in vec[j * n : (j + 1) * n]) for j in range(k))
-        for vec in z1_basis
-    )
-    return CohomologyClassSpace(dim_z1, dim_b1, dim_z1 - dim_b1, basis)
+    parent, steps, (src, gen, dst), extra = _cayley_schedule(g)
+    t = np.zeros((g.order, n, k, n), dtype=np.int64)
+    t[dst, :, gen, :] = m.mats[src]
+    t = t.reshape(g.order, n, n * k)
+    for _ in range(steps):
+        t = (t + t[parent]) % p
+        parent = parent[parent]
+    src, gen, dst = extra
+    rel = (t[dst] - t[src]).reshape(len(src), n, k, n)
+    rel[np.arange(len(src)), :, gen, :] -= m.mats[src]
+    return t, rel.reshape(len(src) * n, n * k) % p
 
 
-def _rank_np(rows, p):
-    reducer = _FpRowReducer(rows.shape[1], p)
-    for row in np.asarray(rows, dtype=np.int64):
-        reducer.add(row.copy())
-    return reducer.rank
+def _coboundary_rank(m):
+    """dim B^1, the rank of v -> (s.v - v) over the generators s."""
+    cob = (m.gen_mats - np.eye(m.dim, dtype=np.int64)).reshape(-1, m.dim)
+    return len(rref(cob, m.p)[1])
+
+
+def h1(g: Subgroup, m: GModule) -> CohomologyClassSpace:
+    """H^1(G, M) with explicit cocycle basis on the generators."""
+    _, rel = _relations(g, m)
+    n = m.dim
+    k = len(g.generator_ids)
+    z1 = kernel_basis(rel, n * k, g.p)
+    dim_b1 = _coboundary_rank(m)
+    basis = tuple(tuple(vec[j * n : (j + 1) * n] for j in range(k)) for vec in z1)
+    return CohomologyClassSpace(len(z1), dim_b1, len(z1) - dim_b1, basis)
 
 
 def h1_star(g: Subgroup, m: GModule) -> int:
-    """Dimension of the classes killed by restriction to every cyclic subgroup."""
-    if g.order > H1_MAX_ORDER:
-        raise SizeExceeded(f"|G| = {g.order} exceeds H^1 size limit")
+    """Dimension of the classes killed by restriction to every cyclic subgroup.
+
+    A cocycle restricts to a coboundary on <x> exactly when f(x) lies in
+    (x - 1)M, i.e. when the left kernel of x - 1 kills f(x) = t[x] u, u
+    the unknowns.  Those rows join the relations, and one rank gives the
+    subspace W of Z^1 they cut out.
+    """
+    t, rel = _relations(g, m)
     p = g.p
     n = m.dim
-    k = len(g.generator_ids)
-    if k == 0:
-        return 0
-    space = h1(g, m)
-    if space.h1 == 0:
+    nunk = t.shape[2]
+    reduced, pivots = rref(rel, p)
+    dim_b1 = _coboundary_rank(m)
+    if nunk - len(pivots) == dim_b1:
         return 0
     pos = _position_index(g)
-    order, tree, extra = _cayley_schedule(g)
-    nunk = n * k
-    t = np.zeros((g.order, n, nunk), dtype=np.int64)
-    for dst in order[1:]:
-        src, j = tree[dst]
-        prop = t[src].copy()
-        prop[:, j * n : (j + 1) * n] += m.mats[src]
-        t[dst] = prop % p
-    reducer = _FpRowReducer(nunk, p)
-    for src, j, dst in extra:
-        prop = t[src].copy()
-        prop[:, j * n : (j + 1) * n] += m.mats[src]
-        for row in (prop - t[dst]) % p:
-            reducer.add(row)
     amb = g.ambient
+    rows = [reduced]
     seen_cyclic = set()
     for eid in g.element_ids:
         members = []
@@ -466,16 +385,11 @@ def h1_star(g: Subgroup, m: GModule) -> int:
         if key in seen_cyclic or not members:
             continue
         seen_cyclic.add(key)
-        rho = m.mats[pos[eid]]
-        shifted = (rho - np.eye(n, dtype=np.int64)) % p
-        left_kernel = kernel_basis(
-            [tuple(int(x) for x in col) for col in shifted.T], n, p
-        )
-        for krow in left_kernel:
-            constraint = (np.asarray(krow, dtype=np.int64) @ t[pos[eid]]) % p
-            reducer.add(constraint)
-    dim_w = nunk - reducer.rank
-    return dim_w - space.dim_b1
+        shifted = (m.mats[pos[eid]] - np.eye(n, dtype=np.int64)) % p
+        left_kernel = np.array(kernel_basis(shifted.T, n, p), dtype=np.int64)
+        rows.append(left_kernel.reshape(-1, n) @ t[pos[eid]] % p)
+    dim_w = nunk - len(rref(np.concatenate(rows), p)[1])
+    return dim_w - dim_b1
 
 
 # ---------------------------------------------------------------------------

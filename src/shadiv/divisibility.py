@@ -102,13 +102,6 @@ class RunConfig:
 
     trace_bound: int = 1000
     character_mode: str = "cyclotomic"  # or "dirichlet"
-    dirichlet_modulus_cap: int = 10 ** 5
-    seed: int = 0
-    sample_count: int = 1000
-    precision: int = 6
-    output_format: str = "text"  # json | tsv | text
-    assume_minimal: bool = False
-    analytic_rank: int = None  # user-supplied metadata, never computed
     semistable_outside_p: bool = None  # user-supplied metadata
 
 

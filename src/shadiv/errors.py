@@ -5,14 +5,6 @@ class ShadivError(Exception):
     """Base class for all package errors."""
 
 
-class NotInvertible(ShadivError):
-    """Matrix has zero determinant mod p."""
-
-
-class LinearSystemInconsistent(ShadivError):
-    """A x = b has no solution over F_p."""
-
-
 class BudgetExceeded(ShadivError):
     """An enumeration or scan exceeded its configured budget."""
 

@@ -1,14 +1,16 @@
 """Exact linear algebra over prime fields F_p.
 
-Everything here is plain integer arithmetic mod p; no floating point.
-Matrices are tuples of row tuples, vectors are tuples.  The wrapper types
-carry their modulus so that mixed-modulus arithmetic fails loudly.
+Everything here is integer arithmetic mod p; no floating point.  `rref` is
+the package's one row reducer and `echelon_bases` its one subspace
+enumerator.
 """
 
-from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 
-from .errors import BudgetExceeded, LinearSystemInconsistent, NotInvertible
+import numpy as np
+
+from .errors import BudgetExceeded
 
 SUBSPACE_BUDGET = 10 ** 6
 
@@ -27,111 +29,6 @@ def is_prime(n):
             return False
         d += 2
     return True
-
-
-def _check_prime(p):
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    value: int
-    p: int
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """Square matrix over F_p, stored as a tuple of row tuples."""
-
-    entries: tuple
-    p: int
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        n = len(self.entries)
-        rows = tuple(tuple(x % self.p for x in row) for row in self.entries)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def n(self):
-        return len(self.entries)
-
-    @staticmethod
-    def identity(n, p):
-        return FpMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), p)
-
-    def __mul__(self, other):
-        return mat_mul(self, other)
-
-
-@dataclass(frozen=True)
-class FpSubspace:
-    """Subspace given by a basis of linearly independent row vectors."""
-
-    basis: tuple
-    p: int
-
-    def __post_init__(self):
-        rows = tuple(tuple(x % self.p for x in v) for v in self.basis)
-        object.__setattr__(self, "basis", rows)
-        if rows and rank_of(rows, self.p) != len(rows):
-            raise ValueError("basis vectors are linearly dependent")
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def contains(self, vector):
-        return reduce_against(vector, rref(self.basis, self.p)[0], self.p) is not None
-
-
-def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    if a.p != b.p:
-        raise ValueError("modulus mismatch")
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
-    return FpMatrix(mat_mul_raw(a.entries, b.entries, a.p), a.p)
-
-
-def mat_mul_raw(a, b, p):
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
-    )
-
-
-def mat_vec_raw(a, v, p):
-    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
-
-
-def mat_inverse(a: FpMatrix) -> FpMatrix:
-    """Inverse by Gauss-Jordan; raises NotInvertible when det = 0."""
-    return FpMatrix(mat_inverse_raw(a.entries, a.p), a.p)
-
-
-def mat_inverse_raw(a, p):
-    n = len(a)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
-        if pivot is None:
-            raise NotInvertible(f"matrix is singular mod {p}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [x * inv % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def det_raw(a, p):
@@ -155,122 +52,51 @@ def det_raw(a, p):
 
 
 def rref(rows, p):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    pivots = []
-    row = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] % p != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], -1, p)
-        m[row] = [x * inv % p for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return tuple(tuple(r) for r in m[:row]), tuple(pivots)
+    """Reduced row echelon form of a 2-d matrix over F_p.
 
-
-def rank_of(rows, p):
-    return len(rref(rows, p)[1])
-
-
-def reduce_against(vector, rref_rows, p):
-    """Coordinates of vector in the row space, or None if not a member."""
-    v = [x % p for x in vector]
-    coords = []
-    for row in rref_rows:
-        lead = next(i for i, x in enumerate(row) if x)
-        c = v[lead]
-        coords.append(c)
-        if c:
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-    if any(v):
-        return None
-    return tuple(coords)
-
-
-def solve_linear(a_rows, b, p):
-    """Solve A x = b over F_p.
-
-    Returns (particular_solution, kernel_basis).  The kernel basis spans
-    the full solution space of A x = 0; every solution is particular plus
-    a combination of basis vectors.  Raises LinearSystemInconsistent when
-    there is no solution.
+    Returns (reduced, pivots): the nonzero rows of the RREF as an int64
+    array and the tuple of their leading columns.  The RREF of a row space
+    is unique, so anything read off it is canonical.
     """
-    _check_prime(p)
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else len(b)
-    aug = [list(row) + [bv % p] for row, bv in zip(a_rows, b)]
-    reduced, pivots = rref(aug, p) if aug else ((), ())
-    if ncols in pivots:
-        raise LinearSystemInconsistent("no solution over F_p")
-    particular = [0] * ncols
-    for row, col in zip(reduced, pivots):
-        particular[col] = row[-1]
-    kernel = kernel_basis([row[:-1] for row in aug] if aug else [], ncols, p)
-    return tuple(particular), kernel
+    m = np.array(rows, dtype=np.int64) % p
+    nrows, ncols = m.shape
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nz = m[r:, c].nonzero()[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        row = m[r] * pow(int(m[r, c]), -1, p) % p
+        m -= m[:, c, None] * row
+        m[r] = row
+        m %= p
+        pivots.append(c)
+    return m[: len(pivots)], tuple(pivots)
 
 
 def kernel_basis(a_rows, ncols, p):
-    """Basis of {x : A x = 0} over F_p."""
-    if not a_rows:
-        return tuple(
-            tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)
-        )
-    reduced, pivots = rref(a_rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of {x : A x = 0} over F_p, one vector per non-pivot column.
+
+    Read off the RREF of A, so the basis depends only on the row space.
+    Returned as a tuple of tuples of Python ints.
+    """
+    reduced, pivots = rref(np.asarray(a_rows, dtype=np.int64).reshape(len(a_rows), ncols), p)
+    reduced = reduced.tolist()
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         v = [0] * ncols
         v[f] = 1
         for row, col in zip(reduced, pivots):
-            v[col] = (-row[f]) % p
+            v[col] = -row[f] % p
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def all_vectors(p, n):
-    return product(range(p), repeat=n)
-
-
-def enumerate_subspaces(p, n, d):
-    """All d-dimensional subspaces of F_p^n as RREF bases.
-
-    Subspaces are produced as tuples of basis rows in reduced echelon form,
-    one representative each, ordered deterministically.
-    """
-    _check_prime(p)
-    if d == 0:
-        yield ()
-        return
-    if d > n:
-        return
-    count = subspace_count(p, n, d)
-    if count > SUBSPACE_BUDGET:
-        raise BudgetExceeded(f"{count} subspaces exceeds budget {SUBSPACE_BUDGET}")
-    from itertools import combinations
-
-    for pivots in combinations(range(n), d):
-        free_positions = []
-        for i, piv in enumerate(pivots):
-            for col in range(piv + 1, n):
-                if col not in pivots:
-                    free_positions.append((i, col))
-        for values in product(range(p), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(d)]
-            for i, piv in enumerate(pivots):
-                rows[i][piv] = 1
-            for (i, col), val in zip(free_positions, values):
-                rows[i][col] = val
-            yield tuple(tuple(r) for r in rows)
 
 
 def subspace_count(p, n, d):
@@ -282,27 +108,32 @@ def subspace_count(p, n, d):
     return num // den
 
 
-def enumerate_invariant_subspaces(generators, dim_target):
-    """All dim_target-subspaces fixed setwise by every generator.
+@lru_cache(maxsize=64)
+def echelon_bases(p, n, d):
+    """All d-dimensional subspaces of F_p^n as RREF bases, by pivot columns.
 
-    Exhaustive over echelon representatives; the budget cap turns runaway
-    parameter choices into an error instead of silent truncation.
+    Returns a tuple of (pivots, bases), bases a read-only int64 array of
+    shape (m, d, n); pivot tuples come in lexicographic order, and within
+    one the free entries run in `itertools.product` order.  Raises
+    BudgetExceeded above SUBSPACE_BUDGET subspaces.
     """
-    if not generators:
-        raise ValueError("need at least one generator (use identity for trivial action)")
-    p = generators[0].p
-    n = generators[0].n
-    if any(g.p != p or g.n != n for g in generators):
-        raise ValueError("generators must share modulus and dimension")
-    if n > 4:
-        raise ValueError("ambient dimension must be at most 4")
-    found = []
-    mats = [g.entries for g in generators]
-    for basis in enumerate_subspaces(p, n, dim_target):
-        reduced, _ = rref(basis, p) if basis else ((), ())
-        if all(
-            all(reduce_against(mat_vec_raw(m, v, p), reduced, p) is not None for v in basis)
-            for m in mats
-        ):
-            found.append(FpSubspace(basis, p))
-    return found
+    count = subspace_count(p, n, d)
+    if count > SUBSPACE_BUDGET:
+        raise BudgetExceeded(f"{count} subspaces exceeds budget {SUBSPACE_BUDGET}")
+    groups = []
+    for pivots in combinations(range(n), d):
+        free = [
+            (i, col)
+            for i, piv in enumerate(pivots)
+            for col in range(piv + 1, n)
+            if col not in pivots
+        ]
+        values = np.array(list(product(range(p), repeat=len(free))), dtype=np.int64)
+        bases = np.zeros((len(values), d, n), dtype=np.int64)
+        for i, piv in enumerate(pivots):
+            bases[:, i, piv] = 1
+        for k, (i, col) in enumerate(free):
+            bases[:, i, col] = values[:, k]
+        bases.flags.writeable = False
+        groups.append((pivots, bases))
+    return tuple(groups)

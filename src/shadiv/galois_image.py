@@ -127,17 +127,7 @@ def _primitive_root(q, e=1):
 
 
 def _prime_factors(n):
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return sorted(_factorize(n))
 
 
 def _factorize(n):

@@ -55,6 +55,14 @@ def test_analyze_parse_error_exit_code(runner):
     assert "column" in result.output
 
 
+def test_analyze_rejects_ignored_metadata_flags(runner):
+    # --analytic-rank and --assume-minimal were accepted and never read
+    for flag in (["--analytic-rank", "0"], ["--assume-minimal"]):
+        result = runner.invoke(main, ["analyze", "--embedded", "121-C1", "--primes", "11"] + flag)
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
+
 def test_analyze_curve_file(runner, tmp_path):
     path = tmp_path / "curves.txt"
     path.write_text(

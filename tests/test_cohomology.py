@@ -1,8 +1,10 @@
+import hashlib
 from itertools import product
 
 import numpy as np
 import pytest
 
+from fp_oracle import LinearSystemInconsistent, kernel_basis, rank_of, solve_linear
 from shadiv.cohomology import (
     GModule,
     borel_datum,
@@ -20,7 +22,6 @@ from shadiv.cohomology import (
     reducible_characters,
     sylow_hom_bound,
 )
-from shadiv.fp_linalg import kernel_basis, rank_of
 from shadiv.gl2 import Subgroup, closure, s3_copy
 
 
@@ -81,6 +82,29 @@ def test_h1_matches_bruteforce(p, gens):
         assert (space.dim_z1, space.dim_b1) == (z1, b1)
         assert space.h1 == z1 - b1
         assert space.h1 >= 0
+
+
+# sha256 over (dim Z1, dim B1, h1, basis) for V and End V, and h1_*(End V),
+# of every subgroup in the seed-1 samples, computed with the per-row
+# reducer that preceded fp_linalg.rref: the reducer must not move them
+H1_DIGESTS = {
+    5: "5206aff4d7aae636a35c0d7028317fe6ae9cf9e947bd094a05156de842e4ba14",
+    7: "96a9c504899907cf0b3a4aa4524a45ed748756b5b49acada313bca3b1a7b5af4",
+}
+
+
+def test_h1_digests_are_pinned(sampled_p5, sampled_p7):
+    for sample in (sampled_p5, sampled_p7):
+        digest = hashlib.sha256()
+        for s in sample:
+            adj = make_adjoint_module(s)
+            row = []
+            for mod in (make_standard_module(s), adj):
+                space = h1(s, mod)
+                row.append((space.dim_z1, space.dim_b1, space.h1, space.basis))
+            row.append(h1_star(s, adj))
+            digest.update(repr(tuple(row)).encode())
+        assert digest.hexdigest() == H1_DIGESTS[sample[0].p]
 
 
 def test_h1_unipotent_cyclic_is_one_dimensional():
@@ -155,8 +179,6 @@ def _is_cyclic(s):
 def test_h1_star_bruteforce_small():
     # oracle: enumerate all of Z^1 and test the coboundary condition per
     # cyclic subgroup by solving (rho(x) - 1) v = f(x) directly
-    from shadiv.fp_linalg import LinearSystemInconsistent, solve_linear
-
     for p, gens in (
         (3, [((1, 1), (0, 1)), ((2, 0), (0, 2))]),  # C3 x center
         (5, [((4, 4), (0, 4))]),  # <-u>, order 10, contains -I
