@@ -7,7 +7,7 @@ dim(M) * #generators independently of |G|.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -37,7 +37,7 @@ class GModule:
     def p(self):
         return self.subgroup.p
 
-    @property
+    @cached_property
     def gen_mats(self):
         pos = _position_index(self.subgroup)
         return self.mats[[pos[g] for g in self.subgroup.generator_ids]]

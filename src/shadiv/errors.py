@@ -35,7 +35,3 @@ class BadReduction(ShadivError):
 
 class UnsupportedPrime(ShadivError):
     """The requested prime is outside the supported range (e.g. p = 2)."""
-
-
-class PrecisionInsufficient(ShadivError):
-    """Local point search ended without certificate or refutation."""

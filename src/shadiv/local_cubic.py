@@ -1,8 +1,9 @@
 """p-adic solvability of diagonal plane cubics and cube classes in Q_p*.
 
 Covers exactly what the worked Selmer-curve example needs: cube class
-computations in Q_p*/(Q_p*)^3, coordinate-section point tests, and a
-search for primitive roots mod p^k with Hensel certification.
+computations in Q_p*/(Q_p*)^3, coordinate-section point tests, and an
+exact decision of local solvability: a cube class test for p != 3 and a
+search for primitive roots mod 3^k with Hensel certification at p = 3.
 """
 
 from dataclasses import dataclass
@@ -10,44 +11,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, PrecisionInsufficient
 from .fp_linalg import is_prime
 
-# bound on p^(2k), the steps of a sweep of all triples mod p^k; 7^10 admits
-# every default precision at p <= 7 (k = 5, or 6 at p = 3)
-SCAN_WORK_BUDGET = 7 ** 10
 
-
-@dataclass(frozen=True)
-class PAdicApprox:
-    """x = p^valuation * unit known to precision k digits of the unit."""
-
-    p: int
-    valuation: int
-    unit: int
-    precision: int
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
-        if self.unit % self.p == 0:
-            raise ValueError("unit part must be coprime to p")
-
-    @staticmethod
-    def from_rational(x, p, precision=8):
-        x = Fraction(x)
-        if x == 0:
-            raise ValueError("zero has no p-adic approximation")
-        v = 0
-        num, den = x.numerator, x.denominator
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        unit = num * pow(den, -1, p ** precision) % p ** precision
-        return PAdicApprox(p, v, unit, precision)
+def _split(n, p):
+    """(v, u) with n = p^v * u and p not dividing u, for a nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
 
 
 @dataclass(frozen=True)
@@ -78,19 +51,13 @@ def _unit_class(unit, p):
     return 1
 
 
-def cube_class(x, p, precision=None) -> CubeClass:
-    min_prec = 2 if p == 3 else 1
-    precision = max(precision or min_prec, min_prec)
-    approx = PAdicApprox.from_rational(x, p, precision)
-    return cube_class_from_approx(approx)
-
-
-def cube_class_from_approx(approx: PAdicApprox) -> CubeClass:
-    p = approx.p
-    need = 2 if p == 3 else 1
-    if approx.precision < need:
-        raise ValueError(f"cube class mod {p} needs precision >= {need}")
-    return CubeClass(p, approx.valuation % 3, _unit_class(approx.unit, p))
+def cube_class(x, p) -> CubeClass:
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("zero has no cube class")
+    # x * den^3 is an integer in the cube class of x
+    v, u = _split(x.numerator * x.denominator ** 2, p)
+    return CubeClass(p, v % 3, _unit_class(u, p))
 
 
 def is_cube(x, p) -> bool:
@@ -108,10 +75,6 @@ def cube_class_group_order(p):
     if p == 3 or p % 3 == 1:
         return 9
     return 3
-
-
-def unit_cube_class_count(p):
-    return 3 if (p == 3 or p % 3 == 1) else 1
 
 
 def has_zeta3(v) -> bool:
@@ -159,16 +122,6 @@ def has_real_point(cubic: DiagonalCubic) -> bool:
     return True
 
 
-def _vp_int(n, p, cap):
-    if n == 0:
-        return cap
-    v = 0
-    while n % p == 0 and v < cap:
-        n //= p
-        v += 1
-    return v
-
-
 def _certified_root(cubic: DiagonalCubic, p, k):
     """Search the primitive roots mod p^k of the cubic, one per unit multiple.
 
@@ -182,12 +135,9 @@ def _certified_root(cubic: DiagonalCubic, p, k):
 
     Returns (certificate, roots): (x, y, z, j) for a primitive root mod
     p^k whose partials have least valuation j with 2j < k, or None; and
-    whether any primitive root mod p^k exists.  BudgetExceeded when p^(2k)
-    is over SCAN_WORK_BUDGET.
+    whether any primitive root mod p^k exists.
     """
     pk = p ** k
-    if pk * pk > SCAN_WORK_BUDGET:
-        raise BudgetExceeded(f"a scan mod {p}^{k} takes {pk}^2 steps, over the budget {SCAN_WORK_BUDGET}")
     res = np.arange(pk, dtype=np.int64)
     cubes = res * res % pk * res % pk
     val = np.zeros(pk, dtype=np.int64)  # v_p of each residue, k for 0
@@ -195,7 +145,7 @@ def _certified_root(cubic: DiagonalCubic, p, k):
         val[:: p ** e] += 1
     val[0] = k
     coeffs = [coef % pk for coef in (cubic.a, cubic.b, cubic.c)]
-    v3 = [_vp_int(3 * coef, p, k) for coef in (cubic.a, cubic.b, cubic.c)]
+    v3 = [_split(3 * coef, p)[0] for coef in (cubic.a, cubic.b, cubic.c)]
     mult = res[::p]
 
     def least_valuations(coef, ts):
@@ -228,67 +178,45 @@ def _certified_root(cubic: DiagonalCubic, p, k):
     return None, roots
 
 
-def has_local_point(cubic: DiagonalCubic, p, precision=None) -> bool:
-    """Whether the cubic has a Q_p-point, by root search plus Hensel certificates.
+def _normalised(cubic: DiagonalCubic, p) -> DiagonalCubic:
+    """The cubic with coefficient valuations in {0, 1, 2} and least 0.
 
-    For p not dividing 3abc the reduction is a smooth plane cubic, which
-    has an F_p-point by Hasse-Weil, and smoothness lifts it.  Otherwise we
-    search primitive roots mod p^k up to unit multiples (_certified_root):
-    a root with some partial derivative of valuation j with k > 2j
-    certifies a point; if no primitive root mod p^k exists at all the
-    curve is rigorously pointless over Q_p; roots without certificates
-    raise PrecisionInsufficient.  Unit multiples share roots and
-    valuations, so these are the outcomes of a sweep of all primitive
-    triples mod p^k (the tests' oracle).  When that sweep would exceed
-    SCAN_WORK_BUDGET steps, BudgetExceeded is raised before any work.
+    Rescaling a variable by p^(v // 3) and dividing the form by a power of
+    p are isomorphisms over Q_p, so the two cubics have the same points.
     """
-    a, b, c = cubic.a, cubic.b, cubic.c
-    if (3 * a * b * c) % p != 0:
-        return True
-    k = precision if precision is not None else (6 if p == 3 else 5)
-    if k < 5:
-        raise ValueError("precision must be at least 5")
-    certificate, roots = _certified_root(cubic, p, k)
-    if certificate is not None:
-        return True
-    if not roots:
-        return False
-    raise PrecisionInsufficient(
-        f"roots mod {p}^{k} exist but none carries a Hensel certificate"
-    )
+    splits = [_split(coef, p) for coef in (cubic.a, cubic.b, cubic.c)]
+    low = min(v % 3 for v, _ in splits)
+    return DiagonalCubic(*(p ** (v % 3 - low) * u for v, u in splits))
 
 
-def find_certified_point(cubic: DiagonalCubic, p, precision=None):
-    """A certified triple (x, y, z, j) mod p^k, or None; used for replay tests.
+def has_local_point(cubic: DiagonalCubic, p) -> bool:
+    """Whether the cubic has a Q_p-point; exact for every prime p.
 
-    The search of has_local_point, with its budget: j is the least
-    valuation of the partial derivatives at the triple, and k > 2j.
+    On the normalised cubic a point has a unit coordinate, where some
+    partial derivative has valuation j <= v_p(3) + 2.
+
+    p != 3: with all coefficients units the reduction is a smooth plane
+    cubic, which has an F_p-point by Hasse-Weil, and smoothness lifts it.
+    Otherwise two terms of a point share the least valuation and minus
+    their ratio is a 1-unit, hence a cube, so a point exists exactly when
+    a coordinate section has one.
+
+    p = 3: search primitive roots mod 3^k (_certified_root) for k = 3, 5,
+    7.  A root whose partials have valuation j with 2j < k certifies a
+    point; no primitive root at all refutes one.  Both answers are
+    rigorous at every k, and at k = 7 (j <= 3) every root is certified.
+    An even k certifies no j that k - 1 does not, so it is skipped.
     """
-    k = precision if precision is not None else (6 if p == 3 else 5)
-    return _certified_root(cubic, p, k)[0]
-
-
-def lift_certificate(cubic: DiagonalCubic, point, p, k):
-    """One more digit of precision for a certified point; replays Hensel.
-
-    Returns a triple congruent to `point` mod p^(k-j) with F = 0 mod p^(k+1).
-    """
-    a, b, c = cubic.a, cubic.b, cubic.c
-    x, y, z = point
-    target = p ** (k + 1)
-    coeffs = (a, b, c)
-    vals = list(point)
-    partials = (3 * a * x * x, 3 * b * y * y, 3 * c * z * z)
-    js = [_vp_int(q, p, k) for q in partials]
-    j = min(js)
-    i = js.index(j)
-    step = p ** (k - j)
-    for t in range(p):
-        trial = list(vals)
-        trial[i] = (trial[i] + t * step) % target
-        if (a * trial[0] ** 3 + b * trial[1] ** 3 + c * trial[2] ** 3) % target == 0:
-            return tuple(trial)
-    raise PrecisionInsufficient("certificate failed to lift, which contradicts k > 2j")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    normal = _normalised(cubic, p)
+    if p != 3:
+        return normal.a * normal.b * normal.c % p != 0 or coordinate_section_point(normal, p)
+    for k in (3, 5):
+        certificate, roots = _certified_root(normal, 3, k)
+        if certificate is not None or not roots:
+            return certificate is not None
+    return _certified_root(normal, 3, 7)[1]
 
 
 # ---------------------------------------------------------------------------

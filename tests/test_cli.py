@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -146,6 +147,18 @@ def test_selmer_example_text_and_json(runner):
     payload = json.loads(as_json.output)
     sections = next(s for s in payload["steps"] if s["name"] == "coordinate-sections-at-3")
     assert sections["detail"]["S"] is True and sections["detail"]["S'"] is False
+
+
+def test_selmer_example_output_pinned(runner):
+    # has_local_point feeds this report; its answers must not move the bytes
+    pinned = {
+        "text": "0b8de1d2a09cba30304ae15d743ac4811ef29d891e6bf8d9265f8aaccda1c080",
+        "json": "a3270dd1c122ca3017cc9de33648895e6af91d4cfed47427d16387c778ad05ec",
+    }
+    for fmt, digest in pinned.items():
+        result = runner.invoke(main, ["selmer-example", "--format", fmt])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest, fmt
 
 
 def test_twist_scan_command(runner):

@@ -4,33 +4,73 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadiv.datasets import SELMER_COMPANIONS, SELMER_CUBIC
-from shadiv.errors import BudgetExceeded, PrecisionInsufficient
+from shadiv.errors import BudgetExceeded
 from shadiv.fp_linalg import is_prime
 from shadiv.local_cubic import (
-    SCAN_WORK_BUDGET,
     CubeClass,
     DiagonalCubic,
-    PAdicApprox,
     coordinate_section_point,
     cube_class,
-    cube_class_from_approx,
     cube_class_group_order,
-    find_certified_point,
     has_local_point,
     has_real_point,
     has_zeta3,
     is_cube,
-    lift_certificate,
     selmer_example_report,
-    unit_cube_class_count,
-    _vp_int,
+    _certified_root,
+    _normalised,
 )
+
+# bound on p^(2k), the steps of the sweep oracle over all triples mod p^k
+SWEEP_WORK_BUDGET = 7 ** 10
+
+
+class Undecided(Exception):
+    """The sweep oracle met roots mod p^k but none with a Hensel certificate."""
+
+
+def _vp_int(n, p, cap):
+    if n == 0:
+        return cap
+    v = 0
+    while n % p == 0 and v < cap:
+        n //= p
+        v += 1
+    return v
+
+
+def lift_certificate(cubic: DiagonalCubic, point, p, k):
+    """Oracle replay of Hensel: one more digit of precision for a certified point.
+
+    Returns a triple congruent to `point` mod p^(k-j) with F = 0 mod p^(k+1).
+    """
+    a, b, c = cubic.a, cubic.b, cubic.c
+    x, y, z = point
+    target = p ** (k + 1)
+    vals = list(point)
+    partials = (3 * a * x * x, 3 * b * y * y, 3 * c * z * z)
+    js = [_vp_int(q, p, k) for q in partials]
+    j = min(js)
+    i = js.index(j)
+    step = p ** (k - j)
+    for t in range(p):
+        trial = list(vals)
+        trial[i] = (trial[i] + t * step) % target
+        if (a * trial[0] ** 3 + b * trial[1] ** 3 + c * trial[2] ** 3) % target == 0:
+            return tuple(trial)
+    raise AssertionError("certificate failed to lift, which contradicts k > 2j")
 
 
 def test_is_cube_reference_values():
     assert is_cube(10, 3)
+    assert is_cube(8, 3) and is_cube(Fraction(1, 8), 3)  # -1 mod 9
+    assert not is_cube(2, 3) and not is_cube(Fraction(1, 2), 3)
+    with pytest.raises(ValueError):
+        cube_class(0, 5)
     assert not is_cube(60, 2)
     assert not is_cube(60, 5)
 
@@ -53,18 +93,13 @@ def test_is_cube_multiplicative():
 
 
 def test_cube_class_stability_under_precision_increase():
+    # the class is fixed by finitely many digits: 2 of the unit at p = 3,
+    # 1 elsewhere, so perturbing deeper digits keeps it
     for p in (2, 3, 5, 7):
         for x in (Fraction(10), Fraction(60), Fraction(-5, 4), Fraction(7, 9)):
             base = cube_class(x, p)
             for extra in (3, 6, 10):
-                assert cube_class(x, p, precision=extra) == base
-
-
-def test_cube_class_from_approx_requires_precision():
-    with pytest.raises(ValueError):
-        cube_class_from_approx(PAdicApprox(3, 0, 2, 1))
-    cls = cube_class_from_approx(PAdicApprox(3, 0, 8, 2))
-    assert cls.is_trivial  # 8 = -1 mod 9
+                assert cube_class(x * (1 + p ** extra), p) == base
 
 
 def test_cube_class_group_orders_by_enumeration():
@@ -80,7 +115,7 @@ def test_cube_class_group_orders_by_enumeration():
                 classes.add(cube_class(Fraction(p) ** v * u, p))
         assert len(classes) == cube_class_group_order(p)
         units_only = {c for c in classes if c.valuation_mod_3 == 0}
-        assert len(units_only) == unit_cube_class_count(p)
+        assert len(units_only) == cube_class_group_order(p) // 3
 
 
 def test_group_order_values():
@@ -111,6 +146,12 @@ def test_diagonal_cubic_rejects_zero_coefficient():
         DiagonalCubic(0, 1, 1)
 
 
+def test_has_local_point_rejects_non_prime():
+    for p in (1, 9):
+        with pytest.raises(ValueError):
+            has_local_point(DiagonalCubic(1, 1, 1), p)
+
+
 def test_has_local_point_smooth_prime():
     assert has_local_point(DiagonalCubic(*SELMER_CUBIC), 7)
     assert has_local_point(DiagonalCubic(1, 1, 1), 11)
@@ -136,28 +177,102 @@ def test_has_local_point_refutes_classic_counterexample():
     assert has_local_point(DiagonalCubic(1, 2, 4), 2) is False
 
 
-def test_has_local_point_precision_floor_and_budget():
-    with pytest.raises(ValueError):
-        has_local_point(DiagonalCubic(1, 2, 4), 2, precision=3)
-    with pytest.raises(BudgetExceeded):
-        has_local_point(DiagonalCubic(1, 1, 97), 97)
-
-
-def test_has_local_point_work_budget():
-    # 13^5 rows of 13^5 entries: refused before any table is built
+def test_has_local_point_answers_large_primes_fast():
+    # p >= 11 dividing 3abc: decided by cube classes, with no search
+    cases = {
+        (1, 2, 13, 13): False,
+        (1, 3, 13, 13): False,
+        (1, 13, 169, 13): False,
+        (2, 3, 11, 11): True,
+        (1, 1, 97, 97): True,
+        (7, 14, 28, 7): True,  # 7 times a smooth cubic
+    }
     t0 = time.monotonic()
-    with pytest.raises(BudgetExceeded):
-        has_local_point(DiagonalCubic(1, 2, 13), 13)
-    assert time.monotonic() - t0 < 5
-    # every default-precision scan at p <= 7 is admitted
+    assert has_local_point(DiagonalCubic(1, 2, 13), 13) is False
+    assert time.monotonic() - t0 < 1
+    for (a, b, c, p), expected in cases.items():
+        assert has_local_point(DiagonalCubic(a, b, c), p) is expected, (a, b, c, p)
+        assert _best_of_three_ms(DiagonalCubic(a, b, c), p) < 10, (a, b, c, p)
     for p in (2, 3, 5, 7):
         assert has_local_point(DiagonalCubic(1, 1, 3 * p), p) is True
+
+
+def _best_of_three_ms(cubic, p):
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        has_local_point(cubic, p)
+        times.append(time.perf_counter() - t0)
+    return 1000 * min(times)
+
+
+def _large_prime_cases(n=20, seed=5):
+    """Seeded cubics at p = 11 and 13 with coefficient valuations 0-4."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        p = rng.choice((11, 13))
+        coeffs = [
+            rng.choice((1, -1)) * rng.choice([u for u in range(1, 60) if u % p]) * p ** rng.randint(0, 4)
+            for _ in range(3)
+        ]
+        cases.append((DiagonalCubic(*coeffs), p))
+    return cases
+
+
+def test_has_local_point_matches_search_at_large_primes():
+    # on the normalised cubic every primitive root mod p^5 is certified
+    # (j <= 2), so the root search decides and is an independent check
+    outcomes = set()
+    for cubic, p in _large_prime_cases():
+        certificate, roots = _certified_root(_normalised(cubic, p), p, 5)
+        assert certificate is not None or not roots, (cubic, p)
+        assert has_local_point(cubic, p) is (certificate is not None), (cubic, p)
+        outcomes.add(certificate is not None)
+    assert outcomes == {True, False}
+
+
+_PROPERTY_PRIMES = [q for q in range(2, 98) if is_prime(q)]
+
+
+@st.composite
+def _cubic_and_prime(draw):
+    p = draw(st.sampled_from(_PROPERTY_PRIMES))
+    units = st.integers(1, 200).filter(lambda u: u % p)
+    coeffs = [
+        draw(st.sampled_from((1, -1))) * draw(units) * p ** draw(st.integers(0, 6))
+        for _ in range(3)
+    ]
+    return DiagonalCubic(*coeffs), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _cubic_and_prime(),
+    st.permutations(range(3)),
+    st.integers(0, 2),
+    st.integers(1, 50).map(lambda t: t ** 3),
+    st.integers(-30, 30).filter(bool),
+    st.integers(0, 4),
+)
+def test_has_local_point_invariants(case, perm, slot, cube, scale, scale_valuation):
+    cubic, p = case
+    scale *= p ** scale_valuation
+    coeffs = (cubic.a, cubic.b, cubic.c)
+    answer = has_local_point(cubic, p)
+    assert answer in (True, False)
+    assert _best_of_three_ms(cubic, p) < 10, (cubic, p)
+    assert has_local_point(DiagonalCubic(*(coeffs[i] for i in perm)), p) is answer
+    cubed = list(coeffs)
+    cubed[slot] *= cube
+    assert has_local_point(DiagonalCubic(*cubed), p) is answer
+    assert has_local_point(DiagonalCubic(*(scale * x for x in coeffs)), p) is answer
 
 
 def test_certificates_replay():
     # certified points lift one more digit of precision
     cubic = DiagonalCubic(1, 1, 1)
-    point = find_certified_point(cubic, 3, 5)
+    point, _ = _certified_root(cubic, 3, 5)
     assert point is not None
     x, y, z, j = point
     assert 5 > 2 * j
@@ -206,8 +321,8 @@ def sweep_has_local_point(cubic: DiagonalCubic, p, precision=None) -> bool:
     sweep primitive triples mod p^k: a triple with F = 0 mod p^k and some
     partial derivative of valuation j with k > 2j certifies a point; if no
     primitive root mod p^k exists at all the curve is rigorously pointless
-    over Q_p; roots without certificates raise PrecisionInsufficient.  A
-    sweep of more than SCAN_WORK_BUDGET steps (p^k rows of p^k entries)
+    over Q_p; roots without certificates raise Undecided.  A
+    sweep of more than SWEEP_WORK_BUDGET steps (p^k rows of p^k entries)
     raises BudgetExceeded before it starts.
     """
     a, b, c = cubic.a, cubic.b, cubic.c
@@ -217,8 +332,8 @@ def sweep_has_local_point(cubic: DiagonalCubic, p, precision=None) -> bool:
     if k < 5:
         raise ValueError("precision must be at least 5")
     pk = p ** k
-    if pk * pk > SCAN_WORK_BUDGET:
-        raise BudgetExceeded(f"a scan mod {p}^{k} takes {pk}^2 steps, over the budget {SCAN_WORK_BUDGET}")
+    if pk * pk > SWEEP_WORK_BUDGET:
+        raise BudgetExceeded(f"a scan mod {p}^{k} takes {pk}^2 steps, over the budget {SWEEP_WORK_BUDGET}")
     res = np.arange(pk, dtype=np.int64)
     cubes = res * res % pk * res % pk
     val = np.full(pk, k, dtype=np.int64)
@@ -266,7 +381,7 @@ def sweep_has_local_point(cubic: DiagonalCubic, p, precision=None) -> bool:
             return True
     if not roots_seen:
         return False
-    raise PrecisionInsufficient(
+    raise Undecided(
         f"roots mod {p}^{k} exist but none carries a Hensel certificate"
     )
 
@@ -274,7 +389,7 @@ def sweep_has_local_point(cubic: DiagonalCubic, p, precision=None) -> bool:
 def _outcome(search, cubic, p):
     try:
         return search(cubic, p)
-    except (BudgetExceeded, PrecisionInsufficient) as exc:
+    except (BudgetExceeded, Undecided) as exc:
         return type(exc)
 
 
@@ -302,18 +417,24 @@ def test_has_local_point_matches_sweep_on_grid():
     assert len(grid) >= 200 and {p for _, p in grid} == {2, 3, 5, 7}
     outcomes = set()
     for cubic, p in grid:
-        expected = _outcome(sweep_has_local_point, cubic, p)
-        assert _outcome(has_local_point, cubic, p) == expected, (cubic, p)
-        outcomes.add(expected)
-        point = find_certified_point(cubic, p)
-        assert (point is not None) == (expected is True), (cubic, p)
+        k = 6 if p == 3 else 5
+        swept = _outcome(sweep_has_local_point, cubic, p)
+        outcomes.add(swept)
+        if swept is Undecided:
+            # the normalised cubic has the same points, and the sweep decides it
+            decided = sweep_has_local_point(_normalised(cubic, p), p, precision=7 if p == 3 else 5)
+        else:
+            decided = swept
+        assert has_local_point(cubic, p) is decided, (cubic, p)
+        # the root search at the sweep's precision finds what the sweep finds
+        point, _ = _certified_root(cubic, p, k)
+        assert (point is not None) == (swept is True), (cubic, p)
         if point is not None:
             x, y, z, j = point
-            k = 6 if p == 3 else 5
             assert (cubic.a * x ** 3 + cubic.b * y ** 3 + cubic.c * z ** 3) % p ** k == 0
             assert any(t % p for t in (x, y, z))
             assert k > 2 * j
-    assert outcomes == {True, False, PrecisionInsufficient}
+    assert outcomes == {True, False, Undecided}
 
 
 def test_pointless_7adic_cubics_answer_fast():
@@ -322,13 +443,13 @@ def test_pointless_7adic_cubics_answer_fast():
     for cubic in (DiagonalCubic(1, 2, 7), DiagonalCubic(3, 1, 7)):
         t0 = time.monotonic()
         assert has_local_point(cubic, 7) is False
-        assert find_certified_point(cubic, 7) is None
+        assert _certified_root(cubic, 7, 5)[0] is None
         assert time.monotonic() - t0 < 1
 
 
 def test_certificates_replay_at_7():
     for cubic in (DiagonalCubic(1, 1, 7), DiagonalCubic(-1764, 735, -2401)):
-        x, y, z, j = find_certified_point(cubic, 7)
+        (x, y, z, j), _ = _certified_root(cubic, 7, 5)
         assert 5 > 2 * j
         lifted = lift_certificate(cubic, (x, y, z), 7, 5)
         assert (cubic.a * lifted[0] ** 3 + cubic.b * lifted[1] ** 3 + cubic.c * lifted[2] ** 3) % 7 ** 6 == 0
