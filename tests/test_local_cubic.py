@@ -177,6 +177,24 @@ def test_has_local_point_refutes_classic_counterexample():
     assert has_local_point(DiagonalCubic(1, 2, 4), 2) is False
 
 
+def test_has_local_point_precision_floor_and_budget():
+    # no precision to choose and no budget to exceed: both cubics that
+    # once needed one are decided outright
+    with pytest.raises(TypeError):
+        has_local_point(DiagonalCubic(1, 2, 4), 2, precision=3)
+    assert has_local_point(DiagonalCubic(1, 2, 4), 2) is False
+    assert has_local_point(DiagonalCubic(1, 1, 97), 97) is True
+
+
+def test_has_local_point_work_budget():
+    # 13^5 rows of 13^5 entries were once refused; now answered at once
+    t0 = time.monotonic()
+    assert has_local_point(DiagonalCubic(1, 2, 13), 13) is False
+    assert time.monotonic() - t0 < 1
+    for p in (2, 3, 5, 7):
+        assert has_local_point(DiagonalCubic(1, 1, 3 * p), p) is True
+
+
 def test_has_local_point_answers_large_primes_fast():
     # p >= 11 dividing 3abc: decided by cube classes, with no search
     cases = {
@@ -187,14 +205,9 @@ def test_has_local_point_answers_large_primes_fast():
         (1, 1, 97, 97): True,
         (7, 14, 28, 7): True,  # 7 times a smooth cubic
     }
-    t0 = time.monotonic()
-    assert has_local_point(DiagonalCubic(1, 2, 13), 13) is False
-    assert time.monotonic() - t0 < 1
     for (a, b, c, p), expected in cases.items():
         assert has_local_point(DiagonalCubic(a, b, c), p) is expected, (a, b, c, p)
         assert _best_of_three_ms(DiagonalCubic(a, b, c), p) < 10, (a, b, c, p)
-    for p in (2, 3, 5, 7):
-        assert has_local_point(DiagonalCubic(1, 1, 3 * p), p) is True
 
 
 def _best_of_three_ms(cubic, p):
