@@ -30,6 +30,7 @@ from .fp_linalg import is_prime
 from .galois_image import (
     Consistent,
     RefutedAt,
+    _prime_factors,
     cyclotomic_pair_candidates,
     default_character_modulus,
     dirichlet_pair_scan,
@@ -326,22 +327,9 @@ def _semistability_warnings(e, p):
     Additive reduction elsewhere on the supplied model therefore signals
     either a non-minimal model or a spurious consistency.
     """
-    disc = abs(e.discriminant)
-    while disc % 2 == 0:
-        disc //= 2
-    odd_primes = []
-    q = 3
-    while q * q <= disc:
-        if disc % q == 0:
-            odd_primes.append(q)
-            while disc % q == 0:
-                disc //= q
-        q += 2
-    if disc > 1:  # no factor up to its square root: a prime
-        odd_primes.append(disc)
     warnings = []
-    for q in odd_primes:
-        if q != p and reduction_type(e, q) == ReductionType.ADDITIVE:
+    for q in _prime_factors(abs(e.discriminant)):
+        if q not in (2, p) and reduction_type(e, q) == ReductionType.ADDITIVE:
             warnings.append(
                 f"additive reduction at {q} on the supplied model; "
                 "a real shape failure would be semistable outside "

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -85,16 +86,37 @@ def primes_up_to(n):
     return tuple(int(q) for q in np.nonzero(sieve)[0])
 
 
-def count_points(e: EllipticCurveQ, ell: int) -> int:
-    """Projective point count over F_ell via the quadratic character sum.
+# Primes at and above this are counted by Shanks-Mestre, below it by the
+# character sum.  Per prime on a 2-CPU machine, character sum against
+# Shanks-Mestre: 49 against 59 us at ell = 10^3, about 70 us each from 1750
+# to 2000, 1.4 against 0.16 ms at 3 * 10^4.
+BSGS_MIN_ELL = 2000
 
-    Completing the square sends (x, y) to (x, 2y + a1 x + a3), so affine
-    points correspond to solutions of eta^2 = 4x^3 + b2 x^2 + 2 b4 x + b6.
+
+def count_points(e: EllipticCurveQ, ell: int) -> int:
+    """Projective point count #E(F_ell), exact.
+
+    Below BSGS_MIN_ELL it is the quadratic character sum, O(ell) numpy
+    work; at and above it, Shanks-Mestre baby-step giant-step on E and its
+    quadratic twist, O(ell^(1/4)) group operations in python integers.
+    The Shanks-Mestre search always ends for ell > 229 (Cremona and
+    Sutherland, "On a theorem of Mestre and Schoof", 2010).
     """
     if e.discriminant % ell == 0:
         raise BadReduction(f"{ell} divides the discriminant")
     if ell == 2:
         return _count_affine_p2(e) + 1
+    if ell >= BSGS_MIN_ELL:
+        return _shanks_mestre_count(e, ell)
+    return _character_sum_count(e, ell)
+
+
+def _character_sum_count(e, ell):
+    """#E(F_ell) for odd good ell via the quadratic character sum.
+
+    Completing the square sends (x, y) to (x, 2y + a1 x + a3), so affine
+    points correspond to solutions of eta^2 = 4x^3 + b2 x^2 + 2 b4 x + b6.
+    """
     x = np.arange(ell, dtype=np.int64)
     fx = (4 * x + e.b2 % ell) % ell
     fx = (fx * x + 2 * e.b4 % ell) % ell
@@ -103,18 +125,130 @@ def count_points(e: EllipticCurveQ, ell: int) -> int:
     return int(counts[fx].sum()) + 1
 
 
+def _shanks_mestre_count(e, ell):
+    """#E(F_ell) for good ell >= 5 by baby-step giant-step (Cohen, GTM 138, 7.4.3).
+
+    E is y^2 = f(x) = x^3 + A x + B with A = -27 c4, B = -54 c6, whose
+    discriminant is 6^12 Delta.  For d = f(x0) != 0 the point (d x0, d^2)
+    lies on y^2 = X^3 + A d^2 X + B d^3, which is E when d is a square and
+    the twist E' otherwise, with #E' = 2 ell + 2 - #E.  Each point narrows
+    the Hasse interval to the N with N P = O; x0 running over F_ell meets
+    every point of E and E', which for ell > 229 leaves one candidate.
+    """
+    a = -27 * e.c4 % ell
+    b = -54 * e.c6 % ell
+    r = isqrt(4 * ell)
+    lo, hi = ell + 1 - r, ell + 1 + r
+    candidates = None
+    for x0 in range(ell):
+        d = ((x0 * x0 + a) * x0 + b) % ell
+        if d == 0:
+            continue
+        dd = d * d % ell
+        killers = _annihilators((d * x0 % ell, dd), a * dd % ell, ell, lo, hi)
+        if pow(d, (ell - 1) // 2, ell) != 1:
+            killers = {2 * ell + 2 - n for n in killers}
+        candidates = killers if candidates is None else candidates & killers
+        if len(candidates) == 1:
+            return candidates.pop()
+        if not candidates:
+            break
+    raise InternalInconsistency(f"Shanks-Mestre found no unique order at {ell}")
+
+
+def _annihilators(pt, a, ell, lo, hi):
+    """The n in [lo, hi] with n * pt = O on y^2 = x^3 + a x + b over F_ell.
+
+    Baby steps j * pt, 1 <= j <= m, are keyed by x; a giant step s with
+    s * pt = +-j * pt gives n = s -+ j.  A repeated baby step means the
+    order of pt is at most 2m, and then every multiple of it is returned.
+    """
+    m = isqrt((hi - lo) // 2) + 1
+    baby = {}
+    q = None
+    for j in range(1, m + 1):
+        q = _ec_add(q, pt, a, ell)
+        if q is None:
+            return _multiples(_order(pt, j, a, ell), lo, hi)
+        x, y = q
+        if x in baby:
+            i, yi = baby[x]
+            return _multiples(_order(pt, j - i if y == yi else j + i, a, ell), lo, hi)
+        baby[x] = (j, y)
+    step = 2 * m + 1
+    giant = _ec_add(_ec_add(q, q, a, ell), pt, a, ell)
+    s = lo + m
+    sp = _ec_mul(s, pt, a, ell)
+    found = set()
+    while s - m <= hi:
+        if sp is None:
+            found.add(s)
+        elif sp[0] in baby:
+            j, y = baby[sp[0]]
+            if sp[1] == y:
+                found.add(s - j)
+            if sp[1] == -y % ell:
+                found.add(s + j)
+        sp = _ec_add(sp, giant, a, ell)
+        s += step
+    return {n for n in found if lo <= n <= hi}
+
+
+def _order(pt, n, a, ell):
+    """The order of pt, given that n * pt = O for a small n > 0."""
+    return next(k for k in range(1, n + 1) if n % k == 0 and _ec_mul(k, pt, a, ell) is None)
+
+
+def _multiples(k, lo, hi):
+    return set(range(-(-lo // k) * k, hi + 1, k))
+
+
+def _ec_add(p1, p2, a, ell):
+    """Affine sum on y^2 = x^3 + a x + b over F_ell; None is the point at infinity."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    x1, y1 = p1
+    x2, y2 = p2
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, ell) % ell
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (lam * lam - x1 - x2) % ell
+    return x3, (lam * (x1 - x3) - y1) % ell
+
+
+def _ec_mul(k, pt, a, ell):
+    acc = None
+    while k:
+        if k & 1:
+            acc = _ec_add(acc, pt, a, ell)
+        k >>= 1
+        if k:
+            pt = _ec_add(pt, pt, a, ell)
+    return acc
+
+
 def count_points_enumeration(e: EllipticCurveQ, ell: int) -> int:
     """Independent oracle: brute enumeration of all
 
-    affine pairs (x, y) in F_ell^2 against the original equation."""
+    affine pairs (x, y) in F_ell^2 against the original equation, a block
+    of about 2^20 pairs at a time."""
     if e.discriminant % ell == 0:
         raise BadReduction(f"{ell} divides the discriminant")
-    x = np.arange(ell, dtype=np.int64)
-    xs, ys = np.meshgrid(x, x, indexing="ij")
-    lhs = (ys * ys + (e.a1 % ell) * xs * ys + (e.a3 % ell) * ys) % ell
-    x2 = xs * xs % ell
-    rhs = (x2 * xs + (e.a2 % ell) * x2 + (e.a4 % ell) * xs + e.a6) % ell
-    return int((lhs == rhs).sum()) + 1
+    ys = np.arange(ell, dtype=np.int64)
+    rows = max(1, (1 << 20) // ell)
+    total = 0
+    for start in range(0, ell, rows):
+        xs = ys[start : start + rows, None]
+        lhs = (ys * ys + (e.a1 % ell) * xs * ys + (e.a3 % ell) * ys) % ell
+        x2 = xs * xs % ell
+        rhs = (x2 * xs + (e.a2 % ell) * x2 + (e.a4 % ell) * xs + e.a6 % ell) % ell
+        total += int(np.count_nonzero(lhs == rhs))
+    return total + 1
 
 
 def _count_affine_p2(e):
@@ -145,12 +279,6 @@ class FrobeniusData:
 
     def good_traces(self):
         return tuple((ell, a) for ell, a, good in self.entries if good)
-
-    def trace(self, ell):
-        for l, a, good in self.entries:
-            if l == ell:
-                return a
-        return None
 
     def upto(self, bound):
         """The entries with ell <= bound."""

@@ -6,6 +6,7 @@ that asymmetry explicit.  All threshold comparisons are exact integer
 arithmetic (radicals cleared by squaring), never floating point.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -131,16 +132,52 @@ def _prime_factors(n):
 
 
 def _factorize(n):
+    """{prime: exponent} for n >= 1: primes below 100 by trial division,
+    the cofactor split by Pollard-Brent rho down to is_prime."""
     out = {}
-    q = 2
-    while q * q <= n:
+    for q in range(2, 100):
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
-        q += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            stack += [f, m // f]
     return out
+
+
+def _rho_factor(n):
+    """A proper factor of an odd composite n with no prime factor below 100.
+
+    Brent's cycle search on x -> x^2 + c, products of 128 differences per
+    gcd, retrying with the next c when the gcd comes out as n itself.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 @lru_cache(maxsize=None)

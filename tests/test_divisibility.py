@@ -360,6 +360,16 @@ def test_semistability_scan_stops_at_square_root_of_cofactor():
     assert elapsed < 5
 
 
+def test_semistability_scan_factors_two_large_primes():
+    # t = 100000007 in the 5-torsion family: disc = 271 * 37199 * t^5 * 991972099;
+    # trial division to the second-largest prime t took about 8 s
+    t = 100000007
+    v, elapsed = _timed_verdict((1 - t, -t, -t, 0, 0), 5)
+    assert v.outcome == Outcome.CRITERION_FAILS
+    assert "semistability_warnings" not in v.evidence
+    assert elapsed < 2
+
+
 def test_semistability_scan_divides_out_two():
     # t = 80 in the 7-torsion family: disc = 2^28 * 5^7 * 13^2 * 79^7 * 2729
     v, elapsed = _timed_verdict((-6319, -505600, -505600, 0, 0), 7)
@@ -368,3 +378,45 @@ def test_semistability_scan_divides_out_two():
         "reduction type at 2 not analyzed (odd primes only)"
     ]
     assert elapsed < 5
+
+
+def _verdicts_digest(cases, bound):
+    cfg = RunConfig(trace_bound=bound)
+    h = hashlib.sha256()
+    for e, p in cases:
+        h.update(verdict_over_Q(e, p, cfg).to_json().encode() + b"\n")
+    return h.hexdigest()
+
+
+# sha256 over the verdict JSON lines, computed with the character-sum point
+# count at every prime before Shanks-Mestre counting was added
+DEEP_VERDICT_DIGESTS = {
+    "tate5-t3-p5-1e5": "cafd90f77bc9cffb11ecba89638cb3d963c5b2b3b61c9d2a66a9e94028f23e49",
+    "tate7-t2-p7-3e4": "b7984900efa806f2ddeb5367d6f51799db2f1c07464334882fff388bb3d1fa6d",
+    "121-B1-p357-3e4": "197911ba5adba748914410daa2dcba9f8973e733c507f20602f72697d8e37a2e",
+}
+
+
+def test_bound_1e5_verdict_is_pinned_and_fast():
+    # the rational 5-torsion curve (1-t, -t, -t, 0, 0) at t = 3 fails the
+    # criterion only after the scan to 10^5; it took about 21 s (2 CPUs)
+    # when every prime was counted by the character sum
+    import shadiv.elliptic as ell
+
+    ell.trace_at.cache_clear()
+    t0 = time.monotonic()
+    digest = _verdicts_digest([(curve((-2, -3, -3, 0, 0)), 5)], 10 ** 5)
+    elapsed = time.monotonic() - t0
+    assert digest == DEEP_VERDICT_DIGESTS["tate5-t3-p5-1e5"]
+    assert elapsed < 6
+
+
+@pytest.mark.parametrize(
+    "key, cases",
+    [
+        ("tate7-t2-p7-3e4", lambda: [(curve((-1, -4, -4, 0, 0)), 7)]),
+        ("121-B1-p357-3e4", lambda: [(embedded_curve("121-B1"), p) for p in (3, 5, 7)]),
+    ],
+)
+def test_deep_verdicts_are_pinned(key, cases):
+    assert _verdicts_digest(cases(), 3 * 10 ** 4) == DEEP_VERDICT_DIGESTS[key]

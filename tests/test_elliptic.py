@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from shadiv.datasets import embedded_curve
+from shadiv.datasets import EMBEDDED_AINVS, embedded_curve
 from shadiv.elliptic import (
+    BSGS_MIN_ELL,
     ReductionType,
+    _character_sum_count,
+    _shanks_mestre_count,
     count_points,
     count_points_enumeration,
     curve,
@@ -19,7 +22,7 @@ from shadiv.elliptic import (
     trace_at,
     two_division_roots,
 )
-from shadiv.errors import BadReduction, SingularCurve, UnsupportedPrime
+from shadiv.errors import BadReduction, InternalInconsistency, SingularCurve, UnsupportedPrime
 
 
 def random_curve(rng, bound=8):
@@ -75,6 +78,60 @@ def test_dual_point_counting_agrees():
         good = [l for l in primes if e.discriminant % l]
         ell = rng.choice(good)
         assert count_points(e, ell) == count_points_enumeration(e, ell)
+
+
+# the embedded curves plus y^2 = x^3 + k (j = 0) and y^2 = x^3 + k x
+# (j = 1728): supersingular at half the primes, and often with a
+# non-cyclic group, so that one point's order leaves several candidates
+SHANKS_MESTRE_CURVES = [embedded_curve(label) for label in EMBEDDED_AINVS] + [
+    curve((0, 0, 0, 0, k)) for k in (1, 2, -3)
+] + [curve((0, 0, 0, k, 0)) for k in (2, -5)]
+
+
+def test_default_trace_bound_stays_on_character_sum():
+    # analyze and twist-scan default to --trace-bound 1000; the tests below
+    # need BSGS_MIN_ELL well inside (1000, 10^4]
+    assert 1000 <= BSGS_MIN_ELL <= 5000
+
+
+def test_shanks_mestre_equals_character_sum_to_1e4():
+    primes = [l for l in primes_up_to(10 ** 4) if l > BSGS_MIN_ELL]
+    for e in SHANKS_MESTRE_CURVES:
+        for ell in primes:
+            if e.discriminant % ell:
+                assert count_points(e, ell) == _character_sum_count(e, ell), (e, ell)
+
+
+def test_shanks_mestre_equals_character_sum_on_seeded_primes_to_1e5():
+    rng = random.Random(2010)
+    primes = [l for l in primes_up_to(10 ** 5) if l > 10 ** 4]
+    for label in EMBEDDED_AINVS:
+        e = embedded_curve(label)
+        for ell in rng.sample([l for l in primes if e.discriminant % l], 30):
+            assert count_points(e, ell) == _character_sum_count(e, ell), (label, ell)
+
+
+def test_shanks_mestre_equals_enumeration_above_bsgs_min_ell():
+    primes = [l for l in primes_up_to(BSGS_MIN_ELL + 100) if l >= BSGS_MIN_ELL][:5]
+    assert len(primes) == 5
+    for ell, label in zip(primes, ("121-B1", "121-C1", "selmer-jacobian", "cm-j1728", "legendre-test")):
+        e = embedded_curve(label)
+        assert count_points(e, ell) == count_points_enumeration(e, ell), (label, ell)
+
+
+def test_shanks_mestre_below_229_is_exact_or_raises():
+    # below 230 the orders of the points of E and E' can leave several
+    # candidates (y^2 = x^3 - x at 29); the count must then raise, never guess
+    with pytest.raises(InternalInconsistency):
+        _shanks_mestre_count(curve((0, 0, 0, -1, 0)), 29)
+    for e in SHANKS_MESTRE_CURVES:
+        for ell in primes_up_to(229)[2:]:
+            if e.discriminant % ell:
+                try:
+                    n = _shanks_mestre_count(e, ell)
+                except InternalInconsistency:
+                    continue
+                assert n == _character_sum_count(e, ell), (e, ell)
 
 
 def test_frobenius_traces_hasse_and_determinism():
