@@ -42,9 +42,6 @@ class GModule:
         pos = _position_index(self.subgroup)
         return self.mats[[pos[g] for g in self.subgroup.generator_ids]]
 
-    def action_of(self, element_id):
-        return self.mats[_position_index(self.subgroup)[element_id]]
-
     def character_values(self):
         """For a 1-dimensional module, the map element -> F_p*."""
         if self.dim != 1:

@@ -28,10 +28,6 @@ def embedded_curve(label):
     return curve(EMBEDDED_AINVS[label], label=label)
 
 
-def embedded_curves():
-    return {label: embedded_curve(label) for label in EMBEDDED_AINVS}
-
-
 def regular_prime_resolutions():
     """Lookup table (shipped as data) of recorded divisibility resolutions."""
     raw = resources.files("shadiv").joinpath("data/regular_prime_resolutions.json")

@@ -9,12 +9,13 @@ whose steps are tagged rigorous / heuristic / user-supplied.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
 import numpy as np
 
+from .arith import is_prime, prime_factors, squarefree_sieve
 from .datasets import regular_prime_resolutions
 from .elliptic import (
     EllipticCurveQ,
@@ -25,12 +26,10 @@ from .elliptic import (
     is_supersingular,
     reduction_type,
 )
-from .errors import UnsupportedPrime
-from .fp_linalg import is_prime
+from .errors import BudgetExceeded, UnsupportedPrime
 from .galois_image import (
     Consistent,
     RefutedAt,
-    _prime_factors,
     cyclotomic_pair_candidates,
     default_character_modulus,
     dirichlet_pair_scan,
@@ -62,7 +61,7 @@ class ChainStep:
 
 @dataclass(frozen=True)
 class DivisibilityVerdict:
-    curve: EllipticCurveQ
+    curve: EllipticCurveQ | str  # a str names the degree-parameterized subject
     p: int
     outcome: Outcome
     chain: tuple
@@ -70,6 +69,8 @@ class DivisibilityVerdict:
 
     @property
     def curve_name(self):
+        if isinstance(self.curve, str):
+            return self.curve
         return self.curve.label or ",".join(str(a) for a in self.curve.ainvs)
 
     def to_json_dict(self):
@@ -325,10 +326,17 @@ def _semistability_warnings(e, p):
     """Real shape failures at p in {5,7} force semistability outside p.
 
     Additive reduction elsewhere on the supplied model therefore signals
-    either a non-minimal model or a spurious consistency.
+    either a non-minimal model or a spurious consistency.  The verdict
+    needs no factorisation, so a discriminant rho cannot factor within its
+    budget skips the check, with a warning saying so.
     """
     warnings = []
-    for q in _prime_factors(abs(e.discriminant)):
+    try:
+        primes = prime_factors(abs(e.discriminant))
+    except BudgetExceeded:
+        primes = []
+        warnings.append("discriminant not factored within budget; additive-reduction check skipped")
+    for q in primes:
         if q not in (2, p) and reduction_type(e, q) == ReductionType.ADDITIVE:
             warnings.append(
                 f"additive reduction at {q} on the supplied model; "
@@ -355,7 +363,7 @@ def verdict_number_field(degree, p, good_place_norms=(), cfg=DEFAULT_CONFIG,
     if degree < 1:
         raise ValueError("degree must be >= 1")
     chain = []
-    dummy = _label_only_curve(curve_label)
+    subject = curve_label or "degree-parameterized"
     if passes_uniform_degree_bound(p, degree):
         chain.append(
             ChainStep(
@@ -365,7 +373,7 @@ def verdict_number_field(degree, p, good_place_norms=(), cfg=DEFAULT_CONFIG,
                 RIGOROUS,
             )
         )
-        return DivisibilityVerdict(dummy, p, Outcome.GUARANTEED, tuple(chain))
+        return DivisibilityVerdict(subject, p, Outcome.GUARANTEED, tuple(chain))
     failed = []
     if p < 5:
         failed.append("p >= 5 required for the refined path")
@@ -419,7 +427,7 @@ def verdict_number_field(degree, p, good_place_norms=(), cfg=DEFAULT_CONFIG,
     else:
         failed.append("no supplied good place with p > (Nv + sqrt(Nv))^2 and Nv coprime to 3p")
     if not failed:
-        return DivisibilityVerdict(dummy, p, Outcome.GUARANTEED, tuple(chain))
+        return DivisibilityVerdict(subject, p, Outcome.GUARANTEED, tuple(chain))
     chain.append(
         ChainStep(
             "nf.refined_path",
@@ -428,14 +436,7 @@ def verdict_number_field(degree, p, good_place_norms=(), cfg=DEFAULT_CONFIG,
             RIGOROUS,
         )
     )
-    return DivisibilityVerdict(dummy, p, Outcome.INCONCLUSIVE, tuple(chain))
-
-
-def _label_only_curve(label):
-    from .elliptic import derive_invariants
-
-    e = derive_invariants(0, 0, 0, -1, 0)
-    return replace(e, label=label or "degree-parameterized")
+    return DivisibilityVerdict(subject, p, Outcome.INCONCLUSIVE, tuple(chain))
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +486,7 @@ def fundamental_discriminants(dmax):
     """
     if dmax < 1:
         return []
-    squarefree = np.ones(dmax + 1, dtype=bool)
-    squarefree[0] = False
-    for q in range(2, math.isqrt(dmax) + 1):
-        squarefree[q * q :: q * q] = False
+    squarefree = squarefree_sieve(dmax)
     n = np.arange(1, dmax + 1)
     d = np.stack([-n, n], axis=1).ravel()
     m = d // 4

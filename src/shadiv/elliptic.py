@@ -14,6 +14,7 @@ from math import isqrt
 
 import numpy as np
 
+from .arith import is_prime, is_squarefree, legendre_symbol, primes_up_to
 from .errors import BadReduction, InternalInconsistency, SingularCurve, UnsupportedPrime
 
 
@@ -64,26 +65,6 @@ def derive_invariants(a1, a2, a3, a4, a6, label=None) -> EllipticCurveQ:
 
 def curve(ainvs, label=None):
     return derive_invariants(*ainvs, label=label)
-
-
-def legendre_symbol(a, p):
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
-@lru_cache(maxsize=None)
-def primes_up_to(n):
-    if n < 2:
-        return ()
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, int(n ** 0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    return tuple(int(q) for q in np.nonzero(sieve)[0])
 
 
 # Primes at and above this are counted by Shanks-Mestre, below it by the
@@ -146,7 +127,7 @@ def _shanks_mestre_count(e, ell):
             continue
         dd = d * d % ell
         killers = _annihilators((d * x0 % ell, dd), a * dd % ell, ell, lo, hi)
-        if pow(d, (ell - 1) // 2, ell) != 1:
+        if legendre_symbol(d, ell) == -1:
             killers = {2 * ell + 2 - n for n in killers}
         candidates = killers if candidates is None else candidates & killers
         if len(candidates) == 1:
@@ -277,9 +258,6 @@ class FrobeniusData:
     curve: EllipticCurveQ
     entries: tuple  # (ell, a_ell or None, good)
 
-    def good_traces(self):
-        return tuple((ell, a) for ell, a, good in self.entries if good)
-
     def upto(self, bound):
         """The entries with ell <= bound."""
         k = bisect_right(self.entries, bound, key=lambda entry: entry[0])
@@ -392,20 +370,6 @@ def is_supersingular(e: EllipticCurveQ, p: int) -> bool:
     return trace_at(e, p) % p == 0
 
 
-def _squarefree(d):
-    if d == 0:
-        return False
-    d = abs(d)
-    q = 2
-    while q * q <= d:
-        if d % (q * q) == 0:
-            return False
-        while d % q == 0:
-            d //= q
-        q += 1
-    return True
-
-
 def quadratic_twist(e: EllipticCurveQ, d: int) -> EllipticCurveQ:
     """Twist by a squarefree integer d, on the integral model
     y^2 = x^3 + d*b2*x^2 + 8*d^2*b4*x + 16*d^3*b6.
@@ -413,9 +377,10 @@ def quadratic_twist(e: EllipticCurveQ, d: int) -> EllipticCurveQ:
     This model is exactly isomorphic to E for d = 1 (c-invariants pick up
     the factor 2^4 resp. 2^6 from the model change); the j-invariant and
     the twisted trace identity a_ell(E^d) = chi_d(ell) * a_ell(E) are on
-    the nose for good odd ell not dividing d.
+    the nose for good odd ell not dividing d.  Raises BudgetExceeded when
+    d is not factored within arith.RHO_BUDGET.
     """
-    if not _squarefree(d):
+    if not is_squarefree(d):
         raise ValueError(f"twist discriminant {d} must be squarefree and nonzero")
     return _twist_model(e, d)
 
@@ -443,8 +408,6 @@ def _monic_cubic_integer_roots(b, c, d):
     the only possible integer root above each residue.  No factoring of
     the constant term, no floating point.
     """
-    from .fp_linalg import is_prime as _isp
-
     f = lambda x: ((x + b) * x + c) * x + d
     fprime = lambda x: (3 * x + 2 * b) * x + c
     disc = 18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3 - 27 * d * d
@@ -452,7 +415,7 @@ def _monic_cubic_integer_roots(b, c, d):
         raise ValueError("cubic must be separable")
     bound = 1 + max(abs(b), abs(c), abs(d))
     q = 3
-    while disc % q == 0 or not _isp(q):
+    while disc % q == 0 or not is_prime(q):
         q += 2
     roots = set()
     for r0 in range(q):

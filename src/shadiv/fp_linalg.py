@@ -7,91 +7,12 @@ enumerator.
 
 from functools import lru_cache
 from itertools import combinations, product
-from math import isqrt
 
 import numpy as np
 
 from .errors import BudgetExceeded
 
 SUBSPACE_BUDGET = 10 ** 6
-
-
-# Miller-Rabin to the first 13 prime bases decides every n below this bound
-# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015);
-# the bound itself is the least composite that passes them all.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
-
-
-def is_prime(n):
-    """Deterministic Miller-Rabin below 3.3 * 10^24, Baillie-PSW above.
-
-    Above _MR_BOUND a strong Lucas test is added to the Miller-Rabin bases;
-    that pair has no known counterexample.
-    """
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return n < _MR_BOUND or _strong_lucas_probable_prime(n)
-
-
-def _strong_lucas_probable_prime(n):
-    """Strong Lucas test with Selfridge's parameters P = 1, Q = (1 - D)/4, for odd n > 41."""
-    if isqrt(n) ** 2 == n:
-        return False
-    D = 5
-    while _jacobi(D, n) != -1:
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    half = lambda x: (x if x % 2 == 0 else x + n) // 2 % n
-    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
-def _jacobi(a, n):
-    """The Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    t = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                t = -t
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            t = -t
-        a %= n
-    return t if n == 1 else 0
 
 
 def det_raw(a, p):

@@ -6,13 +6,12 @@ that asymmetry explicit.  All threshold comparisons are exact integer
 arithmetic (radicals cleared by squaring), never floating point.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import factorize, is_prime, prime_factors
 from .errors import BudgetExceeded
-from .fp_linalg import is_prime
 
 DIRICHLET_BUDGET = 10 ** 5
 
@@ -114,70 +113,11 @@ def chi_cubed_equals_epsilon(p) -> ChiCubedSolution:
 def _primitive_root(q, e=1):
     m = q ** e
     order = (q - 1) * q ** (e - 1)
+    factors = prime_factors(order)
     for g in range(2, m):
-        if math.gcd(g, m) != 1:
-            continue
-        ok = True
-        for f in _prime_factors(order):
-            if pow(g, order // f, m) == 1:
-                ok = False
-                break
-        if ok:
+        if math.gcd(g, m) == 1 and all(pow(g, order // f, m) != 1 for f in factors):
             return g
     raise ValueError(f"no primitive root mod {m}")
-
-
-def _prime_factors(n):
-    return sorted(_factorize(n))
-
-
-def _factorize(n):
-    """{prime: exponent} for n >= 1: primes below 100 by trial division,
-    the cofactor split by Pollard-Brent rho down to is_prime."""
-    out = {}
-    for q in range(2, 100):
-        while n % q == 0:
-            out[q] = out.get(q, 0) + 1
-            n //= q
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-        else:
-            f = _rho_factor(m)
-            stack += [f, m // f]
-    return out
-
-
-def _rho_factor(n):
-    """A proper factor of an odd composite n with no prime factor below 100.
-
-    Brent's cycle search on x -> x^2 + c, products of 128 differences per
-    gcd, retrying with the next c when the gcd comes out as n itself.
-    """
-    for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +127,7 @@ def _unit_group(m):
     The factor at 2^e, e >= 3, is <-1> x <5>; every other factor is cyclic.
     """
     factors = []
-    for q, e in sorted(_factorize(m).items()):
+    for q, e in sorted(factorize(m).items()):
         qe = q ** e
         if q != 2:
             local = ((_primitive_root(q, e), (q - 1) * q ** (e - 1)),)
@@ -351,10 +291,12 @@ def dirichlet_pair_scan(fd, p, modulus, shape):
 
 
 def default_character_modulus(e, p):
-    """rad(disc) * p: characters unramified outside the bad primes and p."""
-    rad = 1
-    for q in _prime_factors(abs(e.discriminant)):
-        rad *= q
+    """rad(disc) * p: characters unramified outside the bad primes and p.
+
+    Raises BudgetExceeded when the discriminant is not factored within
+    arith.RHO_BUDGET.
+    """
+    rad = math.prod(prime_factors(abs(e.discriminant)))
     return rad * p if rad % p else rad
 
 
@@ -422,11 +364,7 @@ def nv3_bad_sets():
 def nv3_conclusion_threshold():
     """Largest prime dividing any obstruction value; p beyond it is safe."""
     set_a, set_b = nv3_bad_sets()
-    worst = 1
-    for v in set_a + set_b:
-        for q in _prime_factors(v):
-            worst = max(worst, q)
-    return worst
+    return max(q for v in set_a + set_b for q in prime_factors(v))
 
 
 def hasse_window_holds(n, a):

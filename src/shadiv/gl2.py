@@ -20,12 +20,12 @@ from enum import Enum
 
 import numpy as np
 
+from .arith import is_prime, legendre_symbol, valuation_split
 from .errors import (
     InternalInconsistency,
     ModeUnsupported,
     NonInvertibleGenerator,
 )
-from .fp_linalg import is_prime
 
 TABLE_MAX_P = 7
 SAMPLING_MAX_P = 13
@@ -284,12 +284,6 @@ class Subgroup:
     def id_set(self):
         return frozenset(self.element_ids)
 
-    def contains_matrix(self, mat):
-        try:
-            return self.ambient.id_of_mat(mat) in self.id_set
-        except NonInvertibleGenerator:
-            return False
-
     def is_subset_of(self, other):
         return self.p == other.p and self.id_set <= other.id_set
 
@@ -396,15 +390,13 @@ def p_sylow(g: Subgroup) -> Subgroup:
     """
     p = g.p
     amb = g.ambient
-    target = 1
-    while g.order % (target * p) == 0:
-        target *= p
+    target = p ** valuation_split(g.order, p)[0]
     if target == 1:
         return subgroup_from_ids(p, (amb.identity_id,), ())
     p_power_elts = []
     for eid in g.element_ids:
         o = amb.order_of(eid)
-        if o > 1 and _is_p_power(o, p):
+        if o > 1 and valuation_split(o, p)[1] == 1:
             p_power_elts.append((o, eid))
     max_order = max(o for o, _ in p_power_elts)
     seed = next(eid for o, eid in p_power_elts if o == max_order)
@@ -418,7 +410,8 @@ def p_sylow(g: Subgroup) -> Subgroup:
             if current[eid]:
                 continue
             candidate = _close(amb, gens + [eid], start=current)
-            if _is_p_power(np.count_nonzero(candidate), p) and not (candidate & outside).any():
+            size = np.count_nonzero(candidate)
+            if valuation_split(size, p)[1] == 1 and not (candidate & outside).any():
                 gens.append(eid)
                 current = candidate
                 extended = True
@@ -426,12 +419,6 @@ def p_sylow(g: Subgroup) -> Subgroup:
         if not extended:
             raise InternalInconsistency("could not extend to a full Sylow subgroup")
     return Subgroup(p, tuple(gens), _ids(current))
-
-
-def _is_p_power(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def normalizer_in(g: Subgroup, h: Subgroup) -> Subgroup:
@@ -527,10 +514,6 @@ def _fp2_inv(x, r, p):
     return x[0] * ninv % p, (-x[1]) * ninv % p
 
 
-def _nonresidue(p):
-    return next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
-
-
 def _stabilizes_split_pair(amb, gen_ids, pair):
     l1, l2 = pair
     for g in gen_ids:
@@ -575,7 +558,7 @@ def _in_nonsplit_torus_normalizer(g: Subgroup):
         # normalizer is all of GL2(F_2): everything qualifies
         return True
     gens = g.generator_ids if g.generator_ids else (amb.identity_id,)
-    r = _nonresidue(p)
+    r = next(x for x in range(2, p) if legendre_symbol(x, p) == -1)
     for za in range(p):
         for zb in range(1, (p - 1) // 2 + 1):
             if _stabilizes_nonsplit_pair(amb, gens, (za, zb), r):

@@ -11,16 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fp_linalg import is_prime
-
-
-def _split(n, p):
-    """(v, u) with n = p^v * u and p not dividing u, for a nonzero integer n."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
+from .arith import is_prime, primes_up_to, valuation_split
 
 
 @dataclass(frozen=True)
@@ -56,7 +47,7 @@ def cube_class(x, p) -> CubeClass:
     if x == 0:
         raise ValueError("zero has no cube class")
     # x * den^3 is an integer in the cube class of x
-    v, u = _split(x.numerator * x.denominator ** 2, p)
+    v, u = valuation_split(x.numerator * x.denominator ** 2, p)
     return CubeClass(p, v % 3, _unit_class(u, p))
 
 
@@ -145,7 +136,7 @@ def _certified_root(cubic: DiagonalCubic, p, k):
         val[:: p ** e] += 1
     val[0] = k
     coeffs = [coef % pk for coef in (cubic.a, cubic.b, cubic.c)]
-    v3 = [_split(3 * coef, p)[0] for coef in (cubic.a, cubic.b, cubic.c)]
+    v3 = [valuation_split(3 * coef, p)[0] for coef in (cubic.a, cubic.b, cubic.c)]
     mult = res[::p]
 
     def least_valuations(coef, ts):
@@ -184,7 +175,7 @@ def _normalised(cubic: DiagonalCubic, p) -> DiagonalCubic:
     Rescaling a variable by p^(v // 3) and dividing the form by a power of
     p are isomorphisms over Q_p, so the two cubics have the same points.
     """
-    splits = [_split(coef, p) for coef in (cubic.a, cubic.b, cubic.c)]
+    splits = [valuation_split(coef, p) for coef in (cubic.a, cubic.b, cubic.c)]
     low = min(v % 3 for v, _ in splits)
     return DiagonalCubic(*(p ** (v % 3 - low) * u for v, u in splits))
 
@@ -234,7 +225,7 @@ def selmer_example_report() -> dict:
     for name, cubic in companions.items():
         sections[name] = coordinate_section_point(cubic, 3)
     local_points = {}
-    for p in [q for q in range(2, 101) if is_prime(q)]:
+    for p in primes_up_to(100):
         local_points[p] = has_local_point(s, p)
     steps = [
         {

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from shadiv.arith import legendre_symbol, primes_up_to
 from shadiv.cohomology import (
     common_irreducible_factor,
     groupcrit_side_analytic,
@@ -34,8 +35,6 @@ from shadiv.elliptic import (
     curve,
     frobenius_traces,
     is_supersingular,
-    legendre_symbol,
-    primes_up_to,
     quadratic_twist,
     trace_at,
 )

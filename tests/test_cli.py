@@ -161,6 +161,32 @@ def test_selmer_example_output_pinned(runner):
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest, fmt
 
 
+# sha256 of the JSON output of each command, computed before the integer
+# arithmetic moved into one module; selmer-example is pinned above
+JSON_DIGESTS = {
+    "analyze --embedded selmer-jacobian --primes 3,5,7 --character-mode dirichlet":
+        "4c6491fb065463d37086058a500572040dd0cb87649a99087e68fab64557109a",
+    "analyze --curve -2,-3,-3,0,0 --primes 5 --trace-bound 100000":
+        "a9868c2adc00b7cb1c3eca7a26ffd0a3dc1bb010856a00473b8ffe7cb88664b1",
+    "twist-scan --embedded selmer-jacobian --p 3 --dmax 10000":
+        "a191b0c38d41ff3ba5752a418d259d5325a37d7ebc30aeb0416b88e0e8e0ccf8",
+    "tables --which bounds": "c27c46414cb4bbf67b1dc042a028c10f1af1db5649d68fa656a59d35f499fc73",
+    "tables --which nv3": "961599fd4190f11202ca26d5714c9ac39a1898e1d0e1addb70bf8d86a00f927f",
+    "tables --which p11": "24c4da5472f158f4cb4e03feec1172f392d4245b811ad73e119f157dc84bf916",
+    "groupcrit-verify --p 5 --mode sampled --count 5000 --seed 1":
+        "bc6f8a88409fe6e6ff154d54c4baae24d14c3caea51107576ec1591989541768",
+    "groupcrit-verify --p 3 --mode exhaustive":
+        "6fa087637036e116858508de20ea08a1f49eeabed0fcbb8cae1cc552728f0d14",
+}
+
+
+@pytest.mark.parametrize("command", JSON_DIGESTS)
+def test_json_output_pinned(runner, command):
+    result = runner.invoke(main, command.split() + ["--format", "json"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == JSON_DIGESTS[command]
+
+
 def test_twist_scan_command(runner):
     result = runner.invoke(
         main,

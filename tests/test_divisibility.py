@@ -219,6 +219,30 @@ def test_number_field_verdicts():
     assert rules.get("nf.torsion_bound") == "user-supplied"
 
 
+# sha256 of to_json() for each verdict_number_field call in this file, computed
+# while the verdict's subject was a placeholder curve carrying the label
+NUMBER_FIELD_DIGESTS = [
+    ((1, 13), {}, "4ef40fdc35c3dcec17dee014d2d37bde5970765c39bd69f6779b8c520a23a4c7"),
+    ((2, 29), {"good_place_norms": (2,)}, "b572237ec70f3cb6e6732ac857153922029bf4fb3d3ff152a107af04cdcea8b4"),
+    ((1, 11), {"good_place_norms": (2, 23)}, "e701eb43c2e9e3a04d390b998f08541dd592eadf7a02c9104afa47d9b028dfb3"),
+    ((2, 7), {}, "be203307988fed1c1d6f31fd7581c70a07dc43fdb62d5c245327ab4fbfecf1e5"),
+    (
+        (2, 7),
+        {"good_place_norms": (2,), "torsion_bound_supplied": True},
+        "5c37d34741678e757838c7d9caeb155a43792774b90befd63f18cca01493887d",
+    ),
+    ((1, 23), {"good_place_norms": (3, 23, 2)}, "fdffb0dad6eb152eb5d55622d5b402ffbf84ff26d2b18fddb6c9c9e1cbde5e92"),
+    ((2, 19), {"good_place_norms": (3,)}, "bc69b179cc24a9437ffd98862ef214ecb2225c7556abb5555ca8d4322449483d"),
+]
+
+
+def test_number_field_verdicts_are_pinned():
+    for args, kwargs, digest in NUMBER_FIELD_DIGESTS:
+        v = verdict_number_field(*args, **kwargs)
+        assert v.curve_name == "degree-parameterized"
+        assert hashlib.sha256(v.to_json().encode()).hexdigest() == digest, (args, kwargs)
+
+
 def test_number_field_norm_sieve_excludes_3p():
     # norms divisible by 3 or p are not admissible witnesses
     v = verdict_number_field(1, 23, good_place_norms=(3, 23, 2))
@@ -368,6 +392,23 @@ def test_semistability_scan_factors_two_large_primes():
     assert v.outcome == Outcome.CRITERION_FAILS
     assert "semistability_warnings" not in v.evidence
     assert elapsed < 2
+
+
+def test_semistability_scan_skips_an_unfactored_discriminant(monkeypatch):
+    # the verdict needs no factorisation, so running out of rho budget on
+    # the discriminant only skips the additive-reduction check
+    import shadiv.arith as arith
+
+    t = 100000007  # disc = 271 * 37199 * t^5 * 991972099
+    ainvs = (1 - t, -t, -t, 0, 0)
+    factored, _ = _timed_verdict(ainvs, 5)
+    monkeypatch.setattr(arith, "RHO_BUDGET", 2 ** 10)
+    v, _ = _timed_verdict(ainvs, 5)
+    assert v.outcome == factored.outcome == Outcome.CRITERION_FAILS
+    assert v.chain == factored.chain
+    assert v.evidence["semistability_warnings"] == [
+        "discriminant not factored within budget; additive-reduction check skipped"
+    ]
 
 
 def test_semistability_scan_divides_out_two():

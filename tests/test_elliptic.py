@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from shadiv.arith import legendre_symbol, primes_up_to
 from shadiv.datasets import EMBEDDED_AINVS, embedded_curve
 from shadiv.elliptic import (
     BSGS_MIN_ELL,
@@ -15,8 +17,6 @@ from shadiv.elliptic import (
     frobenius_traces,
     has_full_rational_2torsion,
     is_supersingular,
-    legendre_symbol,
-    primes_up_to,
     quadratic_twist,
     reduction_type,
     trace_at,
@@ -268,6 +268,20 @@ def test_quadratic_twist_invariants():
         ]
         ell = rng.choice(good)
         assert trace_at(tw, ell) == legendre_symbol(d, ell) * trace_at(base, ell)
+
+
+def test_quadratic_twist_by_large_d_is_fast():
+    # the squarefree check trial-divided |d| up to its square root: 1.9 s at
+    # d = 100000000000031 (a prime), minutes near 10^18
+    e = embedded_curve("121-B1")
+    d = 1000000000000000003  # prime
+    t0 = time.monotonic()
+    tw = quadratic_twist(e, d)
+    assert time.monotonic() - t0 < 1
+    assert tw.j == e.j
+    for not_squarefree in (4 * d, -3 * (10 ** 9 + 7) ** 2, d * d):
+        with pytest.raises(ValueError):
+            quadratic_twist(e, not_squarefree)
 
 
 def test_frobenius_twist_matches_direct_traces():

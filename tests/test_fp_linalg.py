@@ -11,12 +11,12 @@ from fp_oracle import (
     rank_of,
     solve_linear,
 )
+from shadiv.arith import is_prime
 from shadiv.cohomology import invariant_subspaces
 from shadiv.errors import BudgetExceeded
 from shadiv.fp_linalg import (
     det_raw,
     echelon_bases,
-    is_prime,
     kernel_basis,
     rref,
     subspace_count,
@@ -28,19 +28,8 @@ def test_is_prime_small():
     assert not is_prime(9991)  # 97 * 103
 
 
-def test_is_prime_matches_sympy():
-    from sympy import isprime
-
-    assert all(is_prime(n) == isprime(n) for n in range(10 ** 5))
-    rng = random.Random(2015)
-    for bits in (20, 40, 64, 81, 82, 100, 128):
-        for _ in range(400):
-            n = rng.getrandbits(bits) | 1
-            assert is_prime(n) == isprime(n), n
-
-
 def test_is_prime_beyond_sorenson_webster_bound():
-    from shadiv.fp_linalg import _MR_BOUND
+    from shadiv.arith import _MR_BOUND
 
     # the bound is a strong pseudoprime to all 13 bases; the Lucas half
     # of Baillie-PSW rejects it
@@ -48,17 +37,6 @@ def test_is_prime_beyond_sorenson_webster_bound():
     assert is_prime(2 ** 89 - 1) and is_prime(2 ** 107 - 1) and is_prime(2 ** 127 - 1)
     assert not is_prime((2 ** 61 - 1) ** 2)
     assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
-
-
-def test_strong_lucas_pseudoprimes():
-    from sympy import isprime
-
-    from shadiv.fp_linalg import _strong_lucas_probable_prime
-
-    # OEIS A217255: the strong Lucas pseudoprimes (Selfridge parameters) below 6 * 10^4
-    liars = [n for n in range(43, 60000, 2) if _strong_lucas_probable_prime(n) and not isprime(n)]
-    assert liars == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
-    assert all(_strong_lucas_probable_prime(n) for n in range(43, 60000, 2) if isprime(n))
 
 
 def _random_invertible(rng, p, n):

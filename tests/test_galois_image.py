@@ -269,30 +269,6 @@ def test_hasse_window_holds_everywhere():
     assert not hasse_window_holds(4, 100)
 
 
-def test_factorize_matches_sympy_factorint():
-    import random
-
-    from sympy import factorint, nextprime
-
-    from shadiv.galois_image import _factorize
-
-    # Pollard rho costs about the square root of the second-largest prime
-    # factor, so every seeded n < 10^30 is a product of primes below 10^8
-    # (with repeats) times one prime cofactor of any size
-    rng = random.Random(1106)
-    for _ in range(50):
-        n = 1
-        for _ in range(rng.randrange(0, 5)):
-            q = nextprime(rng.randrange(2, 10 ** rng.randrange(1, 9)))
-            n *= q ** rng.randrange(1, 3)
-        if n < 10 ** 29:
-            n *= nextprime(rng.randrange(1, 10 ** 30 // n))
-        if n < 10 ** 30:
-            assert _factorize(n) == factorint(n), n
-    for n in (1, 2, 97 ** 3, 101 ** 2, (10 ** 9 + 7) ** 3, 2 ** 89 - 1, (2 ** 61 - 1) * (2 ** 31 - 1)):
-        assert _factorize(n) == factorint(n), n
-
-
 def test_default_character_modulus_with_factors_near_1e9():
     # Delta = -2^4 3^3 (p q)^2 for y^2 = x^3 + p q; trial division would run to q
     p, q = 1000000007, 998244353

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadiv.arith import is_prime
 from shadiv.datasets import SELMER_COMPANIONS, SELMER_CUBIC
 from shadiv.errors import BudgetExceeded
-from shadiv.fp_linalg import is_prime
 from shadiv.local_cubic import (
     CubeClass,
     DiagonalCubic,
