@@ -93,6 +93,19 @@ def legendre_symbol(a, p):
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def legendre_table(p):
+    """int8 array t of length p with t[a] = (a/p), for an odd prime p.
+
+    The squares of 1, ..., (p - 1)/2 are the nonzero squares mod p; one
+    numpy pass marks them 1, every other nonzero residue -1, and 0 is 0.
+    """
+    table = np.full(p, -1, dtype=np.int8)
+    x = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    table[x * x % p] = 1
+    table[0] = 0
+    return table
+
+
 def valuation_split(n, p):
     """(v, u) with n = p^v * u and p not dividing u, for a nonzero integer n."""
     v = 0

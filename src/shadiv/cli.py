@@ -88,6 +88,8 @@ def main():
 def analyze(curve_spec, curve_file, embedded, label, primes, trace_bound,
             character_mode, fmt):
     """Divisibility verdicts for curves at odd primes."""
+    if label is not None and not curve_spec:
+        raise click.UsageError("--label names the --curve input; give it with --curve")
     curves = []
     if curve_spec:
         try:
@@ -324,6 +326,8 @@ def selmer_example(fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text", show_default=True)
 def twist_scan_cmd(curve_spec, embedded, prime, dmax, trace_bound, fmt):
     """Scan quadratic twists by fundamental discriminants |d| <= dmax."""
+    if curve_spec and embedded:
+        raise click.UsageError("give one curve: --curve or --embedded, not both")
     if curve_spec:
         try:
             e = parse_curve_spec(curve_spec)

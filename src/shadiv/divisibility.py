@@ -9,13 +9,14 @@ whose steps are tagged rigorous / heuristic / user-supplied.
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
-from .arith import is_prime, prime_factors, squarefree_sieve
+from .arith import is_prime, legendre_table, prime_factors, squarefree_sieve
 from .datasets import regular_prime_resolutions
 from .elliptic import (
     EllipticCurveQ,
@@ -135,16 +136,16 @@ def verdict_over_Q(e: EllipticCurveQ, p: int, cfg: RunConfig = DEFAULT_CONFIG) -
         e,
         p,
         cfg,
-        traces=lambda bound: frobenius_traces(e, bound),
+        shapes=lambda: _escalate(p, cfg, lambda bound: frobenius_traces(e, bound)),
         supersingular=lambda: is_supersingular(e, p),
         full_2torsion=lambda: has_full_rational_2torsion(e),
     )
 
 
-def _verdict(e, p, cfg, traces, supersingular, full_2torsion):
+def _verdict(e, p, cfg, shapes, supersingular, full_2torsion):
     """verdict_over_Q with its curve data taken from sources.
 
-    traces(bound) gives the FrobeniusData of e up to bound; supersingular()
+    shapes() decides the bad shapes at p as _escalate does; supersingular()
     (asked only when e is good at p) and full_2torsion() answer for e.
     Each is consulted only on the path that needs it.
     """
@@ -210,7 +211,7 @@ def _verdict(e, p, cfg, traces, supersingular, full_2torsion):
             )
             return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
 
-    return _scan_bad_shapes(e, p, cfg, chain, traces)
+    return _scan_bad_shapes(e, p, cfg, chain, shapes)
 
 
 def _large_prime_route(p):
@@ -228,41 +229,65 @@ def _large_prime_route(p):
     return "norm-3 sieve via potentially good reduction"
 
 
-def _scan_bad_shapes(e, p, cfg, chain, traces):
-    bounds = [b for b in TRACE_ESCALATION if b < cfg.trace_bound] + [cfg.trace_bound]
+def _escalation_bounds(trace_bound):
+    return [b for b in TRACE_ESCALATION if b < trace_bound] + [trace_bound]
+
+
+def _escalate(p, cfg, traces):
+    """Test the bad shapes at p against traces(bound), one escalation bound at a time.
+
+    Stops at the first bound that refutes every shape.  Returns (refuted,
+    consistent, fd): the refuted shapes with their RefutedAt in the order
+    found (bound, then pair order), the shapes with their Consistent record
+    at the last bound, and the FrobeniusData of that bound.
+    """
     pending = list(BAD_SHAPE_PAIRS[p])
     refuted = []
-    consistent = []
-    fd = None
-    for bound in bounds:
+    for bound in _escalation_bounds(cfg.trace_bound):
         fd = traces(bound)
         consistent = []
-        still = []
         for pair in pending:
             verdict = test_cyclotomic_pair(fd, p, pair)
             if isinstance(verdict, RefutedAt):
                 refuted.append((pair, verdict))
             else:
-                still.append((pair, verdict))
-        pending = [pair for pair, _ in still]
-        consistent = still
+                consistent.append((pair, verdict))
+        pending = [pair for pair, _ in consistent]
         if not pending:
             break
-    if not pending:
-        for pair, verdict in refuted:
-            chain.append(
-                ChainStep(
-                    "rational.shape_exclusion",
-                    f"semisimplification shape {_shape_name(p, pair)} refuted by a trace congruence",
-                    {
-                        "shape": _shape_name(p, pair),
-                        "ell": verdict.ell,
-                        "observed_a_ell": verdict.observed,
-                        "expected_mod_p": verdict.expected,
-                    },
-                    RIGOROUS,
-                )
-            )
+    return tuple(refuted), consistent, fd
+
+
+@lru_cache(maxsize=256)
+def _exclusion_steps(p, refuted):
+    """The chain steps of refuted, ((pair, RefutedAt), ...); each distinct step is built once."""
+    return tuple(_exclusion_step(p, pair, refutation) for pair, refutation in refuted)
+
+
+@lru_cache(maxsize=1024)
+def _exclusion_step(p, pair, refutation):
+    return ChainStep(
+        "rational.shape_exclusion",
+        f"semisimplification shape {_shape_name(p, pair)} refuted by a trace congruence",
+        {
+            "shape": _shape_name(p, pair),
+            "ell": refutation.ell,
+            "observed_a_ell": refutation.observed,
+            "expected_mod_p": refutation.expected,
+        },
+        RIGOROUS,
+    )
+
+
+def _scan_bad_shapes(e, p, cfg, chain, shapes):
+    """The verdict from the bad-shape scan; shapes() gives (refuted, consistent, fd) as _escalate.
+
+    fd is read only when a shape is consistent.  Exclusion steps are
+    cached, so a twist scan builds each distinct step once.
+    """
+    refuted, consistent, fd = shapes()
+    if not consistent:
+        chain.extend(_exclusion_steps(p, refuted))
         return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
 
     if cfg.character_mode == "dirichlet":
@@ -499,31 +524,116 @@ def fundamental_discriminants(dmax):
 def twist_scan(e: EllipticCurveQ, p: int, dmax: int, cfg: RunConfig = DEFAULT_CONFIG) -> TwistScanReport:
     """verdict_over_Q across all twists by fundamental discriminants |d| <= dmax.
 
-    Each twist's verdict inputs come from the base curve: its traces by
-    a_ell(E^d) = (d/ell) a_ell(E) (FrobeniusData.twist), and its
-    supersingularity at p and full rational 2-torsion, which the twist
-    leaves unchanged (a_p(E^d) = +-a_p(E) wherever E^d is good at p; the
-    2-division cubic of E^d is that of E rescaled by 4d).  Rows are those
-    of verdict_over_Q on each twisted curve.
+    Each twist's verdict inputs come from the base curve: its supersingularity
+    at p and full rational 2-torsion, which the twist leaves unchanged
+    (a_p(E^d) = +-a_p(E) wherever E^d is good at p; the 2-division cubic of
+    E^d is that of E rescaled by 4d), and its traces, a_ell(E^d) =
+    (d/ell) a_ell(E).  The bad shapes of every twist d != 1 are tested at
+    once by _twist_refutations; the twists it leaves undecided, and d = 1,
+    escalate over FrobeniusData.twist.  Rows are those of verdict_over_Q on
+    each twisted curve.
     """
     if p not in TWIST_FAILURE_CAPS:
         raise ValueError("twist caps are stated for p in {3, 5, 7}")
     if dmax > 10 ** 4:
         raise ValueError("dmax capped at 10^4")
+    ds = fundamental_discriminants(dmax)
     full = cache(lambda: frobenius_traces(e, cfg.trace_bound))
     base_traces = cache(lambda bound: full().upto(bound))
+    refutations = cache(
+        lambda: _twist_refutations(full(), p, [d for d in ds if d != 1], _escalation_bounds(cfg.trace_bound))
+    )
     supersingular = cache(lambda: is_supersingular(e, p))
     full_2torsion = cache(lambda: has_full_rational_2torsion(e))
+
+    def shapes(d, twisted, core):
+        refuted = refutations().get(d)
+        if refuted is not None:
+            return refuted, (), None
+        return _escalate(p, cfg, lambda bound: base_traces(bound).twist(twisted, core))
+
     rows = []
-    for d in fundamental_discriminants(dmax):
+    for d in ds:
         core = d if d % 4 == 1 else d // 4
         if d == 1:
             twisted = e
         else:
             twisted = _twist_model(e, core, label=f"{e.label}^({d})" if e.label else None)
-        traces = lambda bound, twisted=twisted, core=core: base_traces(bound).twist(twisted, core)
-        rows.append((d, _verdict(twisted, p, cfg, traces, supersingular, full_2torsion)))
+        verdict = _verdict(twisted, p, cfg, partial(shapes, d, twisted, core), supersingular, full_2torsion)
+        rows.append((d, verdict))
     return TwistScanReport(e, p, dmax, tuple(rows), TWIST_FAILURE_CAPS[p])
+
+
+# A prime ell's Legendre table has ell entries; the numpy pass reads it
+# while at least ell / TABLE_SPAN twists are undecided and leaves the rest
+# to FrobeniusData.twist, which costs a few microseconds per twist and prime.
+TABLE_SPAN = 64
+
+
+def _twist_refutations(fd, p, ds, bounds):
+    """The refuted bad shapes of every twist E^d at p, tested in one numpy pass.
+
+    fd is the base curve's FrobeniusData up to bounds[-1].  A prime ell
+    tests E^d exactly where FrobeniusData.twist marks it good: Delta(E^d) =
+    2^12 d^6 Delta(E), so ell is odd, prime to d and good for E, and there
+    a_ell(E^d) = (d/ell) a_ell(E), read off legendre_table(ell) at d mod
+    ell; ell = p is skipped as in test_cyclotomic_pair.  The primes run in
+    the escalation blocks ell <= bounds[0], ..., bounds[-1]; each block
+    covers only the twists with a shape still unrefuted.
+
+    Returns {d: ((pair, RefutedAt), ...)} for the twists with every shape
+    refuted, each at its first refuting prime, ordered as _escalate orders
+    them (block, then pair order).  A twist with a shape consistent up to
+    the bound, or left undecided past TABLE_SPAN, is absent.
+    """
+    pairs = BAD_SHAPE_PAIRS[p]
+    usable = [(ell, a) for ell, a, good in fd.entries if good and ell not in (2, p)]
+    ells = np.array([ell for ell, _ in usable], dtype=np.int64)
+    traces = np.array([a for _, a in usable], dtype=np.int64)
+    expected = np.array(
+        [[(pow(ell, a, p) + pow(ell, b, p)) % p for ell, _ in usable] for a, b in pairs], dtype=np.int64
+    )
+    d = np.array(ds, dtype=np.int64)
+    first = np.full((len(pairs), len(d)), -1)  # index in ells of each shape's first refutation
+    observed = np.zeros((len(pairs), len(d)), dtype=np.int64)
+    pending = np.arange(len(d))
+    lo = 0
+    for bound in bounds:
+        limit = min(bound, TABLE_SPAN * len(pending))
+        hi = int(np.searchsorted(ells, limit, side="right"))
+        if lo < hi:
+            block = ells[lo:hi]
+            tables = [legendre_table(int(ell)) for ell in block]
+            offsets = np.cumsum([0] + [len(t) for t in tables[:-1]])
+            chi = np.concatenate(tables)[offsets[:, None] + d[pending] % block[:, None]]
+            obs = chi * traces[lo:hi, None]
+            bad = (chi != 0) & (obs % p != expected[:, lo:hi, None])  # pair, prime, twist
+            at = bad.argmax(axis=1)
+            shape, col = np.nonzero(bad.any(axis=1) & (first[:, pending] < 0))
+            first[shape, pending[col]] = lo + at[shape, col]
+            observed[shape, pending[col]] = obs[at[shape, col], col]
+            pending = pending[(first[:, pending] < 0).any(axis=0)]
+            lo = hi
+        if limit < bound or not len(pending):
+            break
+    decided = np.nonzero((first >= 0).all(axis=0))[0]
+    if not len(decided):
+        return {}
+    # twists with equal refutations share one chain: key them by one integer
+    radix = 2 * int(np.abs(observed).max()) + 1
+    key = np.zeros(len(decided), dtype=np.int64)
+    for where, obs in zip(first[:, decided], observed[:, decided]):
+        key = key * (len(ells) * radix) + where * radix + obs + radix // 2
+    _, index, which = np.unique(key, return_index=True, return_inverse=True)
+    chains = []
+    for j in decided[index].tolist():
+        refuted = [
+            (pair, RefutedAt(int(ells[i]), int(observed[k, j]), int(expected[k, i])))
+            for k, (pair, i) in enumerate(zip(pairs, first[:, j].tolist()))
+        ]
+        refuted.sort(key=lambda item: bisect_left(bounds, item[1].ell))
+        chains.append(tuple(refuted))
+    return dict(zip(d[decided].tolist(), (chains[k] for k in which.ravel().tolist())))
 
 
 def unipotent_lift_exception(p) -> bool:

@@ -12,6 +12,7 @@ from shadiv.arith import (
     is_prime,
     is_squarefree,
     legendre_symbol,
+    legendre_table,
     primes_up_to,
     squarefree_sieve,
     valuation_split,
@@ -70,6 +71,13 @@ def test_legendre_symbol_matches_sympy():
     for p in primes_up_to(199)[1:]:
         for a in range(-p, 2 * p):
             assert legendre_symbol(a, p) == sympy_legendre(a % p, p), (a, p)
+
+
+def test_legendre_table_matches_legendre_symbol():
+    for p in primes_up_to(1000)[1:]:
+        table = legendre_table(p)
+        assert table.shape == (p,)
+        assert table.tolist() == [legendre_symbol(a, p) for a in range(p)], p
 
 
 def test_jacobi_matches_sympy():
@@ -152,6 +160,7 @@ def test_rho_budget_raises_typed_error(monkeypatch):
 _ARITH_ONLY = {
     "is_prime",
     "legendre_symbol",
+    "legendre_table",
     "primes_up_to",
     "factorize",
     "prime_factors",

@@ -203,6 +203,24 @@ def test_twist_scan_command(runner):
     assert rows == [{"d": 1, "outcome": "Guaranteed"}]
 
 
+def test_ignored_curve_flags_are_usage_errors(runner):
+    # twist-scan scanned --curve and dropped --embedded; analyze took
+    # --label without --curve and never read it
+    result = runner.invoke(
+        main, ["twist-scan", "--curve", "0,0,0,0,-1", "--embedded", "121-B1", "--p", "3", "--dmax", "5"]
+    )
+    assert result.exit_code == 2
+    assert "--curve or --embedded" in result.output
+    result = runner.invoke(main, ["analyze", "--label", "foo", "--embedded", "121-B1", "--primes", "3"])
+    assert result.exit_code == 2
+    assert "--label" in result.output
+    for args in (
+        ["twist-scan", "--curve", "0,0,0,0,-1", "--p", "3", "--dmax", "5"],
+        ["analyze", "--curve", "0,-1,1,-7,10", "--label", "foo", "--embedded", "121-B1", "--primes", "3"],
+    ):
+        assert runner.invoke(main, args).exit_code == 0, args
+
+
 def test_exit_zero_for_mathematical_failures(runner):
     # CriterionFails is a mathematical outcome, not an error
     result = runner.invoke(main, ["analyze", "--embedded", "selmer-jacobian", "--primes", "3"])

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import shadiv.divisibility as divisibility
 from shadiv.datasets import embedded_curve, regular_prime_resolutions
 from shadiv.divisibility import (
     HEURISTIC,
@@ -328,6 +329,64 @@ def test_twist_scans_are_pinned():
             for d, v in twist_scan(embedded_curve(label), p, 1000).rows:
                 h.update(f"{d}\t{v.to_json()}\n".encode())
     assert h.hexdigest() == "8231980f9402dda6caa280078228b7d7b39758b2ccfa4831f8b2f3c5f180ec52"
+
+
+def test_twist_scans_to_1e4_are_pinned():
+    # sha256 over (d, verdict JSON, twisted a-invariants, label) of every
+    # row of the nine scans to |d| = 10^4, computed by the per-twist
+    # FrobeniusData path before the scan decided twists in one numpy pass
+    h = hashlib.sha256()
+    for label in ("121-B1", "121-C1", "selmer-jacobian"):
+        for p in (3, 5, 7):
+            for d, v in twist_scan(embedded_curve(label), p, 10 ** 4).rows:
+                h.update(f"{d}\t{v.to_json()}\t{v.curve.ainvs}\t{v.curve.label}\n".encode())
+    assert h.hexdigest() == "ad79cac191a8e697ccac54632cefed967ee016756a30c5c57f9d842dbefad324"
+
+
+_EDGE_CONFIGS = [RunConfig(trace_bound=b) for b in (0, 2, 49, 50, 51, 199, 200, 201)] + [
+    RunConfig(character_mode="dirichlet"),
+    RunConfig(semistable_outside_p=True),
+]
+
+
+# rows first refuted past the first escalation step; tate-5 is the Tate
+# normal form with t = 3, which has a rational point of order 5
+_LATE_ROWS = [
+    ("selmer-jacobian", (0, 0, 0, 0, -432 * 60 * 60), 3, 380),  # 1 (+) eps at 67
+    ("tate-5", (-2, -3, -3, 0, 0), 5, -1624),  # eps^2 (+) eps^3 at 13, then 1 (+) eps at 53
+    ("tate-5", (-2, -3, -3, 0, 0), 5, -1887),  # 1 (+) eps at 7, then eps^2 (+) eps^3 at 67
+]
+
+
+@pytest.mark.parametrize("span", [None, 10 ** 9], ids=["default-span", "table-everywhere"])
+@pytest.mark.parametrize("cfg", _EDGE_CONFIGS, ids=repr)
+def test_twist_scan_rows_equal_direct_verdicts_at_escalation_edges(cfg, span, monkeypatch):
+    # trace bounds on both sides of each TRACE_ESCALATION step, and the
+    # options that only shape the CriterionFails evidence; with the span
+    # raised, the numpy pass decides every twist whose shapes are refuted
+    if span:
+        monkeypatch.setattr(divisibility, "TABLE_SPAN", span)
+    escalated = []
+    escalate = divisibility._escalate
+    monkeypatch.setattr(divisibility, "_escalate", lambda *args: escalated.append(args) or escalate(*args))
+    for label in ("121-B1", "selmer-jacobian", "legendre-test"):
+        e = embedded_curve(label)
+        for p in (3, 5, 7):
+            assert twist_scan(e, p, 0, cfg).rows == ()
+            escalated.clear()
+            report = twist_scan(e, p, 40, cfg)
+            if span:
+                assert len(escalated) <= 1 + sum(v.outcome != Outcome.GUARANTEED for _, v in report.rows)
+            assert [d for d, _ in report.rows] == fundamental_discriminants(40)
+            for d, v in report.rows:
+                direct = e if d == 1 else replace(quadratic_twist(e, _core(d)), label=f"{label}^({d})")
+                assert v.curve == direct
+                assert v.to_json() == verdict_over_Q(direct, p, cfg).to_json(), (label, p, d)
+    for label, ainvs, p, d in _LATE_ROWS:
+        e = curve(ainvs, label=label)
+        v = dict(twist_scan(e, p, abs(d), cfg).rows)[d]
+        direct = replace(quadratic_twist(e, _core(d)), label=f"{label}^({d})")
+        assert v.to_json() == verdict_over_Q(direct, p, cfg).to_json(), (label, d)
 
 
 def test_twist_scan_point_counts_do_not_grow_with_dmax(monkeypatch):
