@@ -93,17 +93,31 @@ def legendre_symbol(a, p):
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def legendre_table(p):
-    """int8 array t of length p with t[a] = (a/p), for an odd prime p.
+# Residues below this bound multiply inside int64: _INT64_SQRT^2 < 2^63.
+_INT64_SQRT = 3037000499
 
-    The squares of 1, ..., (p - 1)/2 are the nonzero squares mod p; one
-    numpy pass marks them 1, every other nonzero residue -1, and 0 is 0.
+
+def legendre_symbols(a, primes):
+    """int8 array t with t[i, j] = (a[j] / primes[i]), for odd primes below _INT64_SQRT.
+
+    Euler's criterion, a^((q - 1)/2) mod q, by square-and-multiply over
+    the whole array: one squaring per exponent bit, and one multiplication
+    on the rows whose exponent has that bit set.  Residues stay below q, so
+    their products stay inside int64.
     """
-    table = np.full(p, -1, dtype=np.int8)
-    x = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    table[x * x % p] = 1
-    table[0] = 0
-    return table
+    q = np.asarray(primes, dtype=np.int64).reshape(-1, 1)
+    if q.size and not (q.min() > 2 and q.max() < _INT64_SQRT):
+        raise ValueError("Euler's criterion runs in int64 for odd primes below 3.04 * 10^9")
+    base = np.asarray(a, dtype=np.int64).reshape(1, -1) % q
+    power = np.ones_like(base)
+    e = (q[:, 0] - 1) // 2
+    while e.any():
+        rows = np.flatnonzero(e & 1)
+        power[rows] = power[rows] * base[rows] % q[rows]
+        e >>= 1
+        base *= base
+        base %= q
+    return (power == 1).astype(np.int8) - (power > 1)
 
 
 def valuation_split(n, p):

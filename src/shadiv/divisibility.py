@@ -16,7 +16,7 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 
-from .arith import is_prime, legendre_table, prime_factors, squarefree_sieve
+from .arith import is_prime, legendre_symbols, prime_factors, squarefree_sieve
 from .datasets import regular_prime_resolutions
 from .elliptic import (
     EllipticCurveQ,
@@ -32,11 +32,13 @@ from .galois_image import (
     Consistent,
     RefutedAt,
     cyclotomic_pair_candidates,
+    cyclotomic_trace,
     default_character_modulus,
     dirichlet_pair_scan,
     nv_sieve_bound,
     passes_torsion_bound,
     passes_uniform_degree_bound,
+    shape_test_entries,
     test_cyclotomic_pair,
 )
 
@@ -258,12 +260,6 @@ def _escalate(p, cfg, traces):
     return tuple(refuted), consistent, fd
 
 
-@lru_cache(maxsize=256)
-def _exclusion_steps(p, refuted):
-    """The chain steps of refuted, ((pair, RefutedAt), ...); each distinct step is built once."""
-    return tuple(_exclusion_step(p, pair, refutation) for pair, refutation in refuted)
-
-
 @lru_cache(maxsize=1024)
 def _exclusion_step(p, pair, refutation):
     return ChainStep(
@@ -287,7 +283,7 @@ def _scan_bad_shapes(e, p, cfg, chain, shapes):
     """
     refuted, consistent, fd = shapes()
     if not consistent:
-        chain.extend(_exclusion_steps(p, refuted))
+        chain.extend(_exclusion_step(p, pair, refutation) for pair, refutation in refuted)
         return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
 
     if cfg.character_mode == "dirichlet":
@@ -564,76 +560,64 @@ def twist_scan(e: EllipticCurveQ, p: int, dmax: int, cfg: RunConfig = DEFAULT_CO
     return TwistScanReport(e, p, dmax, tuple(rows), TWIST_FAILURE_CAPS[p])
 
 
-# A prime ell's Legendre table has ell entries; the numpy pass reads it
-# while at least ell / TABLE_SPAN twists are undecided and leaves the rest
-# to FrobeniusData.twist, which costs a few microseconds per twist and prime.
-TABLE_SPAN = 64
-
-
 def _twist_refutations(fd, p, ds, bounds):
     """The refuted bad shapes of every twist E^d at p, tested in one numpy pass.
 
     fd is the base curve's FrobeniusData up to bounds[-1].  A prime ell
-    tests E^d exactly where FrobeniusData.twist marks it good: Delta(E^d) =
-    2^12 d^6 Delta(E), so ell is odd, prime to d and good for E, and there
-    a_ell(E^d) = (d/ell) a_ell(E), read off legendre_table(ell) at d mod
-    ell; ell = p is skipped as in test_cyclotomic_pair.  The primes run in
-    the escalation blocks ell <= bounds[0], ..., bounds[-1]; each block
-    covers only the twists with a shape still unrefuted.
+    tests E^d exactly where FrobeniusData.twist marks it good and
+    shape_test_entries takes it: Delta(E^d) = 2^12 d^6 Delta(E), so ell is
+    odd, prime to d, good for E and not p, and there a_ell(E^d) = (d/ell)
+    a_ell(E), with (d/ell) by Euler's criterion over the (prime, twist)
+    array.  The primes run in the escalation blocks ell <= bounds[0], ...,
+    bounds[-1]; each block covers only the twists with a shape still
+    unrefuted, so the long last block meets only the few twists whose
+    shape survives the short ones.
 
     Returns {d: ((pair, RefutedAt), ...)} for the twists with every shape
     refuted, each at its first refuting prime, ordered as _escalate orders
     them (block, then pair order).  A twist with a shape consistent up to
-    the bound, or left undecided past TABLE_SPAN, is absent.
+    the bound is absent.
     """
     pairs = BAD_SHAPE_PAIRS[p]
-    usable = [(ell, a) for ell, a, good in fd.entries if good and ell not in (2, p)]
+    usable = [(ell, a) for ell, a in shape_test_entries(fd, p) if ell != 2]
     ells = np.array([ell for ell, _ in usable], dtype=np.int64)
     traces = np.array([a for _, a in usable], dtype=np.int64)
-    expected = np.array(
-        [[(pow(ell, a, p) + pow(ell, b, p)) % p for ell, _ in usable] for a, b in pairs], dtype=np.int64
-    )
+    expected = np.array([[cyclotomic_trace(ell, p, pair) for ell, _ in usable] for pair in pairs], dtype=np.int64)
     d = np.array(ds, dtype=np.int64)
     first = np.full((len(pairs), len(d)), -1)  # index in ells of each shape's first refutation
     observed = np.zeros((len(pairs), len(d)), dtype=np.int64)
     pending = np.arange(len(d))
     lo = 0
     for bound in bounds:
-        limit = min(bound, TABLE_SPAN * len(pending))
-        hi = int(np.searchsorted(ells, limit, side="right"))
-        if lo < hi:
-            block = ells[lo:hi]
-            tables = [legendre_table(int(ell)) for ell in block]
-            offsets = np.cumsum([0] + [len(t) for t in tables[:-1]])
-            chi = np.concatenate(tables)[offsets[:, None] + d[pending] % block[:, None]]
-            obs = chi * traces[lo:hi, None]
-            bad = (chi != 0) & (obs % p != expected[:, lo:hi, None])  # pair, prime, twist
-            at = bad.argmax(axis=1)
-            shape, col = np.nonzero(bad.any(axis=1) & (first[:, pending] < 0))
-            first[shape, pending[col]] = lo + at[shape, col]
-            observed[shape, pending[col]] = obs[at[shape, col], col]
-            pending = pending[(first[:, pending] < 0).any(axis=0)]
-            lo = hi
-        if limit < bound or not len(pending):
-            break
+        hi = int(np.searchsorted(ells, bound, side="right"))
+        if lo == hi or not len(pending):
+            continue
+        chi = legendre_symbols(d[pending], ells[lo:hi])  # prime, twist
+        obs = chi * traces[lo:hi, None]
+        bad = (chi != 0) & (obs % p != expected[:, lo:hi, None])  # pair, prime, twist
+        at = bad.argmax(axis=1)
+        shape, col = np.nonzero(bad.any(axis=1) & (first[:, pending] < 0))
+        first[shape, pending[col]] = lo + at[shape, col]
+        observed[shape, pending[col]] = obs[at[shape, col], col]
+        pending = pending[(first[:, pending] < 0).any(axis=0)]
+        lo = hi
     decided = np.nonzero((first >= 0).all(axis=0))[0]
     if not len(decided):
         return {}
-    # twists with equal refutations share one chain: key them by one integer
-    radix = 2 * int(np.abs(observed).max()) + 1
-    key = np.zeros(len(decided), dtype=np.int64)
-    for where, obs in zip(first[:, decided], observed[:, decided]):
-        key = key * (len(ells) * radix) + where * radix + obs + radix // 2
-    _, index, which = np.unique(key, return_index=True, return_inverse=True)
-    chains = []
-    for j in decided[index].tolist():
-        refuted = [
-            (pair, RefutedAt(int(ells[i]), int(observed[k, j]), int(expected[k, i])))
-            for k, (pair, i) in enumerate(zip(pairs, first[:, j].tolist()))
-        ]
-        refuted.sort(key=lambda item: bisect_left(bounds, item[1].ell))
-        chains.append(tuple(refuted))
-    return dict(zip(d[decided].tolist(), (chains[k] for k in which.ravel().tolist())))
+    chains = {}  # twists with equal refutations share one chain
+    refutations = {}
+    keys = np.vstack((first[:, decided], observed[:, decided])).T.tolist()
+    for dj, key in zip(d[decided].tolist(), map(tuple, keys)):
+        if key not in chains:
+            where, seen = key[: len(pairs)], key[len(pairs) :]
+            refuted = [
+                (pair, RefutedAt(int(ells[i]), obs, int(expected[k, i])))
+                for k, (pair, i, obs) in enumerate(zip(pairs, where, seen))
+            ]
+            refuted.sort(key=lambda item: bisect_left(bounds, item[1].ell))
+            chains[key] = tuple(refuted)
+        refutations[dj] = chains[key]
+    return refutations
 
 
 def unipotent_lift_exception(p) -> bool:

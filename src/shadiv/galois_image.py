@@ -65,18 +65,26 @@ def cyclotomic_pair_candidates(p):
     return [CyclotomicPair(a, b) for a, b in sorted(seen)]
 
 
+def shape_test_entries(fd, p):
+    """The (ell, a_ell) of fd that test a shape at p: ell good and ell != p."""
+    return ((ell, a_ell) for ell, a_ell, good in fd.entries if good and ell != p)
+
+
+def cyclotomic_trace(ell, p, pair):
+    """ell^a + ell^b mod p, the trace of Frob_ell on eps^a (+) eps^b mod p."""
+    a, b = (pair.a, pair.b) if isinstance(pair, CyclotomicPair) else pair
+    return (pow(ell, a, p) + pow(ell, b, p)) % p
+
+
 def test_cyclotomic_pair(fd, p, pair):
     """Check a_ell = ell^a + ell^b mod p over the good primes ell != p.
 
     RefutedAt is a proof of exclusion; Consistent is one-sided evidence
     bounded by the traces available in fd.
     """
-    a, b = (pair.a, pair.b) if isinstance(pair, CyclotomicPair) else pair
     checked = []
-    for ell, a_ell, good in fd.entries:
-        if not good or ell == p:
-            continue
-        expected = (pow(ell, a, p) + pow(ell, b, p)) % p
+    for ell, a_ell in shape_test_entries(fd, p):
+        expected = cyclotomic_trace(ell, p, pair)
         if a_ell % p != expected:
             return RefutedAt(ell, a_ell, expected)
         checked.append(ell)

@@ -2,6 +2,7 @@ import ast
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shadiv
@@ -12,7 +13,7 @@ from shadiv.arith import (
     is_prime,
     is_squarefree,
     legendre_symbol,
-    legendre_table,
+    legendre_symbols,
     primes_up_to,
     squarefree_sieve,
     valuation_split,
@@ -73,11 +74,23 @@ def test_legendre_symbol_matches_sympy():
             assert legendre_symbol(a, p) == sympy_legendre(a % p, p), (a, p)
 
 
-def test_legendre_table_matches_legendre_symbol():
-    for p in primes_up_to(1000)[1:]:
-        table = legendre_table(p)
-        assert table.shape == (p,)
-        assert table.tolist() == [legendre_symbol(a, p) for a in range(p)], p
+def test_legendre_symbols_match_legendre_symbol():
+    primes = primes_up_to(1000)[1:]
+    symbols = legendre_symbols(np.arange(1000), primes)  # one pass over every (a, p)
+    assert symbols.shape == (len(primes), 1000) and symbols.dtype == np.int8
+    for p, row in zip(primes, symbols.tolist()):
+        assert row[:p] == [legendre_symbol(a, p) for a in range(p)], p
+    # negative residues, and primes whose residues square close to 2^63
+    a = [-2 ** 40 - 1, -2, -1, 0, 1, 2, 3, 10 ** 9 + 7, 3037000492, 2 ** 62]
+    primes = [1000003, 2 ** 31 - 1, 3037000493]
+    assert legendre_symbols(a, primes).tolist() == [[legendre_symbol(x, p) for x in a] for p in primes]
+    assert legendre_symbols(a, []).shape == (0, len(a))
+
+
+def test_legendre_symbols_reject_moduli_outside_int64():
+    for p in (2, 3037000507):
+        with pytest.raises(ValueError):
+            legendre_symbols(np.arange(3), [5, p])
 
 
 def test_jacobi_matches_sympy():
@@ -160,7 +173,7 @@ def test_rho_budget_raises_typed_error(monkeypatch):
 _ARITH_ONLY = {
     "is_prime",
     "legendre_symbol",
-    "legendre_table",
+    "legendre_symbols",
     "primes_up_to",
     "factorize",
     "prime_factors",

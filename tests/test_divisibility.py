@@ -343,7 +343,7 @@ def test_twist_scans_to_1e4_are_pinned():
     assert h.hexdigest() == "ad79cac191a8e697ccac54632cefed967ee016756a30c5c57f9d842dbefad324"
 
 
-_EDGE_CONFIGS = [RunConfig(trace_bound=b) for b in (0, 2, 49, 50, 51, 199, 200, 201)] + [
+_EDGE_CONFIGS = [RunConfig(trace_bound=b) for b in (0, 2, 13, 49, 50, 51, 199, 200, 201)] + [
     RunConfig(character_mode="dirichlet"),
     RunConfig(semistable_outside_p=True),
 ]
@@ -358,14 +358,13 @@ _LATE_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("span", [None, 10 ** 9], ids=["default-span", "table-everywhere"])
 @pytest.mark.parametrize("cfg", _EDGE_CONFIGS, ids=repr)
-def test_twist_scan_rows_equal_direct_verdicts_at_escalation_edges(cfg, span, monkeypatch):
-    # trace bounds on both sides of each TRACE_ESCALATION step, and the
-    # options that only shape the CriterionFails evidence; with the span
-    # raised, the numpy pass decides every twist whose shapes are refuted
-    if span:
-        monkeypatch.setattr(divisibility, "TABLE_SPAN", span)
+def test_twist_scan_rows_equal_direct_verdicts_at_escalation_edges(cfg, monkeypatch):
+    # trace bounds on both sides of each TRACE_ESCALATION step, a prime
+    # bound whose own trace refutes shapes, and the options that only
+    # shape the CriterionFails evidence; the numpy pass decides every twist
+    # whose shapes are refuted, so only d = 1 and the twists with a
+    # surviving shape escalate over FrobeniusData
     escalated = []
     escalate = divisibility._escalate
     monkeypatch.setattr(divisibility, "_escalate", lambda *args: escalated.append(args) or escalate(*args))
@@ -375,8 +374,7 @@ def test_twist_scan_rows_equal_direct_verdicts_at_escalation_edges(cfg, span, mo
             assert twist_scan(e, p, 0, cfg).rows == ()
             escalated.clear()
             report = twist_scan(e, p, 40, cfg)
-            if span:
-                assert len(escalated) <= 1 + sum(v.outcome != Outcome.GUARANTEED for _, v in report.rows)
+            assert len(escalated) <= 1 + sum(v.outcome != Outcome.GUARANTEED for _, v in report.rows)
             assert [d for d, _ in report.rows] == fundamental_discriminants(40)
             for d, v in report.rows:
                 direct = e if d == 1 else replace(quadratic_twist(e, _core(d)), label=f"{label}^({d})")
