@@ -32,13 +32,12 @@ from .galois_image import (
     Consistent,
     RefutedAt,
     cyclotomic_pair_candidates,
-    cyclotomic_trace,
     default_character_modulus,
     dirichlet_pair_scan,
     nv_sieve_bound,
     passes_torsion_bound,
     passes_uniform_degree_bound,
-    shape_test_entries,
+    shape_trace_tests,
     test_cyclotomic_pair,
 )
 
@@ -565,7 +564,7 @@ def _twist_refutations(fd, p, ds, bounds):
 
     fd is the base curve's FrobeniusData up to bounds[-1].  A prime ell
     tests E^d exactly where FrobeniusData.twist marks it good and
-    shape_test_entries takes it: Delta(E^d) = 2^12 d^6 Delta(E), so ell is
+    shape_trace_tests takes it: Delta(E^d) = 2^12 d^6 Delta(E), so ell is
     odd, prime to d, good for E and not p, and there a_ell(E^d) = (d/ell)
     a_ell(E), with (d/ell) by Euler's criterion over the (prime, twist)
     array.  The primes run in the escalation blocks ell <= bounds[0], ...,
@@ -579,10 +578,10 @@ def _twist_refutations(fd, p, ds, bounds):
     the bound is absent.
     """
     pairs = BAD_SHAPE_PAIRS[p]
-    usable = [(ell, a) for ell, a in shape_test_entries(fd, p) if ell != 2]
-    ells = np.array([ell for ell, _ in usable], dtype=np.int64)
-    traces = np.array([a for _, a in usable], dtype=np.int64)
-    expected = np.array([[cyclotomic_trace(ell, p, pair) for ell, _ in usable] for pair in pairs], dtype=np.int64)
+    tests = np.array([[t for t in shape_trace_tests(fd, p, pair) if t[0] != 2] for pair in pairs], dtype=np.int64)
+    tests = tests.reshape(len(pairs), -1, 3)  # pair, prime, (ell, a_ell, expected)
+    ells, traces = tests[0, :, 0], tests[0, :, 1]
+    expected = tests[:, :, 2]
     d = np.array(ds, dtype=np.int64)
     first = np.full((len(pairs), len(d)), -1)  # index in ells of each shape's first refutation
     observed = np.zeros((len(pairs), len(d)), dtype=np.int64)

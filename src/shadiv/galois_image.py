@@ -65,15 +65,13 @@ def cyclotomic_pair_candidates(p):
     return [CyclotomicPair(a, b) for a, b in sorted(seen)]
 
 
-def shape_test_entries(fd, p):
-    """The (ell, a_ell) of fd that test a shape at p: ell good and ell != p."""
-    return ((ell, a_ell) for ell, a_ell, good in fd.entries if good and ell != p)
-
-
-def cyclotomic_trace(ell, p, pair):
-    """ell^a + ell^b mod p, the trace of Frob_ell on eps^a (+) eps^b mod p."""
+def shape_trace_tests(fd, p, pair):
+    """[(ell, a_ell, ell^a + ell^b mod p)] at the primes of fd that test the
+    shape eps^a (+) eps^b at p: ell good for fd's curve and ell != p."""
     a, b = (pair.a, pair.b) if isinstance(pair, CyclotomicPair) else pair
-    return (pow(ell, a, p) + pow(ell, b, p)) % p
+    return [
+        (ell, a_ell, (pow(ell, a, p) + pow(ell, b, p)) % p) for ell, a_ell, good in fd.entries if good and ell != p
+    ]
 
 
 def test_cyclotomic_pair(fd, p, pair):
@@ -83,8 +81,7 @@ def test_cyclotomic_pair(fd, p, pair):
     bounded by the traces available in fd.
     """
     checked = []
-    for ell, a_ell in shape_test_entries(fd, p):
-        expected = cyclotomic_trace(ell, p, pair)
+    for ell, a_ell, expected in shape_trace_tests(fd, p, pair):
         if a_ell % p != expected:
             return RefutedAt(ell, a_ell, expected)
         checked.append(ell)
