@@ -106,8 +106,8 @@ def analyze(curve_spec, curve_file, embedded, label, primes, trace_bound,
         plist = [int(p) for p in primes.split(",")]
     except ValueError:
         raise click.ClickException(f"--primes: {primes!r} is not a comma-separated integer list")
-    cfg = RunConfig(trace_bound=trace_bound, character_mode=character_mode)
     try:
+        cfg = RunConfig(trace_bound=trace_bound, character_mode=character_mode)
         verdicts = [verdict_over_Q(e, p, cfg) for e in curves for p in plist]
     except (ShadivError, ValueError) as exc:
         raise click.ClickException(str(exc))
@@ -337,9 +337,8 @@ def twist_scan_cmd(curve_spec, embedded, prime, dmax, trace_bound, fmt):
         e = embedded_curve(embedded)
     else:
         raise click.ClickException("no curve given")
-    cfg = RunConfig(trace_bound=trace_bound)
     try:
-        report = twist_scan(e, prime, dmax, cfg)
+        report = twist_scan(e, prime, dmax, RunConfig(trace_bound=trace_bound))
     except (ShadivError, ValueError) as exc:
         raise click.ClickException(str(exc))
     if fmt == "json":

@@ -12,14 +12,16 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .arith import is_prime, legendre_symbols, prime_factors, squarefree_sieve
 from .datasets import regular_prime_resolutions
 from .elliptic import (
+    TRACE_BOUND_MAX,
     EllipticCurveQ,
+    FrobeniusData,
     ReductionType,
     _twist_model,
     frobenius_traces,
@@ -31,14 +33,12 @@ from .errors import BudgetExceeded, UnsupportedPrime
 from .galois_image import (
     Consistent,
     RefutedAt,
-    cyclotomic_pair_candidates,
     default_character_modulus,
     dirichlet_pair_scan,
     nv_sieve_bound,
     passes_torsion_bound,
     passes_uniform_degree_bound,
-    shape_trace_tests,
-    test_cyclotomic_pair,
+    shape_values,
 )
 
 
@@ -108,6 +108,12 @@ class RunConfig:
     character_mode: str = "cyclotomic"  # or "dirichlet"
     semistable_outside_p: bool = None  # user-supplied metadata
 
+    def __post_init__(self):
+        if self.character_mode not in ("cyclotomic", "dirichlet"):
+            raise ValueError(f"character mode {self.character_mode!r} is neither 'cyclotomic' nor 'dirichlet'")
+        if not 0 <= self.trace_bound <= TRACE_BOUND_MAX:
+            raise ValueError(f"trace bound {self.trace_bound} is outside 0..{TRACE_BOUND_MAX}")
+
 
 DEFAULT_CONFIG = RunConfig()
 
@@ -133,37 +139,33 @@ def _shape_name(p, pair):
 
 def verdict_over_Q(e: EllipticCurveQ, p: int, cfg: RunConfig = DEFAULT_CONFIG) -> DivisibilityVerdict:
     """Divisibility verdict for an elliptic curve over Q at an odd prime."""
-    return _verdict(
-        e,
-        p,
-        cfg,
-        shapes=lambda: _escalate(p, cfg, lambda bound: frobenius_traces(e, bound)),
-        supersingular=lambda: is_supersingular(e, p),
-        full_2torsion=lambda: has_full_rational_2torsion(e),
-    )
+    verdict = _early_verdict(e, p, lambda: is_supersingular(e, p), lambda: has_full_rational_2torsion(e))
+    if verdict is not None:
+        return verdict
+    tests = _shape_tests(lambda bound: frobenius_traces(e, bound), p, [1], cfg.trace_bound)
+    return _scan_bad_shapes(e, p, cfg, *tests[1])
 
 
-def _verdict(e, p, cfg, shapes, supersingular, full_2torsion):
-    """verdict_over_Q with its curve data taken from sources.
+def _early_verdict(e, p, supersingular, full_2torsion):
+    """The verdict at p settled before the bad-shape scan, or None.
 
-    shapes() decides the bad shapes at p as _escalate does; supersingular()
-    (asked only when e is good at p) and full_2torsion() answer for e.
-    Each is consulted only on the path that needs it.
+    None means p <= 7 and the bad shapes decide.  supersingular() (asked
+    only when e is good at p) and full_2torsion() answer for e; each is
+    consulted only on the path that needs it.
     """
     if p == 2:
         raise UnsupportedPrime("the divisibility criteria concern odd primes")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    chain = []
     if p > 7:
-        chain.append(
+        chain = [
             ChainStep(
                 "rational.large_prime",
                 "over Q the locally divisible classes are p-divisible for every prime p > 7",
                 {"p": p, "route": _large_prime_route(p)},
                 RIGOROUS,
             )
-        )
+        ]
         resolution = regular_prime_resolutions().get((e.ainvs, p))
         if resolution is not None:
             chain.append(
@@ -177,42 +179,32 @@ def _verdict(e, p, cfg, shapes, supersingular, full_2torsion):
         return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
 
     if p >= 5 and full_2torsion():
-        chain.append(
-            ChainStep(
-                "rational.full_2torsion",
-                "rational 2-torsion caps odd rational torsion of every quadratic twist at 3, excluding all bad shapes for p >= 5",
-                {"p": p, "two_torsion_roots": 3},
-                RIGOROUS,
-            )
+        step = ChainStep(
+            "rational.full_2torsion",
+            "rational 2-torsion caps odd rational torsion of every quadratic twist at 3, excluding all bad shapes for p >= 5",
+            {"p": p, "two_torsion_roots": 3},
+            RIGOROUS,
         )
-        return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
-
-    good_at_p = e.discriminant % p != 0
-    if good_at_p:
-        if supersingular():
-            chain.append(
-                ChainStep(
-                    "rational.supersingular",
-                    "supersingular reduction makes the mod-p representation irreducible",
-                    {"p": p, "a_p mod p": 0},
-                    RIGOROUS,
-                )
-            )
-            return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
+    elif e.discriminant % p:
+        if not supersingular():
+            return None
+        step = ChainStep(
+            "rational.supersingular",
+            "supersingular reduction makes the mod-p representation irreducible",
+            {"p": p, "a_p mod p": 0},
+            RIGOROUS,
+        )
     else:
         rt = reduction_type(e, p)
-        if rt == ReductionType.MULTIPLICATIVE_NONSPLIT:
-            chain.append(
-                ChainStep(
-                    "rational.nonsplit_multiplicative",
-                    "nonsplit multiplicative reduction at p forces the unramified quadratic twist shape, excluding the bad shapes",
-                    {"p": p, "reduction": rt.value},
-                    RIGOROUS,
-                )
-            )
-            return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
-
-    return _scan_bad_shapes(e, p, cfg, chain, shapes)
+        if rt != ReductionType.MULTIPLICATIVE_NONSPLIT:
+            return None
+        step = ChainStep(
+            "rational.nonsplit_multiplicative",
+            "nonsplit multiplicative reduction at p forces the unramified quadratic twist shape, excluding the bad shapes",
+            {"p": p, "reduction": rt.value},
+            RIGOROUS,
+        )
+    return DivisibilityVerdict(e, p, Outcome.GUARANTEED, (step,))
 
 
 def _large_prime_route(p):
@@ -234,31 +226,6 @@ def _escalation_bounds(trace_bound):
     return [b for b in TRACE_ESCALATION if b < trace_bound] + [trace_bound]
 
 
-def _escalate(p, cfg, traces):
-    """Test the bad shapes at p against traces(bound), one escalation bound at a time.
-
-    Stops at the first bound that refutes every shape.  Returns (refuted,
-    consistent, fd): the refuted shapes with their RefutedAt in the order
-    found (bound, then pair order), the shapes with their Consistent record
-    at the last bound, and the FrobeniusData of that bound.
-    """
-    pending = list(BAD_SHAPE_PAIRS[p])
-    refuted = []
-    for bound in _escalation_bounds(cfg.trace_bound):
-        fd = traces(bound)
-        consistent = []
-        for pair in pending:
-            verdict = test_cyclotomic_pair(fd, p, pair)
-            if isinstance(verdict, RefutedAt):
-                refuted.append((pair, verdict))
-            else:
-                consistent.append((pair, verdict))
-        pending = [pair for pair, _ in consistent]
-        if not pending:
-            break
-    return tuple(refuted), consistent, fd
-
-
 @lru_cache(maxsize=1024)
 def _exclusion_step(p, pair, refutation):
     return ChainStep(
@@ -274,20 +241,20 @@ def _exclusion_step(p, pair, refutation):
     )
 
 
-def _scan_bad_shapes(e, p, cfg, chain, shapes):
-    """The verdict from the bad-shape scan; shapes() gives (refuted, consistent, fd) as _escalate.
+def _scan_bad_shapes(e, p, cfg, tests, entries):
+    """The verdict from e's bad-shape tests at p, (tests, entries) as _shape_tests gives them.
 
-    fd is read only when a shape is consistent.  Exclusion steps are
-    cached, so a twist scan builds each distinct step once.
+    entries are read only in dirichlet mode.  Exclusion steps are cached,
+    so a twist scan builds each distinct step once.
     """
-    refuted, consistent, fd = shapes()
+    consistent = [(pair, v) for pair, v in tests if isinstance(v, Consistent)]
     if not consistent:
-        chain.extend(_exclusion_step(p, pair, refutation) for pair, refutation in refuted)
-        return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
+        chain = tuple(_exclusion_step(p, pair, refutation) for pair, refutation in tests)
+        return DivisibilityVerdict(e, p, Outcome.GUARANTEED, chain)
 
     if cfg.character_mode == "dirichlet":
         modulus = default_character_modulus(e, p)
-        extra = dirichlet_pair_scan(fd, p, modulus, "chi_chi_squared")
+        extra = dirichlet_pair_scan(FrobeniusData(e, entries), p, modulus, "chi_chi_squared")
         dirichlet_note = {
             "modulus": modulus,
             "consistent_chi_chi_squared": len(extra),
@@ -297,15 +264,13 @@ def _scan_bad_shapes(e, p, cfg, chain, shapes):
 
     checked_any = any(len(v.checked_primes) > 0 for _, v in consistent)
     if not checked_any:
-        chain.append(
-            ChainStep(
-                "rational.bad_shape_scan",
-                "no usable good primes below the trace bound; shapes undecided",
-                {"trace_bound": cfg.trace_bound},
-                HEURISTIC,
-            )
+        step = ChainStep(
+            "rational.bad_shape_scan",
+            "no usable good primes below the trace bound; shapes undecided",
+            {"trace_bound": cfg.trace_bound},
+            HEURISTIC,
         )
-        return DivisibilityVerdict(e, p, Outcome.INCONCLUSIVE, tuple(chain))
+        return DivisibilityVerdict(e, p, Outcome.INCONCLUSIVE, (step,))
 
     evidence = {
         "consistent_shapes": [
@@ -326,20 +291,20 @@ def _scan_bad_shapes(e, p, cfg, chain, shapes):
         warnings = _semistability_warnings(e, p) if p in (5, 7) else []
         if warnings:
             evidence["semistability_warnings"] = warnings
-    for pair, v in consistent:
-        chain.append(
-            ChainStep(
-                "rational.bad_shape_scan",
-                f"shape {_shape_name(p, pair)} consistent with all traces up to the bound",
-                {
-                    "shape": _shape_name(p, pair),
-                    "trace_bound": cfg.trace_bound,
-                    "checked_count": len(v.checked_primes),
-                },
-                HEURISTIC,
-            )
+    chain = tuple(
+        ChainStep(
+            "rational.bad_shape_scan",
+            f"shape {_shape_name(p, pair)} consistent with all traces up to the bound",
+            {
+                "shape": _shape_name(p, pair),
+                "trace_bound": cfg.trace_bound,
+                "checked_count": len(v.checked_primes),
+            },
+            HEURISTIC,
         )
-    return DivisibilityVerdict(e, p, Outcome.CRITERION_FAILS, tuple(chain), evidence)
+        for pair, v in consistent
+    )
+    return DivisibilityVerdict(e, p, Outcome.CRITERION_FAILS, chain, evidence)
 
 
 def _semistability_warnings(e, p):
@@ -523,100 +488,135 @@ def twist_scan(e: EllipticCurveQ, p: int, dmax: int, cfg: RunConfig = DEFAULT_CO
     at p and full rational 2-torsion, which the twist leaves unchanged
     (a_p(E^d) = +-a_p(E) wherever E^d is good at p; the 2-division cubic of
     E^d is that of E rescaled by 4d), and its traces, a_ell(E^d) =
-    (d/ell) a_ell(E).  The bad shapes of every twist d != 1 are tested at
-    once by _twist_refutations; the twists it leaves undecided, and d = 1,
-    escalate over FrobeniusData.twist.  Rows are those of verdict_over_Q on
-    each twisted curve.
+    (d/ell) a_ell(E).  One call of _shape_tests decides the bad shapes of
+    every twist that the early exits leave open, d = 1 included, from
+    points counted on E alone.  Rows are those of verdict_over_Q on each
+    twisted curve.
     """
     if p not in TWIST_FAILURE_CAPS:
         raise ValueError("twist caps are stated for p in {3, 5, 7}")
     if dmax > 10 ** 4:
         raise ValueError("dmax capped at 10^4")
-    ds = fundamental_discriminants(dmax)
-    full = cache(lambda: frobenius_traces(e, cfg.trace_bound))
-    base_traces = cache(lambda bound: full().upto(bound))
-    refutations = cache(
-        lambda: _twist_refutations(full(), p, [d for d in ds if d != 1], _escalation_bounds(cfg.trace_bound))
-    )
     supersingular = cache(lambda: is_supersingular(e, p))
     full_2torsion = cache(lambda: has_full_rational_2torsion(e))
-
-    def shapes(d, twisted, core):
-        refuted = refutations().get(d)
-        if refuted is not None:
-            return refuted, (), None
-        return _escalate(p, cfg, lambda bound: base_traces(bound).twist(twisted, core))
-
-    rows = []
-    for d in ds:
+    twists = []
+    for d in fundamental_discriminants(dmax):
         core = d if d % 4 == 1 else d // 4
         if d == 1:
             twisted = e
         else:
             twisted = _twist_model(e, core, label=f"{e.label}^({d})" if e.label else None)
-        verdict = _verdict(twisted, p, cfg, partial(shapes, d, twisted, core), supersingular, full_2torsion)
-        rows.append((d, verdict))
-    return TwistScanReport(e, p, dmax, tuple(rows), TWIST_FAILURE_CAPS[p])
+        twists.append((d, twisted, _early_verdict(twisted, p, supersingular, full_2torsion)))
+    open_ds = [d for d, _, verdict in twists if verdict is None]
+    tests = _shape_tests(lambda bound: frobenius_traces(e, bound), p, open_ds, cfg.trace_bound)
+    rows = tuple((d, verdict or _scan_bad_shapes(twisted, p, cfg, *tests[d])) for d, twisted, verdict in twists)
+    return TwistScanReport(e, p, dmax, rows, TWIST_FAILURE_CAPS[p])
 
 
-def _twist_refutations(fd, p, ds, bounds):
-    """The refuted bad shapes of every twist E^d at p, tested in one numpy pass.
+def _shape_tests(traces, p, ds, trace_bound):
+    """The bad shapes at p of every twist E^d, d in ds, tested in one numpy pass.
 
-    fd is the base curve's FrobeniusData up to bounds[-1].  A prime ell
-    tests E^d exactly where FrobeniusData.twist marks it good and
-    shape_trace_tests takes it: Delta(E^d) = 2^12 d^6 Delta(E), so ell is
-    odd, prime to d, good for E and not p, and there a_ell(E^d) = (d/ell)
-    a_ell(E), with (d/ell) by Euler's criterion over the (prime, twist)
-    array.  The primes run in the escalation blocks ell <= bounds[0], ...,
-    bounds[-1]; each block covers only the twists with a shape still
-    unrefuted, so the long last block meets only the few twists whose
-    shape survives the short ones.
+    traces(bound) is E's FrobeniusData up to bound.  The primes run in the
+    escalation blocks (ell <= 50, ell <= 200, ell <= trace_bound, as far
+    as trace_bound reaches); traces is
+    read once per block, and only while some twist has a shape still
+    unrefuted, so for ds = [1] (verdict_over_Q) points are counted only up
+    to the bound that settles E.  Each block covers just those twists, over
+    the (prime, twist) array: ell tests E^d where _twist_symbols makes E^d
+    good and ell != p, and there a_ell(E^d) = chi_d(ell) a_ell(E) must be
+    ell^a + ell^b mod p.
 
-    Returns {d: ((pair, RefutedAt), ...)} for the twists with every shape
-    refuted, each at its first refuting prime, ordered as _escalate orders
-    them (block, then pair order).  A twist with a shape consistent up to
-    the bound is absent.
+    Returns {d: (tests, entries)}.  tests holds (pair, RefutedAt) for each
+    refuted shape, at its first refuting prime, in the order found (block,
+    then pair order), followed by (pair, Consistent(checked primes)) for
+    each shape consistent up to the trace bound, in pair order.  When a
+    shape is consistent, entries are E^d's FrobeniusData entries up to the
+    trace bound, read off E's (_twisted_entries); otherwise None.
     """
     pairs = BAD_SHAPE_PAIRS[p]
-    tests = np.array([[t for t in shape_trace_tests(fd, p, pair) if t[0] != 2] for pair in pairs], dtype=np.int64)
-    tests = tests.reshape(len(pairs), -1, 3)  # pair, prime, (ell, a_ell, expected)
-    ells, traces = tests[0, :, 0], tests[0, :, 1]
-    expected = tests[:, :, 2]
+    bounds = _escalation_bounds(trace_bound)
     d = np.array(ds, dtype=np.int64)
     first = np.full((len(pairs), len(d)), -1)  # index in ells of each shape's first refutation
     observed = np.zeros((len(pairs), len(d)), dtype=np.int64)
     pending = np.arange(len(d))
-    lo = 0
+    ells, a, good = _trace_arrays(())
     for bound in bounds:
-        hi = int(np.searchsorted(ells, bound, side="right"))
-        if lo == hi or not len(pending):
+        if not len(pending):
+            break
+        lo = len(ells)
+        ells, a, good = _trace_arrays(traces(bound).entries)
+        if lo == len(ells):
             continue
-        chi = legendre_symbols(d[pending], ells[lo:hi])  # prime, twist
-        obs = chi * traces[lo:hi, None]
-        bad = (chi != 0) & (obs % p != expected[:, lo:hi, None])  # pair, prime, twist
+        chi = _twist_symbols(ells[lo:], good[lo:], d[pending])  # prime, twist
+        obs = chi * a[lo:, None]
+        expected = np.array([shape_values(ells[lo:], p, pair) for pair in pairs])  # pair, prime
+        bad = (chi != 0) & (ells[lo:, None] != p) & (obs % p != expected[:, :, None])  # pair, prime, twist
         at = bad.argmax(axis=1)
         shape, col = np.nonzero(bad.any(axis=1) & (first[:, pending] < 0))
         first[shape, pending[col]] = lo + at[shape, col]
         observed[shape, pending[col]] = obs[at[shape, col], col]
         pending = pending[(first[:, pending] < 0).any(axis=0)]
-        lo = hi
-    decided = np.nonzero((first >= 0).all(axis=0))[0]
-    if not len(decided):
-        return {}
-    chains = {}  # twists with equal refutations share one chain
-    refutations = {}
-    keys = np.vstack((first[:, decided], observed[:, decided])).T.tolist()
-    for dj, key in zip(d[decided].tolist(), map(tuple, keys)):
-        if key not in chains:
-            where, seen = key[: len(pairs)], key[len(pairs) :]
-            refuted = [
-                (pair, RefutedAt(int(ells[i]), obs, int(expected[k, i])))
-                for k, (pair, i, obs) in enumerate(zip(pairs, where, seen))
-            ]
-            refuted.sort(key=lambda item: bisect_left(bounds, item[1].ell))
-            chains[key] = tuple(refuted)
-        refutations[dj] = chains[key]
-    return refutations
+
+    ell_list = ells.tolist()
+
+    def tests_of(key, consistent):
+        where, seen = key[: len(pairs)], key[len(pairs) :]
+        tests = [
+            (pair, consistent if i < 0 else RefutedAt(ell_list[i], obs, shape_values(ell_list[i], p, pair)))
+            for pair, i, obs in zip(pairs, where, seen)
+        ]
+        tests.sort(key=lambda t: bisect_left(bounds, t[1].ell) if isinstance(t[1], RefutedAt) else len(bounds))
+        return tuple(tests)
+
+    survivors = np.nonzero((first < 0).any(axis=0))[0].tolist()
+    twisted = dict(zip(survivors, _twisted_entries(ells, a, good, d[survivors])))
+    shared = {}  # twists with equal refutations share one tuple of tests
+    results = {}
+    for j, key in enumerate(map(tuple, np.vstack((first, observed)).T.tolist())):
+        if j in twisted:
+            entries = twisted[j]
+            checked = Consistent(tuple(ell for ell, _, good in entries if good and ell != p))
+            results[ds[j]] = (tests_of(key, checked), entries)
+        else:
+            if key not in shared:
+                shared[key] = tests_of(key, None)
+            results[ds[j]] = (shared[key], None)
+    return results
+
+
+def _trace_arrays(entries):
+    """ell, a_ell (0 where bad) and good as numpy columns of FrobeniusData entries."""
+    table = np.array([(ell, a or 0, good) for ell, a, good in entries], dtype=np.int64).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2] != 0
+
+
+def _twist_symbols(ells, good, ds):
+    """(prime, twist) array: chi_d(ell) where E^d is good at ell, else 0.
+
+    E^1 is E itself.  For d != 1, Delta(E^d) = 2^12 d^6 Delta(E) on the
+    twist model, so E^d is good exactly at the odd ell prime to d where E
+    is good, and there a_ell(E^d) = (d/ell) a_ell(E), with (d/ell) by
+    Euler's criterion.  ell = 2 thus tests only d = 1.
+    """
+    chi = np.zeros((len(ells), len(ds)), dtype=np.int64)
+    chi[:, ds == 1] = 1
+    twisted = ds != 1
+    if twisted.any():
+        odd = ells > 2
+        chi[np.ix_(odd, twisted)] = legendre_symbols(ds[twisted], ells[odd])
+    return chi * good[:, None]
+
+
+def _twisted_entries(ells, a, good, ds):
+    """The FrobeniusData entries of each E^d, d in ds, read off E's trace arrays."""
+    ell_list = ells.tolist()
+    return [
+        tuple(
+            (ell, t, True) if c else (ell, None, False)
+            for ell, t, c in zip(ell_list, (col * a).tolist(), col.tolist())
+        )
+        for col in _twist_symbols(ells, good, ds).T
+    ]
 
 
 def unipotent_lift_exception(p) -> bool:

@@ -263,21 +263,6 @@ class FrobeniusData:
         k = bisect_right(self.entries, bound, key=lambda entry: entry[0])
         return FrobeniusData(self.curve, self.entries[:k])
 
-    def twist(self, twisted, d):
-        """The traces of `twisted` = quadratic_twist(self.curve, d), read off these.
-
-        Delta(E^d) = 2^12 d^6 Delta(E), so every prime good for the twist is
-        odd, prime to d and good for E, and there a_ell(E^d) = (d/ell) a_ell(E).
-        """
-        disc = twisted.discriminant
-        return FrobeniusData(
-            twisted,
-            tuple(
-                (ell, legendre_symbol(d, ell) * a, True) if disc % ell else (ell, None, False)
-                for ell, a, _ in self.entries
-            ),
-        )
-
 
 TRACE_BOUND_MAX = 10 ** 5
 

@@ -65,13 +65,12 @@ def cyclotomic_pair_candidates(p):
     return [CyclotomicPair(a, b) for a, b in sorted(seen)]
 
 
-def shape_trace_tests(fd, p, pair):
-    """[(ell, a_ell, ell^a + ell^b mod p)] at the primes of fd that test the
-    shape eps^a (+) eps^b at p: ell good for fd's curve and ell != p."""
+def shape_values(ells, p, pair):
+    """ell^a + ell^b mod p, the trace mod p that the shape eps^a (+) eps^b
+    predicts at ell != p; elementwise on a numpy array of primes."""
     a, b = (pair.a, pair.b) if isinstance(pair, CyclotomicPair) else pair
-    return [
-        (ell, a_ell, (pow(ell, a, p) + pow(ell, b, p)) % p) for ell, a_ell, good in fd.entries if good and ell != p
-    ]
+    r = ells % p
+    return (r ** a + r ** b) % p
 
 
 def test_cyclotomic_pair(fd, p, pair):
@@ -81,7 +80,10 @@ def test_cyclotomic_pair(fd, p, pair):
     bounded by the traces available in fd.
     """
     checked = []
-    for ell, a_ell, expected in shape_trace_tests(fd, p, pair):
+    for ell, a_ell, good in fd.entries:
+        if not good or ell == p:
+            continue
+        expected = shape_values(ell, p, pair)
         if a_ell % p != expected:
             return RefutedAt(ell, a_ell, expected)
         checked.append(ell)

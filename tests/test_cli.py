@@ -64,6 +64,13 @@ def test_analyze_rejects_ignored_metadata_flags(runner):
         assert "No such option" in result.output
 
 
+def test_invalid_trace_bound_exits_through_value_error(runner):
+    for command in (["analyze", "--primes", "3"], ["twist-scan", "--p", "3"]):
+        result = runner.invoke(main, command + ["--embedded", "121-B1", "--trace-bound", "-5"])
+        assert result.exit_code == 1
+        assert "Error: trace bound -5 is outside" in result.output
+
+
 def test_analyze_curve_file(runner, tmp_path):
     path = tmp_path / "curves.txt"
     path.write_text(

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import time
+from bisect import bisect_left
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import shadiv.divisibility as divisibility
 from shadiv.datasets import embedded_curve, regular_prime_resolutions
 from shadiv.divisibility import (
+    BAD_SHAPE_PAIRS,
     HEURISTIC,
     RIGOROUS,
     Outcome,
@@ -19,8 +21,17 @@ from shadiv.divisibility import (
     verdict_number_field,
     verdict_over_Q,
 )
-from shadiv.elliptic import curve, is_supersingular, quadratic_twist, reduction_type, trace_at
+from shadiv.elliptic import (
+    TRACE_BOUND_MAX,
+    curve,
+    frobenius_traces,
+    is_supersingular,
+    quadratic_twist,
+    reduction_type,
+    trace_at,
+)
 from shadiv.errors import UnsupportedPrime
+from shadiv.galois_image import RefutedAt, test_cyclotomic_pair
 
 
 def test_large_prime_rule():
@@ -362,19 +373,20 @@ _LATE_ROWS = [
 def test_twist_scan_rows_equal_direct_verdicts_at_escalation_edges(cfg, monkeypatch):
     # trace bounds on both sides of each TRACE_ESCALATION step, a prime
     # bound whose own trace refutes shapes, and the options that only
-    # shape the CriterionFails evidence; the numpy pass decides every twist
-    # whose shapes are refuted, so only d = 1 and the twists with a
-    # surviving shape escalate over FrobeniusData
-    escalated = []
-    escalate = divisibility._escalate
-    monkeypatch.setattr(divisibility, "_escalate", lambda *args: escalated.append(args) or escalate(*args))
+    # shape the CriterionFails evidence; one call of the shape-test engine
+    # decides every twist of a scan, d = 1 and the surviving shapes included
+    engine_calls = []
+    engine = divisibility._shape_tests
+    monkeypatch.setattr(divisibility, "_shape_tests", lambda *args: engine_calls.append(args) or engine(*args))
     for label in ("121-B1", "selmer-jacobian", "legendre-test"):
         e = embedded_curve(label)
         for p in (3, 5, 7):
+            engine_calls.clear()
             assert twist_scan(e, p, 0, cfg).rows == ()
-            escalated.clear()
+            assert len(engine_calls) == 1
+            engine_calls.clear()
             report = twist_scan(e, p, 40, cfg)
-            assert len(escalated) <= 1 + sum(v.outcome != Outcome.GUARANTEED for _, v in report.rows)
+            assert len(engine_calls) == 1
             assert [d for d, _ in report.rows] == fundamental_discriminants(40)
             for d, v in report.rows:
                 direct = e if d == 1 else replace(quadratic_twist(e, _core(d)), label=f"{label}^({d})")
@@ -385,6 +397,58 @@ def test_twist_scan_rows_equal_direct_verdicts_at_escalation_edges(cfg, monkeypa
         v = dict(twist_scan(e, p, abs(d), cfg).rows)[d]
         direct = replace(quadratic_twist(e, _core(d)), label=f"{label}^({d})")
         assert v.to_json() == verdict_over_Q(direct, p, cfg).to_json(), (label, d)
+
+
+# 11a3 is good at 2 (a_2 = -2), where its shape 1 (+) eps is refuted at p = 3 and 7
+_ORACLE_CURVES = [embedded_curve(label) for label in ("121-B1", "selmer-jacobian", "legendre-test")] + [
+    curve((0, -1, 1, 0, 0), label="11a3")
+]
+
+
+@pytest.mark.parametrize("bound", [0, 2, 13, 49, 50, 51, 199, 200, 201, 1000])
+def test_shape_tests_match_test_cyclotomic_pair(bound):
+    # for d = 1 the engine's record of each shape is the one the per-prime
+    # loop test_cyclotomic_pair gives on the traces up to the bound,
+    # checked primes included, in the order found: by escalation block,
+    # then pair order, the consistent shapes last
+    blocks = divisibility._escalation_bounds(bound)
+    for e in _ORACLE_CURVES:
+        fd = frobenius_traces(e, bound)
+        for p in (3, 5, 7):
+            tests, entries = divisibility._shape_tests(lambda b: frobenius_traces(e, b), p, [1], bound)[1]
+            expected = sorted(
+                ((pair, test_cyclotomic_pair(fd, p, pair)) for pair in BAD_SHAPE_PAIRS[p]),
+                key=lambda t: bisect_left(blocks, t[1].ell) if isinstance(t[1], RefutedAt) else len(blocks),
+            )
+            assert tests == tuple(expected), (e.label, p)
+            refuted = all(isinstance(v, RefutedAt) for _, v in tests)
+            assert entries == (None if refuted else fd.entries), (e.label, p)
+
+
+def test_shape_tests_keep_ell_2_for_the_base_curve():
+    e = _ORACLE_CURVES[-1]
+    for p, expected in ((3, 0), (7, 3)):
+        tests, _ = divisibility._shape_tests(lambda b: frobenius_traces(e, b), p, [1], 1000)[1]
+        assert tests == (((0, 1), RefutedAt(2, -2, expected)),)
+    assert verdict_over_Q(e, 3).chain[0].inputs["ell"] == 2
+
+
+def test_run_config_rejects_unknown_character_mode():
+    with pytest.raises(ValueError, match="dirichet"):
+        RunConfig(character_mode="dirichet")
+
+
+def test_run_config_rejects_negative_trace_bound():
+    with pytest.raises(ValueError, match="-5"):
+        RunConfig(trace_bound=-5)
+    assert RunConfig(trace_bound=0).trace_bound == 0
+
+
+def test_run_config_rejects_trace_bound_past_the_maximum():
+    # a bound of 10^6 raised at p = 3 but returned Guaranteed at p = 13
+    with pytest.raises(ValueError, match="1000000"):
+        RunConfig(trace_bound=10 ** 6)
+    assert RunConfig(trace_bound=TRACE_BOUND_MAX).trace_bound == TRACE_BOUND_MAX
 
 
 def test_twist_scan_point_counts_do_not_grow_with_dmax(monkeypatch):
