@@ -5,7 +5,6 @@ decided by p not dividing the discriminant of the given model.  All
 arithmetic is exact (python integers, numpy int64 for counting sweeps).
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -257,11 +256,6 @@ def trace_at(e: EllipticCurveQ, ell: int):
 class FrobeniusData:
     curve: EllipticCurveQ
     entries: tuple  # (ell, a_ell or None, good)
-
-    def upto(self, bound):
-        """The entries with ell <= bound."""
-        k = bisect_right(self.entries, bound, key=lambda entry: entry[0])
-        return FrobeniusData(self.curve, self.entries[:k])
 
 
 TRACE_BOUND_MAX = 10 ** 5

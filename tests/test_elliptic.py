@@ -301,13 +301,6 @@ def test_frobenius_twist_matches_direct_traces():
             assert FrobeniusData(tw, entries) == frobenius_traces(tw, 1000), (label, d)
 
 
-def test_frobenius_upto_truncates():
-    e = embedded_curve("121-B1")
-    fd = frobenius_traces(e, 1000)
-    for bound in (1, 2, 50, 199, 200, 997, 1000):
-        assert fd.upto(bound) == frobenius_traces(e, bound)
-
-
 def test_two_torsion_detection():
     assert has_full_rational_2torsion(curve((0, 0, 0, -1, 0)))  # x(x-1)(x+1)
     assert not has_full_rational_2torsion(curve((0, 0, 0, 1, 1)))  # irreducible cubic
