@@ -244,14 +244,15 @@ def _exclusion_step(p, pair, refutation):
 def _scan_bad_shapes(e, p, cfg, tests, entries):
     """The verdict from e's bad-shape tests at p, (tests, entries) as _shape_tests gives them.
 
-    entries are read only in dirichlet mode.  Exclusion steps are cached,
-    so a twist scan builds each distinct step once.
+    entries is None exactly when every shape is refuted, and is read only
+    in dirichlet mode.  Exclusion steps are cached, so a twist scan builds
+    each distinct step once.
     """
-    consistent = [(pair, v) for pair, v in tests if isinstance(v, Consistent)]
-    if not consistent:
+    if entries is None:
         chain = tuple(_exclusion_step(p, pair, refutation) for pair, refutation in tests)
         return DivisibilityVerdict(e, p, Outcome.GUARANTEED, chain)
 
+    consistent = [(pair, v) for pair, v in tests if isinstance(v, Consistent)]
     if cfg.character_mode == "dirichlet":
         modulus = default_character_modulus(e, p)
         extra = dirichlet_pair_scan(FrobeniusData(e, entries), p, modulus, "chi_chi_squared")
@@ -547,10 +548,10 @@ def _shape_tests(traces, p, ds, trace_bound):
         ells, a, good = _trace_arrays(traces(bound).entries)
         if lo == len(ells):
             continue
-        chi = _twist_symbols(ells[lo:], good[lo:], d[pending])  # prime, twist
+        chi = _twist_symbols(ells[lo:], good[lo:] & (ells[lo:] != p), d[pending])  # prime, twist
         obs = chi * a[lo:, None]
         expected = np.array([shape_values(ells[lo:], p, pair) for pair in pairs])  # pair, prime
-        bad = (chi != 0) & (ells[lo:, None] != p) & (obs % p != expected[:, :, None])  # pair, prime, twist
+        bad = (chi != 0) & (obs % p != expected[:, :, None])  # pair, prime, twist
         at = bad.argmax(axis=1)
         shape, col = np.nonzero(bad.any(axis=1) & (first[:, pending] < 0))
         first[shape, pending[col]] = lo + at[shape, col]
@@ -591,20 +592,19 @@ def _trace_arrays(entries):
 
 
 def _twist_symbols(ells, good, ds):
-    """(prime, twist) array: chi_d(ell) where E^d is good at ell, else 0.
+    """(prime, twist) int8 array: chi_d(ell) at the primes where good holds
+    and E^d is good, else 0; good marks primes where E is good.
 
     E^1 is E itself.  For d != 1, Delta(E^d) = 2^12 d^6 Delta(E) on the
     twist model, so E^d is good exactly at the odd ell prime to d where E
     is good, and there a_ell(E^d) = (d/ell) a_ell(E), with (d/ell) by
-    Euler's criterion.  ell = 2 thus tests only d = 1.
+    Euler's criterion ((1/ell) = 1).  ell = 2 thus counts only for d = 1.
     """
-    chi = np.zeros((len(ells), len(ds)), dtype=np.int64)
-    chi[:, ds == 1] = 1
-    twisted = ds != 1
-    if twisted.any():
-        odd = ells > 2
-        chi[np.ix_(odd, twisted)] = legendre_symbols(ds[twisted], ells[odd])
-    return chi * good[:, None]
+    chi = np.zeros((len(ells), len(ds)), dtype=np.int8)
+    odd = good & (ells > 2)
+    chi[odd] = legendre_symbols(ds, ells[odd])
+    chi[good & (ells == 2)] = ds == 1
+    return chi
 
 
 def _twisted_entries(ells, a, good, ds):
