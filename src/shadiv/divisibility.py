@@ -518,14 +518,13 @@ def _shape_tests(traces, p, ds, trace_bound):
     """The bad shapes at p of every twist E^d, d in ds, tested in one numpy pass.
 
     traces(bound) is E's FrobeniusData up to bound.  The primes run in the
-    escalation blocks (ell <= 50, ell <= 200, ell <= trace_bound, as far
-    as trace_bound reaches); traces is
-    read once per block, and only while some twist has a shape still
-    unrefuted, so for ds = [1] (verdict_over_Q) points are counted only up
-    to the bound that settles E.  Each block covers just those twists, over
-    the (prime, twist) array: ell tests E^d where _twist_symbols makes E^d
-    good and ell != p, and there a_ell(E^d) = chi_d(ell) a_ell(E) must be
-    ell^a + ell^b mod p.
+    escalation blocks (ell <= 50, ell <= 200, ell <= trace_bound, as far as
+    trace_bound reaches).  traces is read once per block, and only while
+    some twist has a shape still unrefuted, so for ds = [1]
+    (verdict_over_Q) points are counted only up to the bound that settles
+    E.  Each block covers just those twists, over the (prime, twist) array:
+    ell tests E^d where E^d is good and ell != p (_twist_symbols), and
+    there a_ell(E^d) = chi_d(ell) a_ell(E) must be ell^a + ell^b mod p.
 
     Returns {d: (tests, entries)}.  tests holds (pair, RefutedAt) for each
     refuted shape, at its first refuting prime, in the order found (block,
@@ -569,41 +568,46 @@ def _shape_tests(traces, p, ds, trace_bound):
         tests.sort(key=lambda t: bisect_left(bounds, t[1].ell) if isinstance(t[1], RefutedAt) else len(bounds))
         return tuple(tests)
 
+    keys = list(map(tuple, np.vstack((first, observed)).T.tolist()))
     survivors = np.nonzero((first < 0).any(axis=0))[0].tolist()
-    twisted = dict(zip(survivors, _twisted_entries(ells, a, good, d[survivors])))
-    shared = {}  # twists with equal refutations share one tuple of tests
     results = {}
-    for j, key in enumerate(map(tuple, np.vstack((first, observed)).T.tolist())):
-        if j in twisted:
-            entries = twisted[j]
-            checked = Consistent(tuple(ell for ell, _, good in entries if good and ell != p))
-            results[ds[j]] = (tests_of(key, checked), entries)
-        else:
+    for j, entries in zip(survivors, _twisted_entries(ells, a, good, d[survivors])):
+        checked = Consistent(tuple(ell for ell, _, good in entries if good and ell != p))
+        results[ds[j]] = (tests_of(keys[j], checked), entries)
+    shared = {}  # twists with equal refutations share one result
+    for dj, key in zip(ds, keys):
+        if dj not in results:
             if key not in shared:
-                shared[key] = tests_of(key, None)
-            results[ds[j]] = (shared[key], None)
+                shared[key] = (tests_of(key, None), None)
+            results[dj] = shared[key]
     return results
 
 
 def _trace_arrays(entries):
     """ell, a_ell (0 where bad) and good as numpy columns of FrobeniusData entries."""
-    table = np.array([(ell, a or 0, good) for ell, a, good in entries], dtype=np.int64).reshape(-1, 3)
-    return table[:, 0], table[:, 1], table[:, 2] != 0
+    ells, traces, good = zip(*entries) if entries else ((), (), ())
+    return (
+        np.array(ells, dtype=np.int64),
+        np.array([a or 0 for a in traces], dtype=np.int64),
+        np.array(good, dtype=bool),
+    )
 
 
 def _twist_symbols(ells, good, ds):
-    """(prime, twist) int8 array: chi_d(ell) at the primes where good holds
-    and E^d is good, else 0; good marks primes where E is good.
+    """(prime, twist) int8 array of chi_d(ell) = (d/ell) where E^d is good
+    at ell, 0 where it is bad; good marks the primes where E is good (the
+    shape test leaves out p as well).
 
     E^1 is E itself.  For d != 1, Delta(E^d) = 2^12 d^6 Delta(E) on the
     twist model, so E^d is good exactly at the odd ell prime to d where E
     is good, and there a_ell(E^d) = (d/ell) a_ell(E), with (d/ell) by
-    Euler's criterion ((1/ell) = 1).  ell = 2 thus counts only for d = 1.
+    Euler's criterion.  ell = 2 thus counts only for d = 1.
     """
     chi = np.zeros((len(ells), len(ds)), dtype=np.int8)
-    odd = good & (ells > 2)
-    chi[odd] = legendre_symbols(ds, ells[odd])
-    chi[good & (ells == 2)] = ds == 1
+    chi[:, ds == 1] = good[:, None]
+    if (ds != 1).any():
+        odd = good & (ells > 2)
+        chi[odd] = legendre_symbols(ds, ells[odd])  # (1/ell) = 1 leaves d = 1 as set
     return chi
 
 
