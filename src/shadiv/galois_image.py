@@ -67,7 +67,8 @@ def cyclotomic_pair_candidates(p):
 
 def shape_values(ells, p, pair):
     """ell^a + ell^b mod p, the trace mod p that the shape eps^a (+) eps^b
-    predicts at ell != p; elementwise on a numpy array of primes."""
+    predicts at ell != p.  Elementwise on a numpy int64 array of primes,
+    exact while (p - 1)^(p - 2) fits int64, so for p <= 17."""
     a, b = (pair.a, pair.b) if isinstance(pair, CyclotomicPair) else pair
     r = ells % p
     return (r ** a + r ** b) % p
