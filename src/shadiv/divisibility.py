@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class ChainStep:
     rigor: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisibilityVerdict:
     curve: EllipticCurveQ | str  # a str names the degree-parameterized subject
     p: int
@@ -139,20 +139,6 @@ def _shape_name(p, pair):
 
 def verdict_over_Q(e: EllipticCurveQ, p: int, cfg: RunConfig = DEFAULT_CONFIG) -> DivisibilityVerdict:
     """Divisibility verdict for an elliptic curve over Q at an odd prime."""
-    verdict = _early_verdict(e, p, lambda: is_supersingular(e, p), lambda: has_full_rational_2torsion(e))
-    if verdict is not None:
-        return verdict
-    tests = _shape_tests(lambda bound: frobenius_traces(e, bound), p, [1], cfg.trace_bound)
-    return _scan_bad_shapes(e, p, cfg, *tests[1])
-
-
-def _early_verdict(e, p, supersingular, full_2torsion):
-    """The verdict at p settled before the bad-shape scan, or None.
-
-    None means p <= 7 and the bad shapes decide.  supersingular() (asked
-    only when e is good at p) and full_2torsion() answer for e; each is
-    consulted only on the path that needs it.
-    """
     if p == 2:
         raise UnsupportedPrime("the divisibility criteria concern odd primes")
     if not is_prime(p):
@@ -177,7 +163,16 @@ def _early_verdict(e, p, supersingular, full_2torsion):
                 )
             )
         return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
+    return _twist_verdicts(e, p, cfg, [1], [e])[0]
 
+
+def _early_chain(e, p, supersingular, full_2torsion):
+    """The one-step chain that settles p in {3, 5, 7} before the bad-shape scan, or None.
+
+    None means the bad shapes decide.  supersingular() (asked only when e
+    is good at p) and full_2torsion() answer for e; each is consulted only
+    on the path that needs it.
+    """
     if p >= 5 and full_2torsion():
         step = ChainStep(
             "rational.full_2torsion",
@@ -204,7 +199,7 @@ def _early_verdict(e, p, supersingular, full_2torsion):
             {"p": p, "reduction": rt.value},
             RIGOROUS,
         )
-    return DivisibilityVerdict(e, p, Outcome.GUARANTEED, (step,))
+    return (step,)
 
 
 def _large_prime_route(p):
@@ -226,32 +221,24 @@ def _escalation_bounds(trace_bound):
     return [b for b in TRACE_ESCALATION if b < trace_bound] + [trace_bound]
 
 
-@lru_cache(maxsize=1024)
-def _exclusion_step(p, pair, refutation):
-    return ChainStep(
-        "rational.shape_exclusion",
-        f"semisimplification shape {_shape_name(p, pair)} refuted by a trace congruence",
-        {
-            "shape": _shape_name(p, pair),
-            "ell": refutation.ell,
-            "observed_a_ell": refutation.observed,
-            "expected_mod_p": refutation.expected,
-        },
-        RIGOROUS,
+def _exclusion_chain(p, tests):
+    """The chain of a curve whose bad shapes at p are all refuted, tests being (pair, RefutedAt)."""
+    return tuple(
+        ChainStep(
+            "rational.shape_exclusion",
+            f"semisimplification shape {_shape_name(p, pair)} refuted by a trace congruence",
+            {"shape": _shape_name(p, pair), "ell": r.ell, "observed_a_ell": r.observed, "expected_mod_p": r.expected},
+            RIGOROUS,
+        )
+        for pair, r in tests
     )
 
 
 def _scan_bad_shapes(e, p, cfg, tests, entries):
-    """The verdict from e's bad-shape tests at p, (tests, entries) as _shape_tests gives them.
+    """The verdict of e at p with a bad shape left unrefuted, (tests, entries) as _shape_tests gives them.
 
-    entries is None exactly when every shape is refuted, and is read only
-    in dirichlet mode.  Exclusion steps are cached, so a twist scan builds
-    each distinct step once.
+    entries, e's FrobeniusData entries, are read only in dirichlet mode.
     """
-    if entries is None:
-        chain = tuple(_exclusion_step(p, pair, refutation) for pair, refutation in tests)
-        return DivisibilityVerdict(e, p, Outcome.GUARANTEED, chain)
-
     consistent = [(pair, v) for pair, v in tests if isinstance(v, Consistent)]
     if cfg.character_mode == "dirichlet":
         modulus = default_character_modulus(e, p)
@@ -485,33 +472,48 @@ def fundamental_discriminants(dmax):
 def twist_scan(e: EllipticCurveQ, p: int, dmax: int, cfg: RunConfig = DEFAULT_CONFIG) -> TwistScanReport:
     """verdict_over_Q across all twists by fundamental discriminants |d| <= dmax.
 
-    Each twist's verdict inputs come from the base curve: its supersingularity
-    at p and full rational 2-torsion, which the twist leaves unchanged
-    (a_p(E^d) = +-a_p(E) wherever E^d is good at p; the 2-division cubic of
-    E^d is that of E rescaled by 4d), and its traces, a_ell(E^d) =
-    (d/ell) a_ell(E).  One call of _shape_tests decides the bad shapes of
-    every twist that the early exits leave open, d = 1 included, from
-    points counted on E alone.  Rows are those of verdict_over_Q on each
-    twisted curve.
+    Each row holds E^d, its invariants scaled from E's (_twist_model), and
+    its verdict, that of verdict_over_Q, decided from E by _twist_verdicts.
     """
     if p not in TWIST_FAILURE_CAPS:
         raise ValueError("twist caps are stated for p in {3, 5, 7}")
     if dmax > 10 ** 4:
         raise ValueError("dmax capped at 10^4")
+    ds = fundamental_discriminants(dmax)
+    twists = [
+        e if d == 1 else _twist_model(e, d if d % 4 == 1 else d // 4, f"{e.label}^({d})" if e.label else None)
+        for d in ds
+    ]
+    return TwistScanReport(e, p, dmax, tuple(zip(ds, _twist_verdicts(e, p, cfg, ds, twists))), TWIST_FAILURE_CAPS[p])
+
+
+def _twist_verdicts(e, p, cfg, ds, twists):
+    """The verdicts at p in {3, 5, 7} of the twists E^d (d in ds, E^1 = E), decided from E alone.
+
+    Where E is good at p and p does not divide d, E^d is good at p with
+    a_p(E^d) = +-a_p(E), and its 2-division cubic is E's rescaled by 4d, so
+    E's early chain (supersingular, full 2-torsion or None) is E^d's; only
+    the other twists run _early_chain themselves.  One call of _shape_tests
+    decides the bad shapes of every twist left open, from E's traces and
+    a_ell(E^d) = (d/ell) a_ell(E).  Twists whose shapes are all refuted
+    alike share one result there, and here one exclusion chain.
+    """
     supersingular = cache(lambda: is_supersingular(e, p))
     full_2torsion = cache(lambda: has_full_rational_2torsion(e))
-    twists = []
-    for d in fundamental_discriminants(dmax):
-        core = d if d % 4 == 1 else d // 4
-        if d == 1:
-            twisted = e
-        else:
-            twisted = _twist_model(e, core, label=f"{e.label}^({d})" if e.label else None)
-        twists.append((d, twisted, _early_verdict(twisted, p, supersingular, full_2torsion)))
-    open_ds = [d for d, _, verdict in twists if verdict is None]
+    base = _early_chain(e, p, supersingular, full_2torsion)
+    good = e.discriminant % p != 0
+    early = [
+        base if d == 1 or good and d % p else _early_chain(t, p, supersingular, full_2torsion) for d, t in zip(ds, twists)
+    ]
+    open_ds = [d for d, chain in zip(ds, early) if chain is None]
     tests = _shape_tests(lambda bound: frobenius_traces(e, bound), p, open_ds, cfg.trace_bound)
-    rows = tuple((d, verdict or _scan_bad_shapes(twisted, p, cfg, *tests[d])) for d, twisted, verdict in twists)
-    return TwistScanReport(e, p, dmax, rows, TWIST_FAILURE_CAPS[p])
+    refuted = {id(r): r[0] for r in tests.values() if r[1] is None}  # one per distinct refutation key
+    exclusions = {key: _exclusion_chain(p, refutations) for key, refutations in refuted.items()}
+    chains = [exclusions.get(id(tests[d])) if chain is None else chain for d, chain in zip(ds, early)]
+    return [
+        _scan_bad_shapes(t, p, cfg, *tests[d]) if chain is None else DivisibilityVerdict(t, p, Outcome.GUARANTEED, chain)
+        for d, t, chain in zip(ds, twists, chains)
+    ]
 
 
 def _shape_tests(traces, p, ds, trace_bound):

@@ -17,7 +17,7 @@ from .arith import is_prime, is_squarefree, legendre_symbol, primes_up_to
 from .errors import BadReduction, InternalInconsistency, SingularCurve, UnsupportedPrime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EllipticCurveQ:
     a1: int
     a2: int
@@ -353,11 +353,11 @@ def quadratic_twist(e: EllipticCurveQ, d: int) -> EllipticCurveQ:
     """Twist by a squarefree integer d, on the integral model
     y^2 = x^3 + d*b2*x^2 + 8*d^2*b4*x + 16*d^3*b6.
 
-    This model is exactly isomorphic to E for d = 1 (c-invariants pick up
-    the factor 2^4 resp. 2^6 from the model change); the j-invariant and
+    This model is exactly isomorphic to E for d = 1; the j-invariant and
     the twisted trace identity a_ell(E^d) = chi_d(ell) * a_ell(E) are on
-    the nose for good odd ell not dividing d.  Raises BudgetExceeded when
-    d is not factored within arith.RHO_BUDGET.
+    the nose for good odd ell not dividing d.  The invariants are scaled
+    from E's (_twist_model), not re-derived.  Raises BudgetExceeded when d
+    is not factored within arith.RHO_BUDGET.
     """
     if not is_squarefree(d):
         raise ValueError(f"twist discriminant {d} must be squarefree and nonzero")
@@ -365,8 +365,19 @@ def quadratic_twist(e: EllipticCurveQ, d: int) -> EllipticCurveQ:
 
 
 def _twist_model(e, d, label=None):
-    """quadratic_twist without the squarefree check, for d known squarefree."""
-    return derive_invariants(0, d * e.b2, 0, 8 * d * d * e.b4, 16 * d ** 3 * e.b6, label)
+    """quadratic_twist without the squarefree check, for d known squarefree.
+
+    The invariants are E's scaled, those of weight 2k by u^k with u = 4d:
+    b2..b8 by u..u^4 (b8 as 4 b8 = b2 b6 - b4^2), c4, c6 by u^2, u^3 and disc
+    by u^6.  The identities 4 b8 = b2 b6 - b4^2 and 1728 disc = c4^3 - c6^2,
+    which derive_invariants checks, are homogeneous in these weights, so E^d
+    inherits them from E, and disc' = u^6 disc != 0: E^d is never singular.
+    """
+    u, u2, u3 = 4 * d, 16 * d * d, 64 * d ** 3
+    return EllipticCurveQ(
+        0, d * e.b2, 0, 8 * d * d * e.b4, 16 * d ** 3 * e.b6,
+        u * e.b2, u2 * e.b4, u3 * e.b6, u2 * u2 * e.b8, u2 * e.c4, u3 * e.c6, u3 * u3 * e.discriminant, label,
+    )
 
 
 def two_division_roots(e: EllipticCurveQ):

@@ -3,6 +3,7 @@ import json
 import math
 import time
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -471,6 +472,41 @@ def test_twist_scan_point_counts_do_not_grow_with_dmax(monkeypatch):
         assert report.rows[0][1].outcome == Outcome.CRITERION_FAILS
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2] <= len(ell.primes_up_to(1000)) + 1
+
+
+def test_twist_scan_work_does_not_grow_with_dmax(monkeypatch):
+    # a scan scales each twist from the base curve instead of deriving its
+    # invariants, validates p once instead of once per row, and builds one
+    # exclusion chain per distinct refutation key, shared by its rows
+    import shadiv.arith as arith
+    import shadiv.elliptic as ell
+
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    curves = [embedded_curve(label) for label in ("121-B1", "121-C1", "selmer-jacobian")]
+    for module in (arith, ell, divisibility):
+        count(module, "is_prime")
+    count(ell, "derive_invariants")
+    for e in curves:
+        for p in (3, 5, 7):
+            primality = []
+            for dmax in (100, 10 ** 4):
+                calls.clear()
+                report = twist_scan(e, p, dmax)
+                assert calls["derive_invariants"] == 0, (e.label, p, dmax)
+                primality.append(calls["is_prime"])
+                chains = [v.chain for _, v in report.rows if v.chain[0].rule == "rational.shape_exclusion"]
+                assert len({id(c) for c in chains}) == len({repr(c) for c in chains}) < len(chains), (e.label, p)
+            assert primality[0] == primality[1] <= 10, (e.label, p, primality)
 
 
 def test_fundamental_discriminants_match_definition():

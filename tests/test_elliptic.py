@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -6,7 +7,7 @@ import pytest
 
 from shadiv.arith import legendre_symbol, primes_up_to
 from shadiv.datasets import EMBEDDED_AINVS, embedded_curve
-from shadiv.divisibility import _trace_arrays, _twisted_entries
+from shadiv.divisibility import _trace_arrays, _twisted_entries, twist_scan
 from shadiv.elliptic import (
     BSGS_MIN_ELL,
     FrobeniusData,
@@ -285,6 +286,26 @@ def test_quadratic_twist_by_large_d_is_fast():
     for not_squarefree in (4 * d, -3 * (10 ** 9 + 7) ** 2, d * d):
         with pytest.raises(ValueError):
             quadratic_twist(e, not_squarefree)
+
+
+def test_scaled_twist_models_equal_derive_invariants():
+    # twisted invariants are scaled from the base curve's, not re-derived;
+    # derive_invariants, which computes every field from the a-invariants
+    # and checks its two identities, is the oracle, on every row of the
+    # nine benchmark scans to |d| = 10^4 and on quadratic_twist
+    for label in ("121-B1", "121-C1", "selmer-jacobian"):
+        for p in (3, 5, 7):
+            for _, v in twist_scan(embedded_curve(label), p, 10 ** 4).rows:
+                assert v.curve == derive_invariants(*v.curve.ainvs, label=v.curve.label)
+    rng = random.Random(12)
+    primes = primes_up_to(300)
+    ds = [10 ** 18 + 3] + [rng.choice((-1, 1)) * math.prod(rng.sample(primes, rng.randint(1, 4))) for _ in range(30)]
+    assert any(d < 0 for d in ds) and any(d > 1 for d in ds) and any(d % 2 == 0 for d in ds)
+    for label in ("121-B1", "121-C2", "legendre-test", "cm-j1728", "selmer-jacobian"):
+        base = embedded_curve(label)
+        for d in ds:
+            tw = quadratic_twist(base, d)
+            assert tw == derive_invariants(*tw.ainvs), (label, d)
 
 
 def test_frobenius_twist_matches_direct_traces():
