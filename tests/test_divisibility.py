@@ -315,12 +315,20 @@ def _core(d):
     return core * n * (1 if d > 0 else -1)
 
 
-@pytest.mark.parametrize("label", ["121-B1", "selmer-jacobian", "legendre-test"])
+# 14a1 is split multiplicative at 7 and 15a1 nonsplit at 3, so their
+# twists by nonsquares mod p have the other reduction type
+_SCAN_CURVES = [embedded_curve(label) for label in ("121-B1", "selmer-jacobian", "legendre-test")] + [
+    curve((1, 0, 1, 4, -6), label="14a1"),
+    curve((1, 1, 1, -10, -10), label="15a1"),
+]
+
+
+@pytest.mark.parametrize("e", _SCAN_CURVES, ids=lambda e: e.label)
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_twist_scan_rows_equal_direct_verdicts(label, p):
+def test_twist_scan_rows_equal_direct_verdicts(e, p):
     # every row, derived from the base curve, equals verdict_over_Q run on
     # the relabelled twisted curve, whose traces are counted afresh
-    e = embedded_curve(label)
+    label = e.label
     report = twist_scan(e, p, 300)
     ds = [d for d, _ in report.rows]
     assert any(d % 2 == 0 for d in ds)
