@@ -42,15 +42,6 @@ class GModule:
         pos = _position_index(self.subgroup)
         return self.mats[[pos[g] for g in self.subgroup.generator_ids]]
 
-    def character_values(self):
-        """For a 1-dimensional module, the map element -> F_p*."""
-        if self.dim != 1:
-            raise ValueError("not a character")
-        return {
-            eid: int(self.mats[i, 0, 0])
-            for i, eid in enumerate(self.subgroup.element_ids)
-        }
-
 
 @lru_cache(maxsize=256)
 def _position_index(subgroup):

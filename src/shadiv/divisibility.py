@@ -490,20 +490,24 @@ def twist_scan(e: EllipticCurveQ, p: int, dmax: int, cfg: RunConfig = DEFAULT_CO
 def _twist_verdicts(e, p, cfg, ds, twists):
     """The verdicts at p in {3, 5, 7} of the twists E^d (d in ds, E^1 = E), decided from E alone.
 
-    Where E is good at p and p does not divide d, E^d is good at p with
-    a_p(E^d) = +-a_p(E), and its 2-division cubic is E's rescaled by 4d, so
-    E's early chain (supersingular, full 2-torsion or None) is E^d's; only
-    the other twists run _early_chain themselves.  One call of _shape_tests
-    decides the bad shapes of every twist left open, from E's traces and
-    a_ell(E^d) = (d/ell) a_ell(E).  Twists whose shapes are all refuted
-    alike share one result there, and here one exclusion chain.
+    E^d's 2-division cubic is E's rescaled by 4d, and where p does not
+    divide d, E^d has E's reduction type at p (c4' = 16d^2 c4, disc' =
+    4096d^6 disc), except that split and nonsplit multiplicative swap with
+    (d/p); where E is good, a_p(E^d) = +-a_p(E).  So E's early chain
+    (supersingular, full 2-torsion or None) is E^d's unless p | d or E is
+    multiplicative at p; only those twists run _early_chain themselves.
+    One call of _shape_tests decides the bad shapes of every twist left
+    open, from E's traces and a_ell(E^d) = (d/ell) a_ell(E).  Twists whose
+    shapes are all refuted alike share one result there, and here one
+    exclusion chain.
     """
     supersingular = cache(lambda: is_supersingular(e, p))
     full_2torsion = cache(lambda: has_full_rational_2torsion(e))
     base = _early_chain(e, p, supersingular, full_2torsion)
-    good = e.discriminant % p != 0
+    multiplicative = e.discriminant % p == 0 and e.c4 % p != 0
     early = [
-        base if d == 1 or good and d % p else _early_chain(t, p, supersingular, full_2torsion) for d, t in zip(ds, twists)
+        base if d == 1 or d % p and not multiplicative else _early_chain(t, p, supersingular, full_2torsion)
+        for d, t in zip(ds, twists)
     ]
     open_ds = [d for d, chain in zip(ds, early) if chain is None]
     tests = _shape_tests(lambda bound: frobenius_traces(e, bound), p, open_ds, cfg.trace_bound)

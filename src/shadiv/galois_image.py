@@ -327,10 +327,6 @@ class NvThreshold:
     def admits(self, p):
         return exceeds_sqrt_sum_square(p, self.nv * self.nv, self.nv)
 
-    @property
-    def approx(self):
-        return (self.nv + math.sqrt(self.nv)) ** 2
-
 
 def nv_sieve_bound(nv) -> NvThreshold:
     if nv < 2:

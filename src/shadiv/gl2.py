@@ -39,10 +39,6 @@ def gl2_order(p):
     return (p * p - 1) * (p * p - p)
 
 
-def sl2_order(p):
-    return p * (p * p - 1)
-
-
 def _encode(a, b, c, d, p):
     return ((a * p + b) * p + c) * p + d
 

@@ -3,7 +3,7 @@
 Covers exactly what the worked Selmer-curve example needs: cube class
 computations in Q_p*/(Q_p*)^3, coordinate-section point tests, and an
 exact decision of local solvability: a cube class test for p != 3 and a
-search for primitive roots mod 3^k with Hensel certification at p = 3.
+test for a primitive zero mod 27 at p = 3.
 """
 
 from dataclasses import dataclass
@@ -113,62 +113,6 @@ def has_real_point(cubic: DiagonalCubic) -> bool:
     return True
 
 
-def _certified_root(cubic: DiagonalCubic, p, k):
-    """Search the primitive roots mod p^k of the cubic, one per unit multiple.
-
-    Scaling by a unit keeps a primitive root a root and keeps the
-    valuations of its partial derivatives, so it is enough to search the
-    triples whose first unit coordinate is 1: the charts (1, y, z),
-    (p*, 1, z) and (p*, p*, 1).  In each, one coordinate runs over its
-    residues mod p^k and the last is read from a table of the least
-    valuation of a solution t of coef * t^3 = r for each residue r: p^k +
-    2p^(k-1) candidates, where a sweep of all triples takes p^(2k).
-
-    Returns (certificate, roots): (x, y, z, j) for a primitive root mod
-    p^k whose partials have least valuation j with 2j < k, or None; and
-    whether any primitive root mod p^k exists.
-    """
-    pk = p ** k
-    res = np.arange(pk, dtype=np.int64)
-    cubes = res * res % pk * res % pk
-    val = np.zeros(pk, dtype=np.int64)  # v_p of each residue, k for 0
-    for e in range(1, k):
-        val[:: p ** e] += 1
-    val[0] = k
-    coeffs = [coef % pk for coef in (cubic.a, cubic.b, cubic.c)]
-    v3 = [valuation_split(3 * coef, p)[0] for coef in (cubic.a, cubic.b, cubic.c)]
-    mult = res[::p]
-
-    def least_valuations(coef, ts):
-        """For each residue r, the least v_p(t) over t in ts with coef t^3 = r; k + 1 if none."""
-        least = np.full(pk, k + 1, dtype=np.int64)
-        np.minimum.at(least, coef * cubes[ts] % pk, val[ts])
-        return least
-
-    z_any, y_mult = least_valuations(coeffs[2], res), least_valuations(coeffs[1], mult)
-    roots = False
-    # (fixed, free, solved): the coordinate set to 1, the one that runs
-    # over its residues and the one read from its table
-    for fixed, (free, frees), (solved, solveds, table) in (
-        (0, (1, res), (2, res, z_any)),
-        (1, (0, mult), (2, res, z_any)),
-        (2, (0, mult), (1, mult, y_mult)),
-    ):
-        r = (-coeffs[fixed] - coeffs[free] * cubes[frees]) % pk
-        v = table[r]
-        solvable = v <= k
-        roots = roots or bool(solvable.any())
-        j = np.minimum(np.minimum(v3[fixed], v3[free] + 2 * val[frees]), v3[solved] + 2 * v)
-        hit = np.flatnonzero(solvable & (2 * j < k))
-        if len(hit):
-            i = hit[0]
-            t = solveds[(coeffs[solved] * cubes[solveds] % pk == r[i]) & (val[solveds] == v[i])][0]
-            point = [0, 0, 0]
-            point[fixed], point[free], point[solved] = 1, int(frees[i]), int(t)
-            return (*point, int(j[i])), True
-    return None, roots
-
-
 def _normalised(cubic: DiagonalCubic, p) -> DiagonalCubic:
     """The cubic with coefficient valuations in {0, 1, 2} and least 0.
 
@@ -180,34 +124,50 @@ def _normalised(cubic: DiagonalCubic, p) -> DiagonalCubic:
     return DiagonalCubic(*(p ** (v % 3 - low) * u for v, u in splits))
 
 
+# x^3 mod 27 depends only on x mod 9, since (x + 9t)^3 = x^3 mod 27
+_CUBES_MOD_27 = np.arange(9) ** 3 % 27
+_UNIT_MOD_9 = np.arange(9) % 3 != 0
+_PRIMITIVE_MOD_9 = _UNIT_MOD_9[:, None, None] | _UNIT_MOD_9[:, None] | _UNIT_MOD_9  # x, y, z
+
+
 def has_local_point(cubic: DiagonalCubic, p) -> bool:
     """Whether the cubic has a Q_p-point; exact for every prime p.
 
-    On the normalised cubic a point has a unit coordinate, where some
-    partial derivative has valuation j <= v_p(3) + 2.
+    p != 3: on the normalised cubic with all coefficients units the
+    reduction is a smooth plane cubic, which has an F_p-point by
+    Hasse-Weil, and smoothness lifts it.  Otherwise two terms of a point
+    share the least valuation and minus their ratio is a 1-unit, hence a
+    cube, so a point exists exactly when a coordinate section has one.
 
-    p != 3: with all coefficients units the reduction is a smooth plane
-    cubic, which has an F_p-point by Hasse-Weil, and smoothness lifts it.
-    Otherwise two terms of a point share the least valuation and minus
-    their ratio is a 1-unit, hence a cube, so a point exists exactly when
-    a coordinate section has one.
+    p = 3: the normalised cubic has a Q_3-point iff it has a primitive zero
+    mod 27, that is x, y, z mod 9, not all divisible by 3, with
+    ax^3 + by^3 + cz^3 = 0 mod 27.  A point gives one (scale it to a
+    primitive 3-adic triple).  For the converse:
 
-    p = 3: search primitive roots mod 3^k (_certified_root) for k = 3, 5,
-    7.  A root whose partials have valuation j with 2j < k certifies a
-    point; no primitive root at all refutes one.  Both answers are
-    rigorous at every k, and at k = 7 (j <= 3) every root is certified.
-    An even k certifies no j that k - 1 does not, so it is skipped.
+    1. Both predicates are unchanged if the coefficients are permuted, or
+       one coefficient is multiplied by w^3 for a 3-adic unit w: the
+       substitution x -> w x maps points to points and primitive zeros
+       mod 27 to primitive zeros mod 27.
+    2. A 3-adic unit is a cube iff it is +-1 mod 9 (_unit_class).  So a
+       normalised coefficient 3^v u may be replaced by 3^v r, with r in
+       {1, 2, 4} and r = +-u mod 9, since u / r is then a cube.
+    3. Both predicates are therefore functions of the 19 * 27 = 513
+       classes: v in {0, 1, 2}^3 with least entry 0, and r in {1, 2, 4}^3.
+       On one cubic of each class, a search of the primitive roots mod
+       3^7 with Hensel certificates (tests/cubic_oracle.py) finds either
+       a root whose partials have valuation j with 2j < 7, which lifts
+       to a point, or no primitive root at all; its verdict equals the
+       mod-27 test on all 513 (tests/test_local_cubic.py,
+       test_has_local_point_at_3_on_every_class).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     normal = _normalised(cubic, p)
     if p != 3:
         return normal.a * normal.b * normal.c % p != 0 or coordinate_section_point(normal, p)
-    for k in (3, 5):
-        certificate, roots = _certified_root(normal, 3, k)
-        if certificate is not None or not roots:
-            return certificate is not None
-    return _certified_root(normal, 3, 7)[1]
+    x3, y3, z3 = (coef % 27 * _CUBES_MOD_27 for coef in (normal.a, normal.b, normal.c))
+    zero = (x3[:, None, None] + y3[:, None] + z3) % 27 == 0
+    return bool(zero[_PRIMITIVE_MOD_9].any())
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from shadiv.divisibility import (
 )
 from shadiv.elliptic import (
     TRACE_BOUND_MAX,
+    ReductionType,
     curve,
     frobenius_traces,
     is_supersingular,
@@ -484,8 +485,11 @@ def test_twist_scan_point_counts_do_not_grow_with_dmax(monkeypatch):
 
 def test_twist_scan_work_does_not_grow_with_dmax(monkeypatch):
     # a scan scales each twist from the base curve instead of deriving its
-    # invariants, validates p once instead of once per row, and builds one
-    # exclusion chain per distinct refutation key, shared by its rows
+    # invariants, validates p once instead of once per row, builds one
+    # exclusion chain per distinct refutation key, shared by its rows, and
+    # runs _early_chain beyond the base curve only on twists whose
+    # reduction type at p can differ from the base's: p | d, or all d != 1
+    # when the base is multiplicative at p
     import shadiv.arith as arith
     import shadiv.elliptic as ell
 
@@ -504,6 +508,7 @@ def test_twist_scan_work_does_not_grow_with_dmax(monkeypatch):
     for module in (arith, ell, divisibility):
         count(module, "is_prime")
     count(ell, "derive_invariants")
+    count(divisibility, "_early_chain")
     for e in curves:
         for p in (3, 5, 7):
             primality = []
@@ -515,6 +520,16 @@ def test_twist_scan_work_does_not_grow_with_dmax(monkeypatch):
                 chains = [v.chain for _, v in report.rows if v.chain[0].rule == "rational.shape_exclusion"]
                 assert len({id(c) for c in chains}) == len({repr(c) for c in chains}) < len(chains), (e.label, p)
             assert primality[0] == primality[1] <= 10, (e.label, p, primality)
+    multiplicative = (ReductionType.MULTIPLICATIVE_SPLIT, ReductionType.MULTIPLICATIVE_NONSPLIT)
+    for e in _SCAN_CURVES:  # good, additive and multiplicative at some p
+        for p in (3, 5, 7):
+            calls.clear()
+            report = twist_scan(e, p, 10 ** 4)
+            if reduction_type(e, p) in multiplicative:
+                rerun = sum(d != 1 for d, _ in report.rows)
+            else:
+                rerun = sum(d % p == 0 for d, _ in report.rows)
+            assert calls["_early_chain"] == 1 + rerun, (e.label, p)
 
 
 def test_fundamental_discriminants_match_definition():

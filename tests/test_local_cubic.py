@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubic_oracle import certified_root
 from shadiv.arith import is_prime
 from shadiv.datasets import SELMER_COMPANIONS, SELMER_CUBIC
 from shadiv.errors import BudgetExceeded
@@ -21,7 +23,6 @@ from shadiv.local_cubic import (
     has_zeta3,
     is_cube,
     selmer_example_report,
-    _certified_root,
     _normalised,
 )
 
@@ -238,7 +239,7 @@ def test_has_local_point_matches_search_at_large_primes():
     # (j <= 2), so the root search decides and is an independent check
     outcomes = set()
     for cubic, p in _large_prime_cases():
-        certificate, roots = _certified_root(_normalised(cubic, p), p, 5)
+        certificate, roots = certified_root(_normalised(cubic, p), p, 5)
         assert certificate is not None or not roots, (cubic, p)
         assert has_local_point(cubic, p) is (certificate is not None), (cubic, p)
         outcomes.add(certificate is not None)
@@ -285,12 +286,36 @@ def test_has_local_point_invariants(case, perm, slot, cube, scale, scale_valuati
 def test_certificates_replay():
     # certified points lift one more digit of precision
     cubic = DiagonalCubic(1, 1, 1)
-    point, _ = _certified_root(cubic, 3, 5)
+    point, _ = certified_root(cubic, 3, 5)
     assert point is not None
     x, y, z, j = point
     assert 5 > 2 * j
     lifted = lift_certificate(cubic, (x, y, z), 3, 5)
     assert (cubic.a * lifted[0] ** 3 + cubic.b * lifted[1] ** 3 + cubic.c * lifted[2] ** 3) % 3 ** 6 == 0
+
+
+def test_has_local_point_at_3_on_every_class():
+    # step 3 of the has_local_point proof: up to unit cubes a normalised
+    # cubic at 3 is 3^v * r with v in {0,1,2}^3 (least 0) and r in {1,2,4}^3;
+    # on each class the certified search mod 3^7 decides, and agrees
+    t0 = time.monotonic()
+    classes = [
+        (vs, rs)
+        for vs in itertools.product(range(3), repeat=3)
+        if min(vs) == 0
+        for rs in itertools.product((1, 2, 4), repeat=3)
+    ]
+    assert len(classes) == 513
+    outcomes = set()
+    for vs, rs in classes:
+        cubic = DiagonalCubic(*(3 ** v * r for v, r in zip(vs, rs)))
+        assert _normalised(cubic, 3) == cubic
+        certificate, roots = certified_root(cubic, 3, 7)
+        assert certificate is not None or not roots, cubic
+        assert has_local_point(cubic, 3) is (certificate is not None), cubic
+        outcomes.add(certificate is not None)
+    assert outcomes == {True, False}
+    assert time.monotonic() - t0 < 2
 
 
 def test_selmer_example_report_contents():
@@ -440,7 +465,7 @@ def test_has_local_point_matches_sweep_on_grid():
             decided = swept
         assert has_local_point(cubic, p) is decided, (cubic, p)
         # the root search at the sweep's precision finds what the sweep finds
-        point, _ = _certified_root(cubic, p, k)
+        point, _ = certified_root(cubic, p, k)
         assert (point is not None) == (swept is True), (cubic, p)
         if point is not None:
             x, y, z, j = point
@@ -456,13 +481,13 @@ def test_pointless_7adic_cubics_answer_fast():
     for cubic in (DiagonalCubic(1, 2, 7), DiagonalCubic(3, 1, 7)):
         t0 = time.monotonic()
         assert has_local_point(cubic, 7) is False
-        assert _certified_root(cubic, 7, 5)[0] is None
+        assert certified_root(cubic, 7, 5)[0] is None
         assert time.monotonic() - t0 < 1
 
 
 def test_certificates_replay_at_7():
     for cubic in (DiagonalCubic(1, 1, 7), DiagonalCubic(-1764, 735, -2401)):
-        (x, y, z, j), _ = _certified_root(cubic, 7, 5)
+        (x, y, z, j), _ = certified_root(cubic, 7, 5)
         assert 5 > 2 * j
         lifted = lift_certificate(cubic, (x, y, z), 7, 5)
         assert (cubic.a * lifted[0] ** 3 + cubic.b * lifted[1] ** 3 + cubic.c * lifted[2] ** 3) % 7 ** 6 == 0
