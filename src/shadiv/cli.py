@@ -138,12 +138,12 @@ def groupcrit_verify(prime, mode, count, seed, fmt):
 
     if prime not in (3, 5, 7):
         raise click.ClickException("groupcrit-verify supports p in {3, 5, 7}")
-    if mode == "sampled":
-        if seed is None:
-            raise click.ClickException("--seed is mandatory for sampled mode")
-        stream = enumerate_subgroups(prime, Sampled(count, seed))
-    else:
-        stream = enumerate_subgroups(prime, Exhaustive())
+    if mode == "sampled" and seed is None:
+        raise click.ClickException("--seed is mandatory for sampled mode")
+    try:
+        stream = enumerate_subgroups(prime, Sampled(count, seed) if mode == "sampled" else Exhaustive())
+    except ShadivError as exc:
+        raise click.ClickException(str(exc))
     checked = 0
     mismatches = []
     both_true = 0

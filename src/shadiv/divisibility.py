@@ -242,7 +242,7 @@ def _scan_bad_shapes(e, p, cfg, tests, entries):
     consistent = [(pair, v) for pair, v in tests if isinstance(v, Consistent)]
     if cfg.character_mode == "dirichlet":
         modulus = default_character_modulus(e, p)
-        extra = dirichlet_pair_scan(FrobeniusData(e, entries), p, modulus, "chi_chi_squared")
+        extra = dirichlet_pair_scan(FrobeniusData(e, entries), p, modulus)
         dirichlet_note = {
             "modulus": modulus,
             "consistent_chi_chi_squared": len(extra),

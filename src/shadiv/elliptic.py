@@ -282,9 +282,17 @@ class ReductionType(Enum):
 def reduction_type(e: EllipticCurveQ, p: int) -> ReductionType:
     """Reduction type of the supplied model at an odd prime.
 
-    Multiplicative reduction is split or nonsplit according to whether the
-    tangent-cone quadratic at the node factors over F_p, i.e. whether its
-    discriminant b2 + 12*x0 is a square, x0 being the node abscissa.
+    Multiplicative reduction (p | disc, p ∤ c4) is split iff -c6 is a
+    square mod p.  Since 1728 disc = c4^3 - c6^2, c6^2 ≡ c4^3 mod p, so
+    p ∤ c6.  For p >= 5 the model is isomorphic over F_p to
+    y^2 = f(x) = x^3 - 27 c4 x - 54 c6, whose node (x0, 0) is the double
+    root of f: f(x0) - (x0/3) f'(x0) = -18 c4 x0 - 54 c6 gives
+    x0 = -3 c6/c4.  The tangent cone there is y^2 = 3 x0 (x - x0)^2, which
+    splits iff 3 x0 = -9 c6/c4 is a square; and f'(x0) = 0 gives
+    c4 = x0^2/9 = (c6/c4)^2, a square, so it splits iff -c6 is a square.
+    For p = 3 both the reduction type and (-c6/3) depend only on a1..a6
+    mod 3, and the rule holds on every such tuple (checked in the tests
+    against the tangent cone at the node, found by brute force).
     """
     if p == 2:
         raise UnsupportedPrime("reduction type analysis is restricted to odd p")
@@ -292,54 +300,9 @@ def reduction_type(e: EllipticCurveQ, p: int) -> ReductionType:
         return ReductionType.GOOD
     if e.c4 % p == 0:
         return ReductionType.ADDITIVE
-    x0 = _node_abscissa(e, p)
-    chi = legendre_symbol(e.b2 + 12 * x0, p)
-    if chi == 1:
+    if legendre_symbol(-e.c6, p) == 1:
         return ReductionType.MULTIPLICATIVE_SPLIT
-    if chi == -1:
-        return ReductionType.MULTIPLICATIVE_NONSPLIT
-    raise InternalInconsistency("node tangent cone degenerated with c4 nonzero")
-
-
-def _node_abscissa(e, p):
-    """Double root mod p of 4x^3 + b2 x^2 + 2 b4 x + b6 (p odd, p | disc, p ∤ c4)."""
-    f = (e.b6 % p, 2 * e.b4 % p, e.b2 % p, 4 % p)
-    fp = (2 * e.b4 % p, 2 * e.b2 % p, 12 % p)
-    g = _poly_gcd(f, fp, p)
-    if len(g) != 2:
-        raise InternalInconsistency(f"expected a single double root, gcd degree {len(g) - 1}")
-    return (-g[0]) * pow(g[1], -1, p) % p
-
-
-def _poly_trim(f):
-    while len(f) > 1 and f[-1] == 0:
-        f = f[:-1]
-    return f
-
-
-def _poly_mod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
-    while len(f) - 1 >= dg and any(f):
-        if f[-1] == 0:
-            f.pop()
-            continue
-        coef = f[-1] * inv % p
-        shift = len(f) - 1 - dg
-        for i, gi in enumerate(g):
-            f[shift + i] = (f[shift + i] - coef * gi) % p
-        f.pop()
-    return _poly_trim(tuple(f) if f else (0,))
-
-
-def _poly_gcd(f, g, p):
-    f = _poly_trim(tuple(x % p for x in f))
-    g = _poly_trim(tuple(x % p for x in g))
-    while g != (0,):
-        f, g = g, _poly_mod(f, g, p)
-    inv = pow(f[-1], -1, p)
-    return tuple(x * inv % p for x in f)
+    return ReductionType.MULTIPLICATIVE_NONSPLIT
 
 
 def is_supersingular(e: EllipticCurveQ, p: int) -> bool:

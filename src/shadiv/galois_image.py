@@ -30,9 +30,10 @@ class CyclotomicPair:
 
 @dataclass(frozen=True)
 class DirichletPairHypothesis:
-    kind: str  # "one_eps" or "chi_chi_squared"
+    """A character chi mod `modulus` with chi^3 = eps and a_ell = chi(ell) + chi(ell)^2 mod p at the checked primes."""
+
     modulus: int
-    character: tuple  # generator values in F_p*, () for one_eps
+    character: tuple  # generator values in F_p*
     checked_primes: tuple
 
 
@@ -253,26 +254,15 @@ def enumerate_characters(m, p):
     return out
 
 
-def dirichlet_pair_scan(fd, p, modulus, shape):
-    """Scan decomposition shapes against traces over characters mod `modulus`.
+def dirichlet_pair_scan(fd, p, modulus):
+    """Scan the shape chi + chi^2 against traces over characters mod `modulus`.
 
-    shape = "one_eps": tests a_ell = 1 + ell mod p.
-    shape = "chi_chi_squared": enumerates characters chi with chi^3 equal
-    to the mod-p cyclotomic character on (Z/modulus)*, then tests
-    a_ell = chi(ell) + chi(ell)^2 mod p.  Requires p | modulus so the
-    cyclotomic character is defined mod `modulus`.
+    Enumerates characters chi with chi^3 equal to the mod-p cyclotomic
+    character on (Z/modulus)*, then tests a_ell = chi(ell) + chi(ell)^2
+    mod p.  Requires p | modulus so the cyclotomic character is defined
+    mod `modulus`.  (The shape 1 + eps is the cyclotomic pair (0, 1) of
+    `test_cyclotomic_pair`.)
     """
-    if shape == "one_eps":
-        checked = []
-        for ell, a_ell, good in fd.entries:
-            if not good or ell == p or modulus % ell == 0:
-                continue
-            if a_ell % p != (1 + ell) % p:
-                return []
-            checked.append(ell)
-        return [DirichletPairHypothesis("one_eps", modulus, (), tuple(checked))]
-    if shape != "chi_chi_squared":
-        raise ValueError(f"unknown shape {shape!r}")
     if modulus % p != 0:
         raise ValueError("chi^3 = eps scan needs p | modulus")
     found = []
@@ -293,7 +283,7 @@ def dirichlet_pair_scan(fd, p, modulus, shape):
             checked.append(ell)
         if consistent:
             found.append(
-                DirichletPairHypothesis("chi_chi_squared", modulus, chi.values, tuple(checked))
+                DirichletPairHypothesis(modulus, chi.values, tuple(checked))
             )
     return found
 

@@ -8,9 +8,11 @@ cohomology sweeps into array lookups.  For p = 11, 13 operations fall back
 to direct modular arithmetic on encoded elements.
 
 Every closure goes through one kernel, `_close`, which grows a boolean
-membership mask from a known subgroup.  The seeded subgroup stream interns
-the subgroups it meets and memoizes their joins, within one stream only;
-its output stays a pure function of (p, count, seed).
+membership mask from a known subgroup.  Every subgroup enumeration goes
+through one join memo, `_Joins`: the seeded stream and the exhaustive
+enumeration each intern the subgroups they meet and memoize their joins,
+within one stream or one enumeration only; the seeded stream stays a pure
+function of (p, count, seed).
 """
 
 import random
@@ -29,7 +31,7 @@ from .errors import (
 
 TABLE_MAX_P = 7
 SAMPLING_MAX_P = 13
-EXHAUSTIVE_MAX_P = 3
+EXHAUSTIVE_MAX_P = 5
 
 _ambient_cache = {}
 _ambient_lock = threading.Lock()
@@ -89,7 +91,6 @@ class GL2Ambient:
         self.mul = None
         if p <= TABLE_MAX_P:
             self.mul = self._build_mul_table()
-        self._orders = None
         self._ad_mats = None
         self._small_order_ids = {}
         self._lines = None
@@ -151,30 +152,12 @@ class GL2Ambient:
         return self.mul_many(left, np.full(len(ids), self.inv[g], dtype=np.int32))
 
     def order_of(self, eid):
-        if self._orders is not None:
-            return int(self._orders[eid])
         k = 1
         cur = eid
         while cur != self.identity_id:
             cur = self.mul_ids(cur, eid)
             k += 1
         return k
-
-    @property
-    def orders(self):
-        with self._lock:
-            if self._orders is None:
-                orders = np.zeros(self.size, dtype=np.int32)
-                everyone = np.arange(self.size, dtype=np.int32)
-                cur = everyone.copy()
-                k = 1
-                while (orders == 0).any():
-                    hit = (cur == self.identity_id) & (orders == 0)
-                    orders[hit] = k
-                    cur = self.mul_many(cur, everyone)
-                    k += 1
-                self._orders = orders
-        return self._orders
 
     def ids_with_power_identity(self, k):
         """Ids of elements x with x^k = identity (cached per k)."""
@@ -648,53 +631,59 @@ class Sampled:
 
 
 def enumerate_subgroups(p, mode):
-    """Yield subgroups of GL2(F_p), either all of them or a seeded sample.
+    """Iterator over subgroups of GL2(F_p), either all of them or a seeded sample.
 
-    Exhaustive mode builds the full subgroup lattice by iterated extension:
-    every cyclic subgroup is a seed, and each known subgroup is closed with
-    each outside element until a fixpoint.  Sampled mode draws generator
-    sets of size <= 3 from a seeded RNG and deduplicates; the stream
-    memoizes its joins of known subgroups, and its output is a pure
-    function of (p, count, seed).
+    Exhaustive mode (p <= EXHAUSTIVE_MAX_P) builds the full subgroup
+    lattice as the fixpoint of joins with the cyclic subgroups, in
+    (order, element ids) order.  Sampled mode draws generator sets of size
+    <= 3 from a seeded RNG and deduplicates; its output is a pure function
+    of (p, count, seed).  Both resolve joins through one `_Joins` memo,
+    which lives for one stream or one enumeration.  An unsupported mode or
+    prime raises ModeUnsupported at the call, before any iteration.
     """
     if isinstance(mode, Exhaustive):
         if p > EXHAUSTIVE_MAX_P:
             raise ModeUnsupported(f"exhaustive enumeration only for p <= {EXHAUSTIVE_MAX_P}")
-        yield from _enumerate_all(p)
-    elif isinstance(mode, Sampled):
+        return _enumerate_all(p)
+    if isinstance(mode, Sampled):
         if p > SAMPLING_MAX_P:
             raise ModeUnsupported(f"sampling only for p <= {SAMPLING_MAX_P}")
-        yield from _sample(p, mode.count, mode.seed)
-    else:
-        raise ModeUnsupported(f"unknown mode {mode!r}")
+        return _sample(p, mode.count, mode.seed)
+    raise ModeUnsupported(f"unknown mode {mode!r}")
 
 
 def _enumerate_all(p):
+    """Every subgroup of GL2(F_p), as the fixpoint of joins with cyclic subgroups.
+
+    A subgroup is the join of the cyclic subgroups of its elements, so
+    closing the set of cyclic subgroups under joins with them reaches the
+    whole lattice.  Each cyclic subgroup is keyed by its first generator in
+    id order; each newly found subgroup K is joined, through the memo of
+    `_Joins`, with every cyclic subgroup whose generator lies outside K,
+    until a round finds nothing new.  A new subgroup keeps the generators
+    of the join that found it first: K's generators and the new one.
+    """
     amb = ambient(p)
-    known = {}
-    for eid in range(amb.size):
-        ids = _closure_ids(amb, (eid,))
-        known.setdefault(ids, (eid,))
-    trivial = (amb.identity_id,)
-    known.setdefault(trivial, ())
-    frontier = list(known.items())
+    joins = _Joins(amb)
+    cyclic = {}  # distinct cyclic subgroup -> its first generator in id order
+    for g in range(amb.size):
+        cyclic.setdefault(joins._cyclic(g), g)
+    firsts = tuple(cyclic.values())
+    found = set(cyclic)
+    frontier = list(cyclic)
     while frontier:
-        new_items = []
-        for ids, gens in frontier:
-            members = set(ids)
-            if len(ids) == amb.size:
-                continue
-            for eid in range(amb.size):
-                if eid in members:
-                    continue
-                bigger = _closure_ids(amb, gens + (eid,))
-                if bigger not in known:
-                    entry = (gens + (eid,))
-                    known[bigger] = entry
-                    new_items.append((bigger, entry))
-        frontier = new_items
-    for ids in sorted(known, key=lambda t: (len(t), t)):
-        yield Subgroup(p, known[ids], ids)
+        new = []
+        for known in frontier:
+            for g in firsts:
+                if g not in known:
+                    joined = joins.generated(known.gens + (g,))
+                    if joined not in found:
+                        found.add(joined)
+                        new.append(joined)
+        frontier = new
+    subgroups = [(_ids(known.mask(amb.size)), known.gens) for known in found]
+    for ids, gens in sorted(subgroups, key=lambda s: (len(s[0]), s[0])):
+        yield Subgroup(p, gens, ids)
 
 
 class _Known:
@@ -722,7 +711,9 @@ class _Joins:
     unordered pair {current subgroup, cyclic subgroup of the generator}
     (a join is symmetric), and computed by `_close` from the current
     subgroup only when that pair is new.  Subgroups are interned by their
-    packed membership mask, so each is kept once, in size/8 bytes.
+    packed membership mask, so each is kept once, in size/8 bytes, with
+    the generators it was first met by.  The memo lives for one stream or
+    one enumeration.
     """
 
     def __init__(self, amb):

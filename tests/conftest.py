@@ -36,6 +36,11 @@ def subgroups_p3():
 
 
 @pytest.fixture(scope="session")
+def subgroups_p5():
+    return _timed(5, Exhaustive())
+
+
+@pytest.fixture(scope="session")
 def sampled_p5():
     return _timed(5, Sampled(ACCEPTANCE_COUNT, ACCEPTANCE_SEED))
 

@@ -3,9 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 Criterion 1 requests 5000 distinct subgroups at p = 5 and p = 7; GL2(F_5)
-has exactly 466 subgroups in total, so the p = 5 sample saturates the
-whole lattice instead (the equivalence is then checked on close to all of
-it).  Criterion 3 contains two sub-claims that are mathematically false
+has exactly 466 subgroups in total, so the p = 5 sample saturates
+instead, at 461 of them; a second criterion-1 test checks all 466 from
+the exhaustive enumeration.  Criterion 3 contains two sub-claims that are mathematically false
 as stated; they are split into a strict test that pins their refutation
 by explicit counterexamples, see test_criterion_3_strict_literal_reading.
 """
@@ -89,6 +89,32 @@ def test_criterion_1_group_criterion_equivalence(subgroups_p3, sampled_p5, sampl
     assert counts["p=5"] == EXPECTED_SAMPLE_SIZES[5] >= 400
     assert counts["p=7"] == EXPECTED_SAMPLE_SIZES[7] >= 1400
     assert elapsed < 300, f"criterion 1 runtime {elapsed:.0f}s exceeds 5 minutes"
+
+
+def test_criterion_1_on_every_subgroup_at_5(subgroups_p5, sampled_p5):
+    # the whole lattice of GL2(F_5), next to the pinned sampled check
+    t0 = time.monotonic()
+    mismatches = [
+        (s.order, s.generator_ids)
+        for s in subgroups_p5
+        if groupcrit_side_analytic(s) != groupcrit_side_structural(s)
+    ]
+    elapsed = time.monotonic() - t0 + subgroups_p5.elapsed
+    everything = {s.element_ids for s in subgroups_p5}
+    sampled = {s.element_ids for s in sampled_p5}
+    extra = sorted(len(ids) for ids in everything - sampled)
+    ok = not mismatches and len(everything) == 466 and sampled <= everything and elapsed < 15
+    _line(
+        1,
+        ok,
+        f"0 mismatches on all {len(everything)} subgroups of GL2(F_5) in {elapsed:.1f}s; "
+        f"the seed-1 sample misses {len(extra)} of orders {extra}",
+    )
+    assert not mismatches
+    assert len(subgroups_p5) == len(everything) == 466
+    assert sampled <= everything
+    assert extra == [4, 16, 16, 16, 16]
+    assert elapsed < 15, f"exhaustive criterion 1 at p = 5 took {elapsed:.1f}s"
 
 
 def test_criterion_2_h1_cross_validation(subgroups_p3, sampled_p5, sampled_p7):

@@ -102,6 +102,13 @@ def test_groupcrit_verify_exhaustive_p3(runner):
     assert payload["mismatches"] == 0
 
 
+def test_groupcrit_verify_exhaustive_p7_is_a_clean_error(runner):
+    result = runner.invoke(main, ["groupcrit-verify", "--p", "7", "--mode", "exhaustive"])
+    assert result.exit_code == 1
+    assert result.output == "Error: exhaustive enumeration only for p <= 5\n"
+    assert isinstance(result.exception, SystemExit)  # not an uncaught ModeUnsupported
+
+
 def test_groupcrit_verify_requires_seed(runner):
     result = runner.invoke(main, ["groupcrit-verify", "--p", "5", "--mode", "sampled"])
     assert result.exit_code != 0
@@ -184,6 +191,9 @@ JSON_DIGESTS = {
         "bc6f8a88409fe6e6ff154d54c4baae24d14c3caea51107576ec1591989541768",
     "groupcrit-verify --p 3 --mode exhaustive":
         "6fa087637036e116858508de20ea08a1f49eeabed0fcbb8cae1cc552728f0d14",
+    # 466 subgroups, 0 mismatches, 303 with both sides true
+    "groupcrit-verify --p 5 --mode exhaustive":
+        "b0519530a53b340840c42ba0180f1bb4bdfb8abe2f9296a398a2dcbf6624a94b",
 }
 
 

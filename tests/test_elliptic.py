@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -171,28 +172,48 @@ def test_reduction_type_121_curves_additive_at_11():
         assert reduction_type(curve(ai), 11) == ReductionType.ADDITIVE
 
 
-def test_reduction_type_multiplicative_split_nonsplit():
-    # y^2 = x^3 + x^2 - 1 type examples found by scanning small curves;
-    # oracle: explicit tangent-cone factorization at the node
-    found = {ReductionType.MULTIPLICATIVE_SPLIT: 0, ReductionType.MULTIPLICATIVE_NONSPLIT: 0}
+def _curves_mod_p(p):
+    # every a-invariant tuple mod p, with a6 shifted by p where the tuple
+    # is singular over Z; the reduction type depends only on a1..a6 mod p
+    for ainvs in itertools.product(range(p), repeat=5):
+        try:
+            yield curve(ainvs)
+        except SingularCurve:
+            yield curve(ainvs[:4] + (ainvs[4] + p,))
+
+
+def _small_family():
     for a2 in range(-5, 6):
         for a6 in range(-5, 6):
             try:
-                e = curve((0, a2, 0, 0, a6))
+                yield curve((0, a2, 0, 0, a6))
             except SingularCurve:
                 continue
-            for p in (5, 7, 11):
-                if e.discriminant % p == 0 and e.c4 % p:
-                    rt = reduction_type(e, p)
-                    assert rt in found
-                    found[rt] += 1
-                    _check_tangent_cone(e, p, rt)
-    assert all(v > 0 for v in found.values())
+
+
+def test_reduction_type_multiplicative_split_nonsplit():
+    # every tuple mod p at p = 3, 5, 7 and a small family at 11;
+    # oracle: explicit tangent-cone factorization at the node
+    cases = [(p, e) for p in (3, 5, 7) for e in _curves_mod_p(p)]
+    cases += [(11, e) for e in _small_family()]
+    kinds = (ReductionType.MULTIPLICATIVE_SPLIT, ReductionType.MULTIPLICATIVE_NONSPLIT)
+    found = {p: dict.fromkeys(kinds, 0) for p in (3, 5, 7, 11)}
+    for p, e in cases:
+        if e.discriminant % p == 0 and e.c4 % p:
+            rt = reduction_type(e, p)
+            assert rt in found[p]
+            found[p][rt] += 1
+            _check_tangent_cone(e, p, rt)
+    assert all(v > 0 for counts in found.values() for v in counts.values())
+    # p^3 (p - 1) of the p^5 tuples reduce to a nodal cubic
+    assert {p: sum(found[p].values()) for p in (3, 5, 7)} == {3: 54, 5: 500, 7: 2058}
 
 
 def _check_tangent_cone(e, p, rt):
-    # locate the node by brute force and factor the tangent quadric directly
+    # locate the node by brute force and factor the tangent quadric directly;
+    # the nodal cubic has p points if split, p + 2 if nonsplit
     sing = None
+    points = 1
     for x in range(p):
         for y in range(p):
             fx = (e.a1 * y - (3 * x * x + 2 * e.a2 * x + e.a4)) % p
@@ -200,12 +221,14 @@ def _check_tangent_cone(e, p, rt):
             f = (y * y + e.a1 * x * y + e.a3 * y - (x ** 3 + e.a2 * x * x + e.a4 * x + e.a6)) % p
             if fx == 0 and fy == 0 and f == 0:
                 sing = (x, y)
+            points += f == 0
     assert sing is not None
     x0 = sing[0]
     disc = (e.b2 + 12 * x0) % p
     # split iff Y^2 + a1 XY - (3x0 + a2) X^2 factors over F_p
     expected_split = legendre_symbol(disc, p) == 1
     assert (rt == ReductionType.MULTIPLICATIVE_SPLIT) == expected_split
+    assert points == (p if expected_split else p + 2)
 
 
 def test_reduction_type_stable_under_p_shift():

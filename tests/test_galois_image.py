@@ -169,21 +169,11 @@ def test_dirichlet_characters_are_multiplicative(m, p, pick, a, b):
         assert chi(g) == v
 
 
-def test_dirichlet_scan_one_eps():
-    # a curve with a rational 5-torsion point keeps shape 1 + eps at 5
-    e = curve((0, -1, 1, 0, 0), label="11a3")
-    fd = frobenius_traces(e, 500)
-    hits = dirichlet_pair_scan(fd, 5, default_character_modulus(e, 5), "one_eps")
-    assert len(hits) == 1 and hits[0].kind == "one_eps"
-    # but not at 7
-    assert dirichlet_pair_scan(fd, 7, default_character_modulus(e, 7), "one_eps") == []
-
-
 def test_dirichlet_scan_chi_chi_squared():
     e = curve((0, -1, 1, 0, 0))
     fd = frobenius_traces(e, 300)
     # p = 7: chi^3 = eps_7 has no solution among characters valued in F_7*
-    assert dirichlet_pair_scan(fd, 7, 7 * 11, "chi_chi_squared") == []
+    assert dirichlet_pair_scan(fd, 7, 7 * 11) == []
     # p = 5, modulus 5: the only character with chi^3 = eps is eps^3
     chars = enumerate_characters(5, 5)
     cube_roots = [
@@ -200,7 +190,7 @@ def test_dirichlet_scan_needs_p_in_modulus():
     e = curve((0, -1, 1, 0, 0))
     fd = frobenius_traces(e, 100)
     with pytest.raises(ValueError):
-        dirichlet_pair_scan(fd, 5, 11, "chi_chi_squared")
+        dirichlet_pair_scan(fd, 5, 11)
 
 
 def test_character_budget():
@@ -216,6 +206,8 @@ def test_twist_coherence_of_consistent_pairs():
     p = 5
     fd = frobenius_traces(e, 500)
     assert isinstance(test_cyclotomic_pair(fd, p, CyclotomicPair(0, 1)), Consistent)
+    # 1 + eps holds at 5 but not at 7
+    assert isinstance(test_cyclotomic_pair(fd, 7, CyclotomicPair(0, 1)), RefutedAt)
     tw = quadratic_twist(e, 5)  # chi_5 = eps_5^2 (the quadratic character mod 5)
     fd_tw = frobenius_traces(tw, 500)
     shifted = ((0 + 2) % 4, (1 + 2) % 4)

@@ -280,9 +280,37 @@ def test_enumerate_exhaustive_p3(subgroups_p3):
     assert len({s.element_ids for s in subgroups_p3}) == 55
 
 
+def test_enumerate_exhaustive_p5(subgroups_p5):
+    amb = ambient(5)
+    assert len(subgroups_p5) == 466
+    assert len({s.element_ids for s in subgroups_p5}) == 466
+    orders = [s.order for s in subgroups_p5]
+    assert orders == sorted(orders)
+    assert all(480 % o == 0 for o in orders)
+    # p + 1 Sylow 5-subgroups; one subgroup of index 2 (GL2 / SL2 is cyclic
+    # of order 4), and the full group once
+    assert orders.count(5) == 6
+    assert orders.count(240) == 1
+    assert orders.count(480) == 1
+    # each yielded id set is the subgroup its generators generate
+    for s in subgroups_p5:
+        assert np.flatnonzero(_close(amb, s.generator_ids)).tolist() == list(s.element_ids)
+
+
+def test_exhaustive_streams_are_pinned(subgroups_p3, subgroups_p5):
+    # sha256 over (generator ids, element ids) in yield order; both digests
+    # are those of the per-element closure loop the join fixpoint replaced
+    assert _stream_digest(subgroups_p3) == (
+        "7660066f6e6b2c96b6fe99e3b185bdd6bd8273c69d64deebdefb464a55bfed99"
+    )
+    assert _stream_digest(subgroups_p5) == (
+        "a00bf000a0abf54549b8519ecd7f3a983731bf32517992b6de3c210a4ff52989"
+    )
+
+
 def test_enumerate_exhaustive_rejects_large_p():
     with pytest.raises(ModeUnsupported):
-        list(enumerate_subgroups(5, Exhaustive()))
+        list(enumerate_subgroups(7, Exhaustive()))
     with pytest.raises(ModeUnsupported):
         list(enumerate_subgroups(17, Sampled(10, 0)))
 
