@@ -9,6 +9,7 @@ import json
 import sys
 
 import click
+from click.core import ParameterSource
 
 from .datasets import EMBEDDED_AINVS, embedded_curve
 from .divisibility import RunConfig, twist_scan, verdict_over_Q
@@ -136,6 +137,11 @@ def groupcrit_verify(prime, mode, count, seed, fmt):
     """Verify the two-sided subgroup criterion over the chosen subgroup stream."""
     from .cohomology import groupcrit_side_analytic, groupcrit_side_structural
 
+    ctx = click.get_current_context()
+    if mode == "exhaustive" and any(
+        ctx.get_parameter_source(name) is not ParameterSource.DEFAULT for name in ("count", "seed")
+    ):
+        raise click.UsageError("--count and --seed apply to sampled mode only")
     if prime not in (3, 5, 7):
         raise click.ClickException("groupcrit-verify supports p in {3, 5, 7}")
     if mode == "sampled" and seed is None:

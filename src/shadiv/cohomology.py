@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, SizeExceeded
 from .fp_linalg import det_raw, echelon_bases, kernel_basis, rref
-from .gl2 import Subgroup, ambient, invariant_line
+from .gl2 import Subgroup, ambient, embeds_in_s3, invariant_line, normalizer_in, p_sylow
 
 H1_MAX_ORDER = 10 ** 4
 ISO_SCAN_BUDGET = 10 ** 6
@@ -85,20 +85,16 @@ def _validate_hom(mod):
     g = mod.subgroup
     amb = g.ambient
     p = g.p
-    pos = _position_index(g)
+    pos = np.zeros(amb.size, dtype=np.intp)
+    pos[list(g.element_ids)] = np.arange(g.order)
     ident = mod.mats[pos[amb.identity_id]]
     if not np.array_equal(ident % p, np.eye(mod.dim, dtype=np.int64)):
         raise ValueError("action(identity) != identity matrix")
-    if g.order <= HOM_CHECK_FULL_MAX:
-        left = g.element_ids
-    else:
-        left = g.generator_ids
-    for a in left:
-        for b in g.element_ids:
-            ab = amb.mul_ids(a, b)
-            lhs = mod.mats[pos[a]] @ mod.mats[pos[b]] % p
-            if not np.array_equal(lhs, mod.mats[pos[ab]]):
-                raise ValueError("action is not a homomorphism")
+    left = g.element_ids if g.order <= HOM_CHECK_FULL_MAX else g.generator_ids
+    left = np.asarray(left, dtype=np.intp)
+    ab = amb.mul(left[:, None], g.element_ids)
+    if not np.array_equal(mod.mats[pos[left]][:, None] @ mod.mats % p, mod.mats[pos[ab]]):
+        raise ValueError("action is not a homomorphism")
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +272,7 @@ def _cayley_schedule_cached(p, element_ids, generator_ids):
     k = len(generator_ids)
     pos = np.zeros(amb.size, dtype=np.intp)
     pos[list(element_ids)] = np.arange(order)
-    targets = pos[amb.products(element_ids, np.asarray(generator_ids, dtype=np.intp))]
+    targets = pos[amb.mul(np.asarray(element_ids)[:, None], generator_ids)]
     rows = targets.tolist()
     root = int(pos[amb.identity_id])
     parent = np.full(order, root)
@@ -343,6 +339,24 @@ def h1(g: Subgroup, m: GModule) -> CohomologyClassSpace:
     return CohomologyClassSpace(len(z1), dim_b1, len(z1) - dim_b1, basis)
 
 
+def _cyclic_generator_positions(g):
+    """Positions of the least generator of each nontrivial cyclic subgroup of g.
+
+    x is the least generator of <x> when no x^j with j prime to the order
+    of x has a smaller id; one power walk checks every element at once.
+    """
+    amb = g.ambient
+    ids = np.asarray(g.element_ids, dtype=np.intp)
+    orders = amb.orders[ids]
+    least = ids.copy()
+    power = ids
+    for j in range(2, int(orders.max())):
+        power = amb.mul(power, ids)
+        generates = (np.gcd(j, orders) == 1) & (j < orders)
+        least = np.where(generates, np.minimum(least, power), least)
+    return np.flatnonzero((least == ids) & (orders > 1))
+
+
 def h1_star(g: Subgroup, m: GModule) -> int:
     """Dimension of the classes killed by restriction to every cyclic subgroup.
 
@@ -359,23 +373,11 @@ def h1_star(g: Subgroup, m: GModule) -> int:
     dim_b1 = _coboundary_rank(m)
     if nunk - len(pivots) == dim_b1:
         return 0
-    pos = _position_index(g)
-    amb = g.ambient
     rows = [reduced]
-    seen_cyclic = set()
-    for eid in g.element_ids:
-        members = []
-        cur = eid
-        while cur != amb.identity_id:
-            members.append(cur)
-            cur = amb.mul_ids(cur, eid)
-        key = frozenset(members)
-        if key in seen_cyclic or not members:
-            continue
-        seen_cyclic.add(key)
-        shifted = (m.mats[pos[eid]] - np.eye(n, dtype=np.int64)) % p
+    for i in _cyclic_generator_positions(g):
+        shifted = (m.mats[i] - np.eye(n, dtype=np.int64)) % p
         left_kernel = np.array(kernel_basis(shifted.T, n, p), dtype=np.int64)
-        rows.append(left_kernel.reshape(-1, n) @ t[pos[eid]] % p)
+        rows.append(left_kernel.reshape(-1, n) @ t[i] % p)
     dim_w = nunk - len(rref(np.concatenate(rows), p)[1])
     return dim_w - dim_b1
 
@@ -384,19 +386,15 @@ def h1_star(g: Subgroup, m: GModule) -> int:
 # characters on a triangularizing datum, and the two criterion sides
 
 
-def line_character_values(g: Subgroup, line_idx, element_ids=None):
-    """Eigenvalue character on a stabilized line, per element."""
-    amb = g.ambient
-    p = g.p
-    v = amb.lines[line_idx]
-    values = {}
-    for eid in element_ids if element_ids is not None else g.element_ids:
-        m = amb.mats[eid]
-        w0 = (int(m[0, 0]) * v[0] + int(m[0, 1]) * v[1]) % p
-        w1 = (int(m[1, 0]) * v[0] + int(m[1, 1]) * v[1]) % p
-        lam = w0 * pow(v[0], -1, p) % p if v[0] else w1 * pow(v[1], -1, p) % p
-        values[eid] = lam
-    return values
+def _line_characters(amb, ids, line_idx):
+    """(chi1, chi2) on ids that all fix the line: its eigenvalue, and det / chi1.
+
+    chi2 is the other eigenvalue, read off as trace - chi1.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    chi1 = amb.lines[1][ids, line_idx]
+    trace = amb.mats[ids, 0, 0] + amb.mats[ids, 1, 1]
+    return chi1, (trace - chi1) % amb.p
 
 
 def reducible_characters(g: Subgroup):
@@ -408,18 +406,8 @@ def reducible_characters(g: Subgroup):
     line_idx = invariant_line(g)
     if line_idx is None:
         return None
-    amb = g.ambient
-    p = g.p
-    gens = g.generator_ids
-    chi1 = line_character_values(g, line_idx, gens)
-    chi2 = {}
-    for eid in gens:
-        det = int(amb.dets[eid])
-        chi2[eid] = det * pow(chi1[eid], -1, p) % p
-    return (
-        tuple(chi1[e] for e in gens),
-        tuple(chi2[e] for e in gens),
-    )
+    chi1, chi2 = _line_characters(g.ambient, g.generator_ids, line_idx)
+    return tuple(chi1.tolist()), tuple(chi2.tolist())
 
 
 def groupcrit_side_analytic(g: Subgroup) -> bool:
@@ -433,8 +421,6 @@ def groupcrit_side_analytic(g: Subgroup) -> bool:
 
 def groupcrit_side_structural(g: Subgroup) -> bool:
     """Not inside an S3 copy; reducible characters avoid 1 and each other's square."""
-    from .gl2 import embeds_in_s3
-
     if embeds_in_s3(g):
         return False
     chars = reducible_characters(g)
@@ -463,29 +449,17 @@ def borel_datum(g: Subgroup):
     which P is the standard unipotent group; chi1 restricts to the
     character of the line fixed by P.
     """
-    from .gl2 import normalizer_in, p_sylow
-
     p = g.p
     if g.order % p != 0:
         return None
     amb = g.ambient
     syl = p_sylow(g)
     norm = normalizer_in(g, syl)
-    u = next(i for i in syl.element_ids if i != amb.identity_id)
-    umat = amb.mats[u]
-    shifted = (umat - np.eye(2, dtype=np.int64)) % p
-    line = kernel_basis([tuple(int(x) for x in row) for row in shifted], 2, p)[0]
-    if line[0]:
-        inv0 = pow(int(line[0]), -1, p)
-        line_idx = int(line[1]) * inv0 % p
-    else:
-        line_idx = p
-    chi1 = line_character_values(g, line_idx, norm.element_ids)
-    chi2 = {
-        eid: int(amb.dets[eid]) * pow(chi1[eid], -1, p) % p
-        for eid in norm.element_ids
-    }
-    return syl, norm, chi1, chi2
+    # the one line P fixes: where its generator has an eigenvalue
+    line_idx = int(np.flatnonzero(amb.lines[1][syl.generator_ids[0]])[0])
+    ids = norm.element_ids
+    chi1, chi2 = _line_characters(amb, ids, line_idx)
+    return syl, norm, dict(zip(ids, chi1.tolist())), dict(zip(ids, chi2.tolist()))
 
 
 def sylow_hom_bound(g: Subgroup):

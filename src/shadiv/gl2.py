@@ -2,10 +2,13 @@
 
 A per-prime ambient context indexes every element of GL2(F_p) in
 lexicographic order of its entry 4-tuple (a, b, c, d); that ordering is
-canonical throughout.  For p <= 7 the full multiplication table is built
-once (|GL2(F_7)| = 2016, an 8 MB uint16 table), which turns closure and
-cohomology sweeps into array lookups.  For p = 11, 13 operations fall back
-to direct modular arithmetic on encoded elements.
+canonical throughout.  It has one product, `GL2Ambient.mul`, broadcast over
+id arrays: for p <= 7 a lookup in the full multiplication table, built
+once (|GL2(F_7)| = 2016, an 8 MB uint16 table), and for p = 11, 13 direct
+2x2 arithmetic mod p.  Element orders and the action on the p + 1 lines of
+F_p^2 are arrays over all elements, computed once per prime.  Since p
+divides |GL2(F_p)| exactly once, a Sylow p-subgroup is trivial or cyclic
+of order p.
 
 Every closure goes through one kernel, `_close`, which grows a boolean
 membership mask from a known subgroup.  Every subgroup enumeration goes
@@ -22,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .arith import is_prime, legendre_symbol, valuation_split
+from .arith import is_prime, legendre_symbol
 from .errors import (
     InternalInconsistency,
     ModeUnsupported,
@@ -79,8 +82,8 @@ class GL2Ambient:
             [np.stack([a, b], axis=1), np.stack([c, d], axis=1)], axis=1
         ).astype(np.int64)
         self.dets = (a * d - b * c) % p
-        det_inv = np.array([0] + [pow(int(x), -1, p) for x in range(1, p)], dtype=np.int64)
-        di = det_inv[self.dets]
+        self._unit_inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+        di = self._unit_inv[self.dets]
         inv_codes = _encode(d * di % p, (-b) * di % p, (-c) * di % p, a * di % p, p)
         self.inv = self.code_to_id[inv_codes].astype(np.int32)
         self.identity_id = int(self.code_to_id[_encode(1, 0, 0, 1, p)])
@@ -88,11 +91,9 @@ class GL2Ambient:
             [int(self.code_to_id[_encode(s, 0, 0, s, p)]) for s in range(1, p)],
             dtype=np.int32,
         )
-        self.mul = None
-        if p <= TABLE_MAX_P:
-            self.mul = self._build_mul_table()
+        self.table = self._build_mul_table() if p <= TABLE_MAX_P else None
         self._ad_mats = None
-        self._small_order_ids = {}
+        self._orders = None
         self._lines = None
         self._lock = threading.Lock()
 
@@ -118,57 +119,28 @@ class GL2Ambient:
             raise NonInvertibleGenerator(f"matrix {mat} is singular mod {p}")
         return eid
 
-    def mul_ids(self, i, j):
-        if self.mul is not None:
-            return int(self.mul[i, j])
-        p = self.p
-        x = self.mats[i]
-        y = self.mats[j]
-        prod = (x @ y) % p
-        return int(self.code_to_id[_encode(prod[0, 0], prod[0, 1], prod[1, 0], prod[1, 1], p)])
+    def mul(self, a, b):
+        """Ids of the products a*b; a and b are ids or id arrays, broadcast against each other.
 
-    def mul_many(self, ids_a, ids_b):
-        """Pairwise products of two equal-length id arrays."""
-        if self.mul is not None:
-            return self.mul[ids_a, ids_b].astype(np.int32)
+        The one product of the package: a lookup in the multiplication table
+        for p <= TABLE_MAX_P, 2x2 arithmetic mod p above it.
+        """
+        if self.table is not None:
+            return self.table[a, b]
         p = self.p
-        prod = (self.mats[ids_a] @ self.mats[ids_b]) % p
+        prod = (self.mats[np.asarray(a, dtype=np.intp)] @ self.mats[np.asarray(b, dtype=np.intp)]) % p
         codes = _encode(prod[..., 0, 0], prod[..., 0, 1], prod[..., 1, 0], prod[..., 1, 1], p)
-        return self.code_to_id[codes].astype(np.int32)
+        return self.code_to_id[codes]
 
-    def products(self, ids_a, ids_b):
-        """All products a*b for a in ids_a, b in ids_b, as a 2-d id array."""
-        if self.mul is not None:
-            return self.mul[np.ix_(np.asarray(ids_a), np.asarray(ids_b))].astype(np.int32)
-        p = self.p
-        prod = (self.mats[np.asarray(ids_a)][:, None] @ self.mats[np.asarray(ids_b)][None, :]) % p
-        codes = _encode(prod[..., 0, 0], prod[..., 0, 1], prod[..., 1, 0], prod[..., 1, 1], p)
-        return self.code_to_id[codes].astype(np.int32)
-
-    def conjugate_set(self, g, ids):
-        """g S g^-1 as an id array."""
-        ids = np.asarray(ids)
-        left = self.products([g], ids)[0]
-        return self.mul_many(left, np.full(len(ids), self.inv[g], dtype=np.int32))
-
-    def order_of(self, eid):
-        k = 1
-        cur = eid
-        while cur != self.identity_id:
-            cur = self.mul_ids(cur, eid)
-            k += 1
-        return k
-
-    def ids_with_power_identity(self, k):
-        """Ids of elements x with x^k = identity (cached per k)."""
+    @property
+    def orders(self):
+        """The order of every element, indexed by id."""
         with self._lock:
-            if k not in self._small_order_ids:
-                cur = np.arange(self.size, dtype=np.int32)
-                acc = np.full(self.size, self.identity_id, dtype=np.int32)
-                for _ in range(k):
-                    acc = self.mul_many(acc, cur)
-                self._small_order_ids[k] = np.nonzero(acc == self.identity_id)[0].astype(np.int32)
-        return self._small_order_ids[k]
+            if self._orders is None:
+                identity = np.zeros(self.size, dtype=bool)
+                identity[self.identity_id] = True
+                self._orders = _first_power_in(self, np.arange(self.size), identity)
+        return self._orders
 
     @property
     def ad_mats(self):
@@ -185,21 +157,42 @@ class GL2Ambient:
 
     @property
     def lines(self):
-        """Representative vectors of the p + 1 lines of F_p^2."""
-        if self._lines is None:
-            self._lines = [(1, t) for t in range(self.p)] + [(0, 1)]
+        """(image, eigenvalue): two arrays indexed by (element id, line index).
+
+        Line t < p is spanned by (1, t) and line p by (0, 1).  image[x, l]
+        is the index of the line x maps l to; eigenvalue[x, l] is the
+        eigenvalue of x on l where x fixes l, and 0 elsewhere.
+        """
+        with self._lock:
+            if self._lines is None:
+                p = self.p
+                vecs = np.array([(1, t) for t in range(p)] + [(0, 1)], dtype=np.int64)
+                w0, w1 = np.moveaxis(self.mats @ vecs.T % p, 1, 0)
+                image = np.where(w0 != 0, w1 * self._unit_inv[w0] % p, p)
+                eigenvalue = np.where(vecs[:, 0] != 0, w0, w1)
+                fixed = image == np.arange(p + 1)
+                self._lines = image, np.where(fixed, eigenvalue, 0)
         return self._lines
 
-    def line_image(self, eid, line_idx):
-        p = self.p
-        v = self.lines[line_idx]
-        m = self.mats[eid]
-        w = (int(m[0, 0]) * v[0] + int(m[0, 1]) * v[1]) % p, (
-            int(m[1, 0]) * v[0] + int(m[1, 1]) * v[1]
-        ) % p
-        if w[0] != 0:
-            return w[1] * pow(w[0], -1, p) % p
-        return p
+
+def _first_power_in(amb, ids, stop_mask):
+    """For each id x, the least k >= 1 with x^k in the set `stop_mask` marks.
+
+    One power walk over all ids at once; every power of x reaches the
+    identity, so the stop set must hold it.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    out = np.ones(len(ids), dtype=np.intp)
+    walking = np.flatnonzero(~stop_mask[ids])
+    cur = ids[walking]
+    k = 1
+    while walking.size:
+        k += 1
+        cur = amb.mul(cur, ids[walking])
+        done = stop_mask[cur]
+        out[walking[done]] = k
+        walking, cur = walking[~done], cur[~done]
+    return out
 
 
 def ambient(p):
@@ -294,7 +287,7 @@ def _close(amb, gen_ids, start=None):
     else:
         seen = start.copy()
     gens = np.asarray(gen_ids, dtype=np.intp)
-    rows = amb.mul[gens].astype(np.intp) if amb.mul is not None else None
+    rows = amb.table[gens].astype(np.intp) if amb.table is not None else None
     frontier = seen.nonzero()[0]
     found = frontier.size
     while frontier.size:
@@ -302,7 +295,7 @@ def _close(amb, gen_ids, start=None):
         if rows is not None:
             seen[rows.take(frontier, axis=1)] = True
         else:
-            seen[amb.products(gens, frontier)] = True
+            seen[amb.mul(gens[:, None], frontier)] = True
         new ^= seen
         frontier = new.nonzero()[0]
         found += frontier.size
@@ -364,55 +357,29 @@ def det_image_order(g: Subgroup) -> int:
 def p_sylow(g: Subgroup) -> Subgroup:
     """One Sylow p-subgroup, chosen deterministically.
 
-    Seeded by the first element of maximal p-power order in canonical
-    order, then extended greedily while the index is still divisible by p.
+    p divides |GL2(F_p)| = p(p-1)^2(p+1) exactly once, so the Sylow
+    p-subgroup is trivial or cyclic of order p: the group generated by the
+    first element of order p in canonical order.
     """
     p = g.p
     amb = g.ambient
-    target = p ** valuation_split(g.order, p)[0]
-    if target == 1:
-        return subgroup_from_ids(p, (amb.identity_id,), ())
-    p_power_elts = []
-    for eid in g.element_ids:
-        o = amb.order_of(eid)
-        if o > 1 and valuation_split(o, p)[1] == 1:
-            p_power_elts.append((o, eid))
-    max_order = max(o for o, _ in p_power_elts)
-    seed = next(eid for o, eid in p_power_elts if o == max_order)
-    gens = [seed]
-    current = _close(amb, gens)
-    outside = np.ones(amb.size, dtype=bool)
-    outside[list(g.element_ids)] = False
-    while np.count_nonzero(current) < target:
-        extended = False
-        for o, eid in p_power_elts:
-            if current[eid]:
-                continue
-            candidate = _close(amb, gens + [eid], start=current)
-            size = np.count_nonzero(candidate)
-            if valuation_split(size, p)[1] == 1 and not (candidate & outside).any():
-                gens.append(eid)
-                current = candidate
-                extended = True
-                break
-        if not extended:
-            raise InternalInconsistency("could not extend to a full Sylow subgroup")
-    return Subgroup(p, tuple(gens), _ids(current))
+    if g.order % p:
+        return Subgroup(p, (), (amb.identity_id,))
+    ids = np.asarray(g.element_ids)
+    u = int(ids[np.argmax(amb.orders[ids] == p)])
+    return Subgroup(p, (u,), _closure_ids(amb, (u,)))
 
 
 def normalizer_in(g: Subgroup, h: Subgroup) -> Subgroup:
-    """Normalizer of h inside g, by elementwise conjugation test."""
+    """Normalizer of h inside g: the x in g with x s x^-1 in h for every generator s of h."""
     if not h.is_subset_of(g):
         raise ValueError("h must be a subgroup of g")
     amb = g.ambient
-    h_sorted = np.asarray(h.element_ids, dtype=np.int32)
-    h_set = h.id_set
-    found = []
-    for x in g.element_ids:
-        conj = amb.conjugate_set(x, h_sorted)
-        if all(int(c) in h_set for c in conj):
-            found.append(x)
-    return subgroup_from_ids(g.p, found)
+    x = np.asarray(g.element_ids, dtype=np.intp)[:, None]
+    conj = amb.mul(amb.mul(x, h.generator_ids), amb.inv[x])
+    in_h = np.zeros(amb.size, dtype=bool)
+    in_h[list(h.element_ids)] = True
+    return subgroup_from_ids(g.p, x[in_h[conj].all(axis=1), 0])
 
 
 def s3_copy(p):
@@ -442,45 +409,23 @@ def embeds_in_s3(g: Subgroup) -> bool:
     amb = g.ambient
     if n == 1:
         return True
+    ids = np.asarray(g.element_ids, dtype=np.intp)
     if n == 6:
-        ids = g.element_ids
-        return any(
-            amb.mul_ids(x, y) != amb.mul_ids(y, x) for x in ids for y in ids
-        )
-    if n == 3:
-        s = next(i for i in g.element_ids if i != amb.identity_id)
-        s_inv = int(amb.inv[s])
-        for t in amb.ids_with_power_identity(2):
-            t = int(t)
-            if t == amb.identity_id:
-                continue
-            if amb.mul_ids(amb.mul_ids(t, s), int(amb.inv[t])) == s_inv:
-                return True
-        return False
-    # n == 2: look for an order-3 element inverted by the involution
-    t = next(i for i in g.element_ids if i != amb.identity_id)
-    t_inv = int(amb.inv[t])
-    for s in amb.ids_with_power_identity(3):
-        s = int(s)
-        if s == amb.identity_id:
-            continue
-        if amb.mul_ids(amb.mul_ids(t, s), t_inv) == int(amb.inv[s]):
-            return True
-    return False
-
-
-def _gens_stabilize_line(amb, gen_ids, line_idx):
-    return all(amb.line_image(g, line_idx) == line_idx for g in gen_ids)
+        prods = amb.mul(ids[:, None], ids)
+        return bool((prods != prods.T).any())
+    # an involution t and an element s of order 3 with t s t^-1 = s^-1:
+    # g's nontrivial element is one of them, the other is searched for
+    x = int(ids[ids != amb.identity_id][0])
+    others = np.flatnonzero(amb.orders == 5 - n)
+    t, s = (x, others) if n == 2 else (others, x)
+    return bool((amb.mul(amb.mul(t, s), amb.inv[t]) == amb.inv[s]).any())
 
 
 def invariant_line(g: Subgroup):
     """Index of a line of F_p^2 fixed setwise by the whole subgroup, or None."""
-    amb = g.ambient
-    gens = g.generator_ids if g.generator_ids else (amb.identity_id,)
-    for line_idx in range(g.p + 1):
-        if _gens_stabilize_line(amb, gens, line_idx):
-            return line_idx
-    return None
+    image = g.ambient.lines[0][list(g.generator_ids)]
+    fixed = np.flatnonzero((image == np.arange(g.p + 1)).all(axis=0))
+    return int(fixed[0]) if fixed.size else None
 
 
 def _fp2_mul(x, y, r, p):
@@ -491,15 +436,6 @@ def _fp2_inv(x, r, p):
     n = (x[0] * x[0] - r * x[1] * x[1]) % p
     ninv = pow(n, -1, p)
     return x[0] * ninv % p, (-x[1]) * ninv % p
-
-
-def _stabilizes_split_pair(amb, gen_ids, pair):
-    l1, l2 = pair
-    for g in gen_ids:
-        images = {amb.line_image(g, l1), amb.line_image(g, l2)}
-        if images != {l1, l2}:
-            return False
-    return True
 
 
 def _stabilizes_nonsplit_pair(amb, gen_ids, z, r):
@@ -519,14 +455,12 @@ def _stabilizes_nonsplit_pair(amb, gen_ids, z, r):
 
 
 def _in_split_torus_normalizer(g: Subgroup):
-    amb = g.ambient
-    gens = g.generator_ids if g.generator_ids else (amb.identity_id,)
-    p = g.p
-    for l1 in range(p + 1):
-        for l2 in range(l1 + 1, p + 1):
-            if _stabilizes_split_pair(amb, gens, (l1, l2)):
-                return True
-    return False
+    """Whether the generators all stabilize one pair of distinct lines."""
+    image = g.ambient.lines[0][list(g.generator_ids)]
+    l1, l2 = np.triu_indices(g.p + 1, 1)
+    a, b = image[:, l1], image[:, l2]
+    pair = ((a == l1) | (a == l2)) & ((b == l1) | (b == l2))
+    return bool(pair.all(axis=0).any())
 
 
 def _in_nonsplit_torus_normalizer(g: Subgroup):
@@ -552,15 +486,6 @@ _EXCEPTIONAL_ORDER_PROFILES = {
 }
 
 
-def _projective_order(amb, eid, scalar_set):
-    k = 1
-    cur = eid
-    while cur not in scalar_set:
-        cur = amb.mul_ids(cur, eid)
-        k += 1
-    return k
-
-
 def classify(g: Subgroup) -> ClassificationTag:
     """Classification tag per the subgroup taxonomy of GL2(F_p).
 
@@ -583,17 +508,15 @@ def classify(g: Subgroup) -> ClassificationTag:
         return ClassificationTag.SPLIT_TORUS_NORMALIZER
     if _in_nonsplit_torus_normalizer(g):
         return ClassificationTag.NONSPLIT_TORUS_NORMALIZER
-    scalar_set = set(int(s) for s in amb.scalar_ids)
-    image_ids = {}
-    for eid in g.element_ids:
-        image_ids.setdefault(_projective_rep(amb, eid, scalar_set), eid)
-    image_order = len(image_ids)
+    # each coset of the scalars, by its least id
+    cosets = np.unique(amb.mul(amb.scalar_ids[:, None], g.element_ids).min(axis=0))
+    image_order = len(cosets)
     if image_order in _EXCEPTIONAL_ORDER_PROFILES:
         name, profile = _EXCEPTIONAL_ORDER_PROFILES[image_order]
-        observed = {}
-        for rep in image_ids.values():
-            o = _projective_order(amb, rep, scalar_set)
-            observed[o] = observed.get(o, 0) + 1
+        scalar = np.zeros(amb.size, dtype=bool)
+        scalar[amb.scalar_ids] = True
+        orders, counts = np.unique(_first_power_in(amb, cosets, scalar), return_counts=True)
+        observed = dict(zip(orders.tolist(), counts.tolist()))
         if observed != profile:
             raise InternalInconsistency(
                 f"projective image of order {image_order} has order profile "
@@ -607,16 +530,6 @@ def classify(g: Subgroup) -> ClassificationTag:
     raise InternalInconsistency(
         f"no classification case matched (order {g.order}, image order {image_order})"
     )
-
-
-def _projective_rep(amb, eid, scalar_set):
-    """Canonical coset representative of eid modulo scalars."""
-    best = eid
-    for s in scalar_set:
-        t = amb.mul_ids(s, eid)
-        if t < best:
-            best = t
-    return best
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,15 @@ def test_groupcrit_verify_exhaustive_p7_is_a_clean_error(runner):
     assert isinstance(result.exception, SystemExit)  # not an uncaught ModeUnsupported
 
 
+def test_groupcrit_verify_exhaustive_rejects_sampling_flags(runner):
+    # exhaustive mode read neither flag; given at all, even at its default,
+    # either is a usage error
+    for flags in (["--seed", "5"], ["--count", "10"], ["--count", "1000"], ["--seed", "5", "--count", "10"]):
+        result = runner.invoke(main, ["groupcrit-verify", "--p", "3", "--mode", "exhaustive"] + flags)
+        assert result.exit_code == 2, flags
+        assert "--count and --seed apply to sampled mode only" in result.output
+
+
 def test_groupcrit_verify_requires_seed(runner):
     result = runner.invoke(main, ["groupcrit-verify", "--p", "5", "--mode", "sampled"])
     assert result.exit_code != 0

@@ -40,7 +40,7 @@ def h1_dims_bruteforce(g, mod):
     rows = []
     for a in g.element_ids:
         for b in g.element_ids:
-            ab = amb.mul_ids(a, b)
+            ab = amb.mul(a, b)
             for coord in range(n):
                 row = [0] * nunk
                 row[pos[ab] * n + coord] += 1
@@ -173,7 +173,7 @@ def test_h1_star_basics(subgroups_p3):
 
 def _is_cyclic(s):
     amb = s.ambient
-    return any(amb.order_of(e) == s.order for e in s.element_ids)
+    return any(amb.orders[e] == s.order for e in s.element_ids)
 
 
 def test_h1_star_bruteforce_small():
@@ -222,7 +222,7 @@ def _extend_cocycle(g, mod, gen_table):
         nxt = []
         for x in frontier:
             for gid in g.generator_ids:
-                y = amb.mul_ids(x, gid)
+                y = amb.mul(x, gid)
                 if y in full:
                     continue
                 full[y] = (full[x] + mod.mats[pos[x]] @ gen_table[gid]) % p
@@ -238,7 +238,7 @@ def test_standard_and_adjoint_modules_are_homs():
     for mod in (make_standard_module(g), make_adjoint_module(g)):
         for a in g.generator_ids:
             for b in g.element_ids:
-                ab = amb.mul_ids(a, b)
+                ab = amb.mul(a, b)
                 assert np.array_equal(
                     mod.mats[pos[a]] @ mod.mats[pos[b]] % 5, mod.mats[pos[ab]]
                 )
@@ -285,10 +285,12 @@ def test_composition_factors_nonsplit_torus_irreducible():
     g = closure(5, [((0, 2), (1, 0))])
     factors = composition_factors(make_standard_module(g))
     assert [f.dim for f in factors] == [2]
-    # oracle: no line of F_5^2 is fixed by the generator, by direct scan
-    amb = g.ambient
-    gen = g.generator_ids[0]
-    assert all(amb.line_image(gen, idx) != idx for idx in range(6))
+    # oracle: no line of F_5^2 is fixed by the generator, by direct scan:
+    # the image of each line vector v is never a multiple of v
+    (a, b), (c, d) = g.generators[0]
+    for v in [(1, t) for t in range(5)] + [(0, 1)]:
+        w = ((a * v[0] + b * v[1]) % 5, (c * v[0] + d * v[1]) % 5)
+        assert (w[0] * v[1] - w[1] * v[0]) % 5 != 0
     assert invariant_subspaces(make_standard_module(g).gen_mats, 5, 2, 1) == []
 
 
@@ -410,7 +412,7 @@ def test_borel_datum_characters_multiplicative():
     amb = g.ambient
     for a in norm.element_ids:
         for b in norm.element_ids:
-            ab = amb.mul_ids(a, b)
+            ab = amb.mul(a, b)
             assert chi1[ab] == chi1[a] * chi1[b] % 5
             assert chi2[ab] == chi2[a] * chi2[b] % 5
 

@@ -1,10 +1,14 @@
+import ast
 import hashlib
 import random
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shadiv
+from shadiv.cohomology import borel_datum, reducible_characters, sylow_hom_bound
 from shadiv.errors import ModeUnsupported, NonInvertibleGenerator
 from shadiv.gl2 import (
     ClassificationTag,
@@ -12,6 +16,7 @@ from shadiv.gl2 import (
     Sampled,
     Subgroup,
     _close,
+    _in_split_torus_normalizer,
     ambient,
     classify,
     closure,
@@ -37,7 +42,7 @@ def brute_closure(p, mats):
         new = set()
         for a in ids:
             for b in ids:
-                c = amb.mul_ids(a, b)
+                c = amb.mul(a, b)
                 if c not in ids:
                     new.add(c)
         if not new:
@@ -84,7 +89,7 @@ def test_closure_borel_s3_at_3():
     # nonabelian of order 6
     amb = g.ambient
     assert any(
-        amb.mul_ids(a, b) != amb.mul_ids(b, a)
+        amb.mul(a, b) != amb.mul(b, a)
         for a in g.element_ids
         for b in g.element_ids
     )
@@ -115,7 +120,7 @@ def test_subgroup_lagrange_and_closure_invariant(sampled_p5):
         members = s.id_set
         for _ in range(10):
             a, b = rng.choice(s.element_ids), rng.choice(s.element_ids)
-            assert amb.mul_ids(a, b) in members
+            assert amb.mul(a, b) in members
             assert int(amb.inv[a]) in members
 
 
@@ -160,9 +165,9 @@ def test_s3_copy_all_primes():
         assert group.order == 6
         amb = group.ambient
         # marked generators have the right orders and the braid relation
-        assert amb.order_of(t_id) == 2
-        assert amb.order_of(c_id) == 3
-        conj = amb.mul_ids(amb.mul_ids(t_id, c_id), int(amb.inv[t_id]))
+        assert amb.orders[t_id] == 2
+        assert amb.orders[c_id] == 3
+        conj = amb.mul(amb.mul(t_id, c_id), int(amb.inv[t_id]))
         assert conj == int(amb.inv[c_id])
         # determinant realizes the sign character
         assert int(amb.dets[t_id]) == (p - 1) % p  # -1 mod p
@@ -355,3 +360,146 @@ def test_sampled_streams_are_pinned(sampled_p5, sampled_p7):
     assert _stream_digest(sampled_p7) == (
         "ea114a333db0917b428db53ac5b19f52eaa29a53fbde8fac068c8153cf411d2f"
     )
+
+
+# ---------------------------------------------------------------------------
+# the ambient arrays against direct 2x2 arithmetic
+
+
+def _mat_mul(x, y, p):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def _sample_ids(amb, rng, k):
+    """Every id for p <= 5, else k seeded ones."""
+    return np.arange(amb.size) if amb.p <= 5 else rng.integers(amb.size, size=k)
+
+
+def test_mul_matches_matrix_arithmetic():
+    rng = np.random.default_rng(15)
+    for p in (3, 5, 7, 11, 13):
+        amb = ambient(p)
+        if p <= 5:  # every pair
+            a, b = np.divmod(np.arange(amb.size ** 2), amb.size)
+        else:
+            a, b = rng.integers(amb.size, size=(2, 20000))
+        (x00, x01), (x10, x11) = np.moveaxis(amb.mats[a], (1, 2), (0, 1))
+        (y00, y01), (y10, y11) = np.moveaxis(amb.mats[b], (1, 2), (0, 1))
+        expected = np.stack(
+            [
+                np.stack([(x00 * y00 + x01 * y10) % p, (x00 * y01 + x01 * y11) % p], axis=1),
+                np.stack([(x10 * y00 + x11 * y10) % p, (x10 * y01 + x11 * y11) % p], axis=1),
+            ],
+            axis=1,
+        )
+        assert np.array_equal(amb.mats[amb.mul(a, b)], expected), p
+        # ids broadcast against each other; a pair of ids gives one id
+        grid = amb.mul(a[:7, None], b[:5])
+        assert grid.shape == (7, 5)
+        i, j = int(a[3]), int(b[4])
+        assert int(amb.mul(i, j)) == grid[3, 4] == amb.id_of_mat(_mat_mul(amb.mat_of(i), amb.mat_of(j), p))
+
+
+def test_orders_match_a_walk_of_powers():
+    rng = np.random.default_rng(16)
+    for p in (3, 5, 7, 11, 13):
+        amb = ambient(p)
+        for eid in _sample_ids(amb, rng, 300).tolist():
+            m = amb.mat_of(eid)
+            k, power = 1, m
+            while power != ((1, 0), (0, 1)):
+                power = _mat_mul(power, m, p)
+                k += 1
+            assert amb.orders[eid] == k, (p, eid)
+
+
+def test_lines_match_line_vectors():
+    # line t < p is spanned by (1, t), line p by (0, 1); x maps line l to
+    # the line of x v_l, and fixes l with eigenvalue lam when x v_l = lam v_l
+    rng = np.random.default_rng(17)
+    for p in (3, 5, 7, 11, 13):
+        amb = ambient(p)
+        image, eigenvalue = amb.lines
+        vecs = [(1, t) for t in range(p)] + [(0, 1)]
+        for eid in _sample_ids(amb, rng, 200).tolist():
+            (a, b), (c, d) = amb.mat_of(eid)
+            for l, v in enumerate(vecs):
+                w = ((a * v[0] + b * v[1]) % p, (c * v[0] + d * v[1]) % p)
+                on = [k for k, u in enumerate(vecs) if (w[0] * u[1] - w[1] * u[0]) % p == 0]
+                assert on == [image[eid, l]], (p, eid, l)
+                lam = [x for x in range(1, p) if (x * v[0] % p, x * v[1] % p) == w]
+                assert eigenvalue[eid, l] == (lam[0] if lam else 0), (p, eid, l)
+
+
+# ---------------------------------------------------------------------------
+# the subgroup helpers, pinned
+
+
+def _helper_outputs(s):
+    syl = p_sylow(s)
+    datum = borel_datum(s)
+    chars = None if datum is None else (sorted(datum[2].items()), sorted(datum[3].items()))
+    return (
+        syl.generator_ids,
+        syl.element_ids,
+        normalizer_in(s, syl).element_ids,
+        embeds_in_s3(s),
+        invariant_line(s),
+        reducible_characters(s),
+        classify(s).value,
+        _in_split_torus_normalizer(s),
+        sylow_hom_bound(s),
+        chars,
+    )
+
+
+def test_subgroup_helpers_are_pinned(subgroups_p3, subgroups_p5):
+    # sha256 over the outputs above on every subgroup of GL2(F_3) and
+    # GL2(F_5) and on seeded samples at p = 7, 11, 13 (the last two without
+    # a multiplication table), 881 subgroups; computed with the
+    # per-element loops these helpers had before the ambient arrays
+    samples = [tuple(enumerate_subgroups(p, Sampled(120, p))) for p in (7, 11, 13)]
+    digest = hashlib.sha256()
+    count = 0
+    for stream in [subgroups_p3, subgroups_p5] + samples:
+        for s in stream:
+            digest.update(repr(_helper_outputs(s)).encode())
+            count += 1
+    assert count == 881
+    assert digest.hexdigest() == "abe1c1138112629d7b7208e8a69c334a59eef858d1f6eeb8895361df3d25354d"
+
+
+# ---------------------------------------------------------------------------
+# GL2Ambient.mul is the one place that chooses between table and arithmetic
+
+_TABLE_READERS = {"GL2Ambient.mul", "GL2Ambient._build_mul_table", "_close"}
+
+
+def _table_reads(tree):
+    """(enclosing function's qualified name, line) of each read of an attribute `table`."""
+    reads = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute) and node.attr == "table" and isinstance(node.ctx, ast.Load):
+            reads.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return reads
+
+
+def test_only_the_product_reads_the_table():
+    offences = []
+    readers = set()
+    for path in sorted(Path(shadiv.__file__).parent.glob("*.py")):
+        for scope, line in _table_reads(ast.parse(path.read_text())):
+            readers.add(scope)
+            if scope not in _TABLE_READERS:
+                offences.append(f"{path.name}:{line} reads .table in {scope or 'module scope'}")
+    assert not offences, "\n".join(offences)
+    assert "GL2Ambient.mul" in readers
