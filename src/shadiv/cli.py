@@ -351,7 +351,7 @@ def twist_scan_cmd(curve_spec, embedded, prime, dmax, trace_bound, fmt):
         _dump_json(report.to_json_dict())
         return
     click.echo(f"{report.curve.label or report.curve.ainvs} at p={prime}, |d| <= {dmax}")
-    click.echo(f"fundamental discriminants scanned: {len(report.rows)}")
+    click.echo(f"fundamental discriminants scanned: {len(report.ds)}")
     click.echo(f"criterion failures: {report.failure_count} at d in {[d for d, _ in report.failures]}")
     click.echo(f"cap from the twist corollary: {report.cap}")
     click.echo("WITHIN CAP" if report.failure_count <= report.cap else "CAP EXCEEDED")

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -163,7 +163,7 @@ def verdict_over_Q(e: EllipticCurveQ, p: int, cfg: RunConfig = DEFAULT_CONFIG) -
                 )
             )
         return DivisibilityVerdict(e, p, Outcome.GUARANTEED, tuple(chain))
-    return _twist_verdicts(e, p, cfg, [1], [e])[0]
+    return TwistScanReport(e, p, 1, (1,), *_twist_columns(e, p, cfg, (1,)), TWIST_FAILURE_CAPS[p]).rows[0][1]
 
 
 def _early_chain(e, p, supersingular, full_2torsion):
@@ -418,23 +418,37 @@ def verdict_number_field(degree, p, good_place_norms=(), cfg=DEFAULT_CONFIG,
 
 @dataclass(frozen=True)
 class TwistScanReport:
+    """A scan as columns: ds, each Guaranteed row's chain (None if open), open rows' verdicts by d,
+    the E^d built for early chains; rows, the (d, verdict) pairs with every E^d, built when read."""
+
     curve: EllipticCurveQ
     p: int
     dmax: int
-    rows: tuple  # (fundamental discriminant, DivisibilityVerdict)
+    ds: tuple
+    chains: tuple
+    open: dict
+    twists: dict
     cap: int
+
+    @cached_property
+    def rows(self):
+        e, p, twists, guaranteed = self.curve, self.p, self.twists, Outcome.GUARANTEED  # bound once: a hot loop
+        return tuple([
+            (d, self.open[d] if chain is None else
+             DivisibilityVerdict(twists.get(d) or _twist_row(e, d), p, guaranteed, chain))
+            for d, chain in zip(self.ds, self.chains)
+        ])
 
     @property
     def failures(self):
-        return tuple(
-            (d, v) for d, v in self.rows if v.outcome == Outcome.CRITERION_FAILS
-        )
+        return tuple((d, v) for d, v in self.open.items() if v.outcome == Outcome.CRITERION_FAILS)
 
     @property
     def failure_count(self):
         return len(self.failures)
 
     def to_json_dict(self):
+        outcome = {d: v.outcome.value for d, v in self.open.items()}
         return {
             "curve": self.curve.label or ",".join(map(str, self.curve.ainvs)),
             "p": self.p,
@@ -442,9 +456,7 @@ class TwistScanReport:
             "cap": self.cap,
             "failure_count": self.failure_count,
             "failures": [d for d, _ in self.failures],
-            "rows": [
-                {"d": d, "outcome": v.outcome.value} for d, v in self.rows
-            ],
+            "rows": [{"d": d, "outcome": outcome.get(d, Outcome.GUARANTEED.value)} for d in self.ds],
         }
 
 
@@ -472,30 +484,31 @@ def fundamental_discriminants(dmax):
 def twist_scan(e: EllipticCurveQ, p: int, dmax: int, cfg: RunConfig = DEFAULT_CONFIG) -> TwistScanReport:
     """verdict_over_Q across all twists by fundamental discriminants |d| <= dmax.
 
-    Each row holds E^d, its invariants scaled from E's (_twist_model), and
-    its verdict, that of verdict_over_Q, decided from E by _twist_verdicts.
+    Only the open rows' verdicts are built here, so an error in one is raised here.
     """
     if p not in TWIST_FAILURE_CAPS:
         raise ValueError("twist caps are stated for p in {3, 5, 7}")
     if dmax > 10 ** 4:
         raise ValueError("dmax capped at 10^4")
-    ds = fundamental_discriminants(dmax)
-    twists = [
-        e if d == 1 else _twist_model(e, d if d % 4 == 1 else d // 4, f"{e.label}^({d})" if e.label else None)
-        for d in ds
-    ]
-    return TwistScanReport(e, p, dmax, tuple(zip(ds, _twist_verdicts(e, p, cfg, ds, twists))), TWIST_FAILURE_CAPS[p])
+    ds = tuple(fundamental_discriminants(dmax))
+    return TwistScanReport(e, p, dmax, ds, *_twist_columns(e, p, cfg, ds), TWIST_FAILURE_CAPS[p])
 
 
-def _twist_verdicts(e, p, cfg, ds, twists):
+def _twist_row(e, d):
+    """E^d, labelled E^(d), for a fundamental discriminant d; E itself for d = 1."""
+    return e if d == 1 else _twist_model(e, d if d % 4 == 1 else d // 4, f"{e.label}^({d})" if e.label else None)
+
+
+def _twist_columns(e, p, cfg, ds):
     """The verdicts at p in {3, 5, 7} of the twists E^d (d in ds, E^1 = E), decided from E alone.
 
-    E^d's 2-division cubic is E's rescaled by 4d, and where p does not
-    divide d, E^d has E's reduction type at p (c4' = 16d^2 c4, disc' =
-    4096d^6 disc), except that split and nonsplit multiplicative swap with
-    (d/p); where E is good, a_p(E^d) = +-a_p(E).  So E's early chain
-    (supersingular, full 2-torsion or None) is E^d's unless p | d or E is
-    multiplicative at p; only those twists run _early_chain themselves.
+    Returns the report's columns chains, open and twists.  E^d's 2-division
+    cubic is E's rescaled by 4d, and where p does not divide d, E^d has E's
+    reduction type at p (c4' = 16d^2 c4, disc' = 4096d^6 disc), except that
+    split and nonsplit multiplicative swap with (d/p); where E is good,
+    a_p(E^d) = +-a_p(E).  So E's early chain (supersingular, full 2-torsion
+    or None) is E^d's unless p | d or E is multiplicative at p; only those
+    twists run _early_chain, and only they and the open rows are built.
     One call of _shape_tests decides the bad shapes of every twist left
     open, from E's traces and a_ell(E^d) = (d/ell) a_ell(E).  Twists whose
     shapes are all refuted alike share one result there, and here one
@@ -505,19 +518,16 @@ def _twist_verdicts(e, p, cfg, ds, twists):
     full_2torsion = cache(lambda: has_full_rational_2torsion(e))
     base = _early_chain(e, p, supersingular, full_2torsion)
     multiplicative = e.discriminant % p == 0 and e.c4 % p != 0
-    early = [
-        base if d == 1 or d % p and not multiplicative else _early_chain(t, p, supersingular, full_2torsion)
-        for d, t in zip(ds, twists)
-    ]
+    twists = {d: _twist_row(e, d) for d in ds if d != 1 and (d % p == 0 or multiplicative)}
+    early = [_early_chain(twists[d], p, supersingular, full_2torsion) if d in twists else base for d in ds]
     open_ds = [d for d, chain in zip(ds, early) if chain is None]
     tests = _shape_tests(lambda bound: frobenius_traces(e, bound), p, open_ds, cfg.trace_bound)
     refuted = {id(r): r[0] for r in tests.values() if r[1] is None}  # one per distinct refutation key
     exclusions = {key: _exclusion_chain(p, refutations) for key, refutations in refuted.items()}
-    chains = [exclusions.get(id(tests[d])) if chain is None else chain for d, chain in zip(ds, early)]
-    return [
-        _scan_bad_shapes(t, p, cfg, *tests[d]) if chain is None else DivisibilityVerdict(t, p, Outcome.GUARANTEED, chain)
-        for d, t, chain in zip(ds, twists, chains)
-    ]
+    chains = tuple([exclusions.get(id(tests[d])) if chain is None else chain for d, chain in zip(ds, early)])
+    open_rows = {d: _scan_bad_shapes(twists.get(d) or _twist_row(e, d), p, cfg, *tests[d])
+                 for d, chain in zip(ds, chains) if chain is None}
+    return chains, open_rows, twists
 
 
 def _shape_tests(traces, p, ds, trace_bound):

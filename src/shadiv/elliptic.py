@@ -5,7 +5,7 @@ decided by p not dividing the discriminant of the given model.  All
 arithmetic is exact (python integers, numpy int64 for counting sweeps).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +31,7 @@ class EllipticCurveQ:
     c4: int
     c6: int
     discriminant: int
-    label: str = None
+    label: str = field(default=None, compare=False)  # a name, not part of the curve's identity
 
     @property
     def j(self):

@@ -257,7 +257,7 @@ class Subgroup:
         return frozenset(self.element_ids)
 
     def is_subset_of(self, other):
-        return self.p == other.p and self.id_set <= other.id_set
+        return self.p == other.p and other.order % self.order == 0 and other.id_set.issuperset(self.element_ids)
 
 
 def _normalize_generator(gen):

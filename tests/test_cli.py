@@ -213,6 +213,31 @@ def test_json_output_pinned(runner, command):
     assert hashlib.sha256(result.output.encode()).hexdigest() == JSON_DIGESTS[command]
 
 
+# sha256 of the text output of twist-scan, computed while the scan still
+# built every row's curve and verdict; the text mode reads only the
+# discriminants and the open rows
+TWIST_SCAN_TEXT_DIGESTS = {
+    "twist-scan --embedded 121-B1 --p 3 --dmax 10000":
+        "b646648df163a6bfa42d65bb74af2a25f89d3a48b7f61bec6fbdf8847a4ef886",
+    "twist-scan --embedded 121-B1 --p 5 --dmax 10000":
+        "544a76bf3936a945a412e539c29473793edbf3a7de9445f4769568c1ce8bdd4f",
+    "twist-scan --embedded 121-B1 --p 7 --dmax 10000":
+        "0534f59fa385216e85ca5bd45985aa79d4ae906e32e5f874f77d86119850dd1e",
+    # two failures each: d = 1, -3 and d = 1, 5
+    "twist-scan --embedded selmer-jacobian --p 3 --dmax 10000":
+        "b665c7ef1043346ece6f743bad038affa8f44a2414568189df8e837ac329232d",
+    "twist-scan --curve -2,-3,-3,0,0 --p 5 --dmax 2000":
+        "439980bbfe4598a4cf7b42890940cb93c68b502b2297c02e1edd524e5ad09502",
+}
+
+
+@pytest.mark.parametrize("command", TWIST_SCAN_TEXT_DIGESTS)
+def test_twist_scan_text_output_pinned(runner, command):
+    result = runner.invoke(main, command.split())
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == TWIST_SCAN_TEXT_DIGESTS[command]
+
+
 def test_twist_scan_command(runner):
     result = runner.invoke(
         main,

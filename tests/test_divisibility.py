@@ -32,7 +32,7 @@ from shadiv.elliptic import (
     reduction_type,
     trace_at,
 )
-from shadiv.errors import UnsupportedPrime
+from shadiv.errors import BudgetExceeded, UnsupportedPrime
 from shadiv.galois_image import RefutedAt, test_cyclotomic_pair
 
 
@@ -338,6 +338,7 @@ def test_twist_scan_rows_equal_direct_verdicts(e, p):
     for d, v in report.rows:
         direct = e if d == 1 else replace(quadratic_twist(e, _core(d)), label=f"{label}^({d})")
         assert v.curve == direct
+        assert v.curve.label == direct.label
         assert v.to_json() == verdict_over_Q(direct, p).to_json(), d
 
 
@@ -401,6 +402,7 @@ def test_twist_scan_rows_equal_direct_verdicts_at_escalation_edges(cfg, monkeypa
             for d, v in report.rows:
                 direct = e if d == 1 else replace(quadratic_twist(e, _core(d)), label=f"{label}^({d})")
                 assert v.curve == direct
+                assert v.curve.label == direct.label
                 assert v.to_json() == verdict_over_Q(direct, p, cfg).to_json(), (label, p, d)
     for label, ainvs, p, d in _LATE_ROWS:
         e = curve(ainvs, label=label)
@@ -489,7 +491,9 @@ def test_twist_scan_work_does_not_grow_with_dmax(monkeypatch):
     # exclusion chain per distinct refutation key, shared by its rows, and
     # runs _early_chain beyond the base curve only on twists whose
     # reduction type at p can differ from the base's: p | d, or all d != 1
-    # when the base is multiplicative at p
+    # when the base is multiplicative at p.  The scan builds E^d only for
+    # those twists and the open rows; the JSON builds none, and the rows,
+    # built on first read, build each other twist once
     import shadiv.arith as arith
     import shadiv.elliptic as ell
 
@@ -509,6 +513,7 @@ def test_twist_scan_work_does_not_grow_with_dmax(monkeypatch):
         count(module, "is_prime")
     count(ell, "derive_invariants")
     count(divisibility, "_early_chain")
+    count(divisibility, "_twist_model")
     for e in curves:
         for p in (3, 5, 7):
             primality = []
@@ -526,10 +531,35 @@ def test_twist_scan_work_does_not_grow_with_dmax(monkeypatch):
             calls.clear()
             report = twist_scan(e, p, 10 ** 4)
             if reduction_type(e, p) in multiplicative:
-                rerun = sum(d != 1 for d, _ in report.rows)
+                rerun = {d for d in report.ds if d != 1}
             else:
-                rerun = sum(d % p == 0 for d, _ in report.rows)
-            assert calls["_early_chain"] == 1 + rerun, (e.label, p)
+                rerun = {d for d in report.ds if d % p == 0}
+            assert calls["_early_chain"] == 1 + len(rerun), (e.label, p)
+            built = rerun | set(report.open) - {1}  # E^1 is E
+            assert calls["_twist_model"] == len(built), (e.label, p)
+            assert set(report.twists) == rerun
+            calls.clear()
+            report.to_json_dict()
+            assert calls["_twist_model"] == 0, (e.label, p)
+            rows = report.rows
+            assert calls["_twist_model"] == len(report.ds) - 1 - len(built), (e.label, p)
+            assert report.rows is rows
+            assert {d: v for d, v in rows if v.outcome != Outcome.GUARANTEED} == report.open, (e.label, p)
+
+
+def test_twist_scan_raises_from_its_open_rows(monkeypatch):
+    # the open rows' verdicts are built by the scan itself, so an error in
+    # one surfaces at the call, not at a later read of the rows
+    e = curve((-2, -3, -3, 0, 0), label="tate-5")
+    cfg = RunConfig(character_mode="dirichlet")
+    assert twist_scan(e, 5, 300, cfg).failure_count == 2
+
+    def over_budget(*args):
+        raise BudgetExceeded("character modulus")
+
+    monkeypatch.setattr(divisibility, "default_character_modulus", over_budget)
+    with pytest.raises(BudgetExceeded, match="character modulus"):
+        twist_scan(e, 5, 300, cfg)
 
 
 def test_fundamental_discriminants_match_definition():

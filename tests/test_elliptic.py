@@ -63,6 +63,17 @@ def test_count_points_at_2_matches_table():
     assert trace_at(curve((1, 1, 0, -3632, 82757)), 2) == 1  # 121-C2
 
 
+def test_trace_cache_ignores_the_label():
+    # the label names a curve but is not part of its identity: one curve
+    # under two labels is one trace_at cache entry
+    a, b = curve((0, -1, 1, -7, 10), label="121-B1"), curve((0, -1, 1, -7, 10), label="other")
+    assert a == b and hash(a) == hash(b) and a.label != b.label
+    trace_at.cache_clear()
+    assert trace_at(a, 101) == trace_at(b, 101)
+    info = trace_at.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_count_points_example_f5():
     e = curve((0, 0, 0, 1, 0))
     assert count_points(e, 5) == 4
@@ -318,8 +329,9 @@ def test_scaled_twist_models_equal_derive_invariants():
     # nine benchmark scans to |d| = 10^4 and on quadratic_twist
     for label in ("121-B1", "121-C1", "selmer-jacobian"):
         for p in (3, 5, 7):
-            for _, v in twist_scan(embedded_curve(label), p, 10 ** 4).rows:
-                assert v.curve == derive_invariants(*v.curve.ainvs, label=v.curve.label)
+            for d, v in twist_scan(embedded_curve(label), p, 10 ** 4).rows:
+                assert v.curve == derive_invariants(*v.curve.ainvs)
+                assert v.curve.label == (label if d == 1 else f"{label}^({d})")
     rng = random.Random(12)
     primes = primes_up_to(300)
     ds = [10 ** 18 + 3] + [rng.choice((-1, 1)) * math.prod(rng.sample(primes, rng.randint(1, 4))) for _ in range(30)]

@@ -159,6 +159,17 @@ def test_normalizer_requires_containment():
         normalizer_in(g, h)
 
 
+def test_is_subset_of_matches_set_inclusion(subgroups_p3):
+    # every ordered pair of the 55 subgroups of GL2(F_3), both orders of
+    # which one divides the other, against inclusion of the element sets
+    pairs = [(h, g) for h in subgroups_p3 for g in subgroups_p3]
+    assert any(g.order % h.order == 0 and not set(h.element_ids) <= set(g.element_ids) for h, g in pairs)
+    for h, g in pairs:
+        assert h.is_subset_of(g) == (set(h.element_ids) <= set(g.element_ids))
+    trivial = subgroups_p3[0]
+    assert trivial.order == 1 and not trivial.is_subset_of(closure(5, [((2, 0), (0, 2))]))
+
+
 def test_s3_copy_all_primes():
     for p in (2, 3, 5, 7, 11, 13):
         group, t_id, c_id = s3_copy(p)
