@@ -6,6 +6,7 @@ edge contributes linear constraints.  This keeps the unknown count at
 dim(M) * #generators independently of |G|.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, SizeExceeded
 from .fp_linalg import det_raw, echelon_bases, kernel_basis, rref
-from .gl2 import Subgroup, ambient, embeds_in_s3, invariant_line, normalizer_in, p_sylow
+from .gl2 import Subgroup, embeds_in_s3, invariant_line, normalizer_in, p_sylow
 
 H1_MAX_ORDER = 10 ** 4
 ISO_SCAN_BUDGET = 10 ** 6
@@ -39,13 +40,8 @@ class GModule:
 
     @cached_property
     def gen_mats(self):
-        pos = _position_index(self.subgroup)
-        return self.mats[[pos[g] for g in self.subgroup.generator_ids]]
-
-
-@lru_cache(maxsize=256)
-def _position_index(subgroup):
-    return {eid: i for i, eid in enumerate(subgroup.element_ids)}
+        ids = self.subgroup.element_ids
+        return self.mats[[bisect_left(ids, g) for g in self.subgroup.generator_ids]]
 
 
 def make_standard_module(g: Subgroup) -> GModule:
@@ -85,8 +81,7 @@ def _validate_hom(mod):
     g = mod.subgroup
     amb = g.ambient
     p = g.p
-    pos = np.zeros(amb.size, dtype=np.intp)
-    pos[list(g.element_ids)] = np.arange(g.order)
+    pos = g.positions
     ident = mod.mats[pos[amb.identity_id]]
     if not np.array_equal(ident % p, np.eye(mod.dim, dtype=np.int64)):
         raise ValueError("action(identity) != identity matrix")
@@ -257,22 +252,19 @@ def _cayley_schedule(subgroup):
     is x's parent in the tree, the identity its own; 2^steps is at least
     the tree's depth; tree and extra are the (src, gen, dst) triples of the
     tree edges and of every other edge x -> x*s, s the gen-th generator.
-    Cached by (p, elements, generators): Subgroup equality ignores the
+    Cached by (subgroup, generators): Subgroup equality ignores the
     generator set, which the schedule depends on.
     """
-    return _cayley_schedule_cached(
-        subgroup.p, subgroup.element_ids, subgroup.generator_ids
-    )
+    return _cayley_schedule_cached(subgroup, subgroup.generator_ids)
 
 
 @lru_cache(maxsize=64)
-def _cayley_schedule_cached(p, element_ids, generator_ids):
-    amb = ambient(p)
-    order = len(element_ids)
+def _cayley_schedule_cached(g, generator_ids):
+    amb = g.ambient
+    order = g.order
     k = len(generator_ids)
-    pos = np.zeros(amb.size, dtype=np.intp)
-    pos[list(element_ids)] = np.arange(order)
-    targets = pos[amb.mul(np.asarray(element_ids)[:, None], generator_ids)]
+    pos = g.positions
+    targets = pos[amb.mul(np.asarray(g.element_ids)[:, None], generator_ids)]
     rows = targets.tolist()
     root = int(pos[amb.identity_id])
     parent = np.full(order, root)

@@ -10,9 +10,12 @@ F_p^2 are arrays over all elements, computed once per prime.  Since p
 divides |GL2(F_p)| exactly once, a Sylow p-subgroup is trivial or cyclic
 of order p.
 
-Every closure goes through one kernel, `_close`, which grows a boolean
-membership mask from a known subgroup.  Every subgroup enumeration goes
-through one join memo, `_Joins`: the seeded stream and the exhaustive
+A subgroup is one frozen value, `Subgroup`: its generators and its
+membership mask over the ambient's ids, packed into bytes.  Equality, hash,
+membership, containment, element ids and element positions all come from
+that mask.  Every closure goes through one kernel, `_close`, which grows a
+boolean membership mask from a known subgroup.  Every subgroup enumeration
+goes through one join memo, `_Joins`: the seeded stream and the exhaustive
 enumeration each intern the subgroups they meet and memoize their joins,
 within one stream or one enumeration only; the seeded stream stays a pure
 function of (p, count, seed).
@@ -20,8 +23,9 @@ function of (p, count, seed).
 
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -212,27 +216,41 @@ class ClassificationTag(Enum):
     EXCEPTIONAL_A5 = "Exceptional(A5)"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Subgroup:
-    """Subgroup of GL2(F_p) with its full element set.
+    """Subgroup of GL2(F_p), as one value: its packed membership mask and generators.
 
-    element_ids are sorted ascending, which is lexicographic order on the
-    entry 4-tuples; all downstream output is deterministic because of this.
+    bits is the membership mask over the ambient's ids, packed eight to a
+    byte.  Equality and hash come from (p, bits) alone; the generators take
+    no part.  element_ids are the member ids sorted ascending, which is
+    lexicographic order on the entry 4-tuples; all downstream output is
+    deterministic because of this.  Only element_ids is cached: the mask
+    and the positions are recomputed on each read, because keeping them on
+    every subgroup a stream yields costs more memory than they save time.
     """
 
     p: int
-    generator_ids: tuple
-    element_ids: tuple
+    generator_ids: tuple = field(compare=False)
+    bits: bytes
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.p == other.p
-            and self.element_ids == other.element_ids
-        )
+    def __contains__(self, eid):
+        return 0 <= eid < 8 * len(self.bits) and self.bits[eid >> 3] & (128 >> (eid & 7)) != 0
 
-    def __hash__(self):
-        return hash((self.p, self.element_ids))
+    @property
+    def mask(self):
+        """Boolean membership mask over the ambient's ids, unpacked on each read."""
+        return np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8), count=gl2_order(self.p)).view(bool)
+
+    @property
+    def positions(self):
+        """Index into element_ids of each member id, as an array over the ambient's ids (0 elsewhere)."""
+        pos = np.zeros(gl2_order(self.p), dtype=np.intp)
+        pos[self.mask] = np.arange(self.order)
+        return pos
+
+    @cached_property
+    def element_ids(self):
+        return tuple(np.flatnonzero(self.mask).tolist())
 
     @property
     def order(self):
@@ -252,12 +270,13 @@ class Subgroup:
         amb = self.ambient
         return tuple(amb.mat_of(i) for i in self.element_ids)
 
-    @property
-    def id_set(self):
-        return frozenset(self.element_ids)
-
     def is_subset_of(self, other):
-        return self.p == other.p and other.order % self.order == 0 and other.id_set.issuperset(self.element_ids)
+        return self.p == other.p and bool((self.mask <= other.mask).all())
+
+
+def _pack(mask):
+    """The bits of a Subgroup from its boolean membership mask."""
+    return np.packbits(mask).tobytes()
 
 
 def _normalize_generator(gen):
@@ -305,32 +324,17 @@ def _close(amb, gen_ids, start=None):
     return seen
 
 
-def _ids(mask):
-    """Sorted element ids of a membership mask, as Python ints."""
-    return tuple(np.flatnonzero(mask).tolist())
-
-
-def _closure_ids(amb, gen_ids):
-    return _ids(_close(amb, gen_ids))
-
-
 def closure(p, generators):
     """Smallest subgroup of GL2(F_p) containing the given matrices."""
     amb = ambient(p)
     gen_ids = tuple(amb.id_of_mat(_normalize_generator(g)) for g in generators)
-    return Subgroup(p, gen_ids, _closure_ids(amb, gen_ids))
+    return Subgroup(p, gen_ids, _pack(_close(amb, gen_ids)))
 
 
-def subgroup_from_ids(p, element_ids, generator_ids=None):
-    """Wrap a known-closed id set as a Subgroup, reducing generators greedily."""
+def subgroup_from_ids(p, element_ids):
+    """Wrap a known-closed id set as a Subgroup, choosing generators greedily in id order."""
     amb = ambient(p)
-    ids = tuple(sorted(int(i) for i in element_ids))
-    if generator_ids is None:
-        generator_ids = _greedy_generators(amb, ids)
-    return Subgroup(p, tuple(generator_ids), ids)
-
-
-def _greedy_generators(amb, ids):
+    ids = sorted(int(i) for i in element_ids)
     gens = []
     have = _close(amb, ())
     for eid in ids:
@@ -339,19 +343,17 @@ def _greedy_generators(amb, ids):
             have = _close(amb, gens, start=have)
             if np.count_nonzero(have) == len(ids):
                 break
-    return tuple(gens)
+    return Subgroup(p, tuple(gens), _pack(have))
 
 
 def meets_center(g: Subgroup) -> bool:
     """True iff the subgroup contains a nontrivial scalar matrix."""
-    amb = g.ambient
-    ids = g.id_set
-    return any(int(s) in ids for s in amb.scalar_ids if int(s) != amb.identity_id)
+    # scalar_ids[0] is the identity
+    return bool(g.mask[g.ambient.scalar_ids[1:]].any())
 
 
 def det_image_order(g: Subgroup) -> int:
-    amb = g.ambient
-    return len({int(amb.dets[i]) for i in g.element_ids})
+    return len(np.unique(g.ambient.dets[g.mask]))
 
 
 def p_sylow(g: Subgroup) -> Subgroup:
@@ -363,11 +365,8 @@ def p_sylow(g: Subgroup) -> Subgroup:
     """
     p = g.p
     amb = g.ambient
-    if g.order % p:
-        return Subgroup(p, (), (amb.identity_id,))
-    ids = np.asarray(g.element_ids)
-    u = int(ids[np.argmax(amb.orders[ids] == p)])
-    return Subgroup(p, (u,), _closure_ids(amb, (u,)))
+    gens = () if g.order % p else (int(np.argmax(g.mask & (amb.orders == p))),)
+    return Subgroup(p, gens, _pack(_close(amb, gens)))
 
 
 def normalizer_in(g: Subgroup, h: Subgroup) -> Subgroup:
@@ -377,9 +376,7 @@ def normalizer_in(g: Subgroup, h: Subgroup) -> Subgroup:
     amb = g.ambient
     x = np.asarray(g.element_ids, dtype=np.intp)[:, None]
     conj = amb.mul(amb.mul(x, h.generator_ids), amb.inv[x])
-    in_h = np.zeros(amb.size, dtype=bool)
-    in_h[list(h.element_ids)] = True
-    return subgroup_from_ids(g.p, x[in_h[conj].all(axis=1), 0])
+    return subgroup_from_ids(g.p, x[h.mask[conj].all(axis=1), 0])
 
 
 def s3_copy(p):
@@ -390,15 +387,12 @@ def s3_copy(p):
     every prime p and its determinant is the sign of the permutation.
     Returns (subgroup, transposition_id, three_cycle_id).
     """
-    amb = ambient(p)
     transposition = ((-1, 1), (0, 1))
     three_cycle = ((0, -1), (1, -1))
-    t_id = amb.id_of_mat(tuple(tuple(x % p for x in row) for row in transposition))
-    c_id = amb.id_of_mat(tuple(tuple(x % p for x in row) for row in three_cycle))
-    group = Subgroup(p, (t_id, c_id), _closure_ids(amb, (t_id, c_id)))
+    group = closure(p, (transposition, three_cycle))
     if group.order != 6:
         raise InternalInconsistency(f"S3 model degenerated at p={p}")
-    return group, t_id, c_id
+    return (group, *group.generator_ids)
 
 
 def embeds_in_s3(g: Subgroup) -> bool:
@@ -499,7 +493,7 @@ def classify(g: Subgroup) -> ClassificationTag:
             return ClassificationTag.BOREL_CONTAINED
         t1 = amb.id_of_mat(((1, 1), (0, 1)))
         t2 = amb.id_of_mat(((1, 0), (1, 1)))
-        if t1 in g.id_set and t2 in g.id_set:
+        if t1 in g and t2 in g:
             return ClassificationTag.CONTAINS_SL2
         raise InternalInconsistency(
             "subgroup with p | order is neither Borel-contained nor contains SL2"
@@ -578,41 +572,25 @@ def _enumerate_all(p):
     """
     amb = ambient(p)
     joins = _Joins(amb)
-    cyclic = {}  # distinct cyclic subgroup -> its first generator in id order
+    found = {}  # bits -> subgroup
+    firsts = []  # the first generator in id order of each distinct cyclic subgroup
     for g in range(amb.size):
-        cyclic.setdefault(joins._cyclic(g), g)
-    firsts = tuple(cyclic.values())
-    found = set(cyclic)
-    frontier = list(cyclic)
+        cyc = joins._cyclic(g)
+        if cyc.bits not in found:
+            found[cyc.bits] = cyc
+            firsts.append(g)
+    frontier = list(found.values())
     while frontier:
         new = []
         for known in frontier:
             for g in firsts:
                 if g not in known:
-                    joined = joins.generated(known.gens + (g,))
-                    if joined not in found:
-                        found.add(joined)
+                    joined = joins.generated(known.generator_ids + (g,))
+                    if joined.bits not in found:
+                        found[joined.bits] = joined
                         new.append(joined)
         frontier = new
-    subgroups = [(_ids(known.mask(amb.size)), known.gens) for known in found]
-    for ids, gens in sorted(subgroups, key=lambda s: (len(s[0]), s[0])):
-        yield Subgroup(p, gens, ids)
-
-
-class _Known:
-    """A subgroup met by one stream: its membership mask packed into bytes, and generators."""
-
-    __slots__ = ("bits", "gens")
-
-    def __init__(self, bits, gens):
-        self.bits = bits
-        self.gens = gens
-
-    def __contains__(self, eid):
-        return self.bits[eid >> 3] & (128 >> (eid & 7))
-
-    def mask(self, size):
-        return np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8), count=size).view(bool)
+    yield from sorted(found.values(), key=lambda s: (s.order, s.element_ids))
 
 
 class _Joins:
@@ -624,20 +602,24 @@ class _Joins:
     unordered pair {current subgroup, cyclic subgroup of the generator}
     (a join is symmetric), and computed by `_close` from the current
     subgroup only when that pair is new.  Subgroups are interned by their
-    packed membership mask, so each is kept once, in size/8 bytes, with
-    the generators it was first met by.  The memo lives for one stream or
-    one enumeration.
+    bits, so each is kept once, with the generators it was first met by.
+    The memos are keyed by bits, not by Subgroup: bytes cache their hash,
+    and a Subgroup is built only for a mask not met before.  The memo
+    lives for one stream or one enumeration.
     """
 
     def __init__(self, amb):
         self.amb = amb
-        self.interned = {}  # packed mask -> _Known
-        self.cyclic = {}  # element id -> _Known of the cyclic subgroup it generates
-        self.joins = {}  # {_Known, _Known of a cyclic subgroup} -> _Known
+        self.interned = {}  # bits -> Subgroup
+        self.cyclic = {}  # element id -> the cyclic Subgroup it generates
+        self.joins = {}  # {bits, bits of a cyclic subgroup} -> Subgroup
 
     def _intern(self, mask, gens):
-        bits = np.packbits(mask).tobytes()
-        return self.interned.setdefault(bits, _Known(bits, gens))
+        bits = _pack(mask)
+        known = self.interned.get(bits)
+        if known is None:
+            known = self.interned[bits] = Subgroup(self.amb.p, gens, bits)
+        return known
 
     def _cyclic(self, g):
         known = self.cyclic.get(g)
@@ -650,12 +632,11 @@ class _Joins:
         for g in gen_ids[1:]:
             if g in cur:
                 continue
-            key = frozenset((cur, self._cyclic(g)))
+            key = frozenset((cur.bits, self._cyclic(g).bits))
             joined = self.joins.get(key)
             if joined is None:
-                gens = cur.gens + (g,)
-                mask = _close(self.amb, gens, start=cur.mask(self.amb.size))
-                joined = self.joins[key] = self._intern(mask, gens)
+                gens = cur.generator_ids + (g,)
+                joined = self.joins[key] = self._intern(_close(self.amb, gens, start=cur.mask), gens)
             cur = joined
         return cur
 
@@ -684,11 +665,11 @@ def _sample(p, count, seed):
         attempts += 1
         k = rng.randint(1, 3)
         gen_ids = tuple(rng.randrange(amb.size) for _ in range(k))
-        known = joins.generated(gen_ids)
-        if known in yielded:
+        bits = joins.generated(gen_ids).bits
+        if bits in yielded:
             stall += 1
             continue
         stall = 0
-        yielded.add(known)
+        yielded.add(bits)
         produced += 1
-        yield Subgroup(p, gen_ids, _ids(known.mask(amb.size)))
+        yield Subgroup(p, gen_ids, bits)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from itertools import product
 
@@ -22,7 +23,7 @@ from shadiv.cohomology import (
     reducible_characters,
     sylow_hom_bound,
 )
-from shadiv.gl2 import Subgroup, closure, s3_copy
+from shadiv.gl2 import closure, s3_copy
 
 
 def h1_dims_bruteforce(g, mod):
@@ -167,7 +168,7 @@ def test_h1_star_basics(subgroups_p3):
         full = h1(s, std).h1
         assert 0 <= star <= full
         # cyclic groups restrict to themselves
-        if len({tuple(s.element_ids)}) and _is_cyclic(s):
+        if _is_cyclic(s):
             assert star == 0
 
 
@@ -374,7 +375,7 @@ def test_common_factor_trivial_group():
 
 def test_jordan_holder_invariance_under_generator_permutation():
     g = closure(5, [((2, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 0), (0, 3))])
-    reordered = Subgroup(5, tuple(reversed(g.generator_ids)), g.element_ids)
+    reordered = dataclasses.replace(g, generator_ids=tuple(reversed(g.generator_ids)))
     for make in (make_standard_module, make_adjoint_module):
         f1 = composition_factors(make(g))
         f2 = composition_factors(make(reordered))

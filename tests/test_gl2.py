@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import random
 from itertools import combinations
@@ -14,7 +15,6 @@ from shadiv.gl2 import (
     ClassificationTag,
     Exhaustive,
     Sampled,
-    Subgroup,
     _close,
     _in_split_torus_normalizer,
     ambient,
@@ -85,7 +85,7 @@ def test_closure_empty_is_trivial():
 def test_closure_borel_s3_at_3():
     g = closure(3, [((1, 1), (0, 1)), ((2, 0), (0, 1))])
     assert g.order == 6
-    assert g.id_set == brute_closure(3, [((1, 1), (0, 1)), ((2, 0), (0, 1))])
+    assert frozenset(g.element_ids) == brute_closure(3, [((1, 1), (0, 1)), ((2, 0), (0, 1))])
     # nonabelian of order 6
     amb = g.ambient
     assert any(
@@ -99,7 +99,7 @@ def test_closure_transvections_generate_sl2():
     for p in (3, 5, 7):
         g = closure(p, [((1, 1), (0, 1)), ((1, 0), (1, 1))])
         assert g.order == p * (p * p - 1)
-        assert g.id_set == brute_closure(p, [((1, 1), (0, 1)), ((1, 0), (1, 1))])
+        assert frozenset(g.element_ids) == brute_closure(p, [((1, 1), (0, 1)), ((1, 0), (1, 1))])
 
 
 def test_closure_rejects_singular_generator():
@@ -117,11 +117,10 @@ def test_subgroup_lagrange_and_closure_invariant(sampled_p5):
     for s in rng.sample(list(sampled_p5), 60):
         assert gl2_order(5) % s.order == 0
         amb = s.ambient
-        members = s.id_set
         for _ in range(10):
             a, b = rng.choice(s.element_ids), rng.choice(s.element_ids)
-            assert amb.mul(a, b) in members
-            assert int(amb.inv[a]) in members
+            assert amb.mul(a, b) in s
+            assert int(amb.inv[a]) in s
 
 
 def test_meets_center():
@@ -147,7 +146,7 @@ def test_p_sylow_and_normalizer():
     assert syl.order == 3
     norm = normalizer_in(gl2, syl)
     assert norm.order == 3 * (3 - 1) ** 2  # standard Borel order p(p-1)^2
-    assert normalizer_in(gl2, gl2).id_set == gl2.id_set
+    assert normalizer_in(gl2, gl2) == gl2
     trivial_sylow = p_sylow(closure(5, [((2, 0), (0, 2))]))
     assert trivial_sylow.order == 1
 
@@ -227,12 +226,14 @@ def test_classify_examples():
     assert classify(gl2f3) == ClassificationTag.CONTAINS_SL2
     borel_s3 = closure(3, [((1, 1), (0, 1)), ((2, 0), (0, 1))])
     assert classify(borel_s3) == ClassificationTag.BOREL_CONTAINED
+    # order 16, inside both torus normalizers: split takes priority
     nonsplit = closure(5, [((0, 2), (1, 0)), ((1, 0), (0, 4))])
-    assert 5 not in (nonsplit.order % 5, 0) or True
-    assert classify(nonsplit) in (
-        ClassificationTag.NONSPLIT_TORUS_NORMALIZER,
-        ClassificationTag.SPLIT_TORUS_NORMALIZER,
-    )
+    assert nonsplit.order % 5 != 0
+    assert classify(nonsplit) == ClassificationTag.SPLIT_TORUS_NORMALIZER
+    # a cyclic nonsplit Cartan subgroup, order 24
+    cartan = closure(5, [((0, 1), (2, 2))])
+    assert cartan.order == 24
+    assert classify(cartan) == ClassificationTag.NONSPLIT_TORUS_NORMALIZER
 
 
 def test_classify_total_and_consistent(subgroups_p3, sampled_p5):
@@ -346,6 +347,18 @@ def test_sampling_saturates_instead_of_looping(sampled_p5):
     subs = list(sampled_p5)
     assert 400 <= len(subs) <= 466
     assert len({s.element_ids for s in subs}) == len(subs)
+
+
+def test_subgroup_value_contract(subgroups_p3, sampled_p7):
+    # membership, element ids and positions read one mask; equality and
+    # hash ignore the generators, which generate the subgroup
+    for s in list(subgroups_p3) + list(sampled_p7[:50]):
+        amb = s.ambient
+        assert [e for e in range(-8, amb.size + 8) if e in s] == list(s.element_ids)
+        assert s.positions[list(s.element_ids)].tolist() == list(range(s.order))
+        other = dataclasses.replace(s, generator_ids=s.element_ids)
+        assert other == s and hash(other) == hash(s)
+        assert closure(s.p, s.generators) == s
 
 
 def test_subgroup_from_ids_greedy_generators():
@@ -466,15 +479,20 @@ def _helper_outputs(s):
     )
 
 
-def test_subgroup_helpers_are_pinned(subgroups_p3, subgroups_p5):
+@pytest.fixture(scope="module")
+def helper_samples():
+    """Seeded samples at p = 7, 11, 13, the last two without a multiplication table."""
+    return [tuple(enumerate_subgroups(p, Sampled(120, p))) for p in (7, 11, 13)]
+
+
+def test_subgroup_helpers_are_pinned(subgroups_p3, subgroups_p5, helper_samples):
     # sha256 over the outputs above on every subgroup of GL2(F_3) and
-    # GL2(F_5) and on seeded samples at p = 7, 11, 13 (the last two without
-    # a multiplication table), 881 subgroups; computed with the
-    # per-element loops these helpers had before the ambient arrays
-    samples = [tuple(enumerate_subgroups(p, Sampled(120, p))) for p in (7, 11, 13)]
+    # GL2(F_5) and on the seeded samples at p = 7, 11, 13, 881 subgroups;
+    # computed with the per-element loops these helpers had before the
+    # ambient arrays
     digest = hashlib.sha256()
     count = 0
-    for stream in [subgroups_p3, subgroups_p5] + samples:
+    for stream in [subgroups_p3, subgroups_p5] + helper_samples:
         for s in stream:
             digest.update(repr(_helper_outputs(s)).encode())
             count += 1
@@ -482,26 +500,51 @@ def test_subgroup_helpers_are_pinned(subgroups_p3, subgroups_p5):
     assert digest.hexdigest() == "abe1c1138112629d7b7208e8a69c334a59eef858d1f6eeb8895361df3d25354d"
 
 
+def test_center_and_det_image_match_sets(subgroups_p3, subgroups_p5, helper_samples):
+    # the two helpers the digest above leaves out, against Python sets of ids
+    for stream in [subgroups_p3, subgroups_p5] + helper_samples:
+        for s in stream:
+            amb = s.ambient
+            ids = set(s.element_ids)
+            center = [int(z) for z in amb.scalar_ids if int(z) != amb.identity_id]
+            assert meets_center(s) == any(z in ids for z in center)
+            assert det_image_order(s) == len({int(amb.dets[e]) for e in ids})
+
+
 # ---------------------------------------------------------------------------
-# GL2Ambient.mul is the one place that chooses between table and arithmetic
+# one product and one subgroup representation, checked on the package's source
 
 _TABLE_READERS = {"GL2Ambient.mul", "GL2Ambient._build_mul_table", "_close"}
+# the ambient's code -> id map and the one position map of a subgroup
+_ARANGE_SCATTERS = {"GL2Ambient.__init__", "Subgroup.positions"}
 
 
-def _table_reads(tree):
-    """(enclosing function's qualified name, line) of each read of an attribute `table`."""
-    reads = []
+def _scoped_nodes(tree):
+    """(enclosing qualified name, node) for every node of the tree."""
+    out = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if isinstance(node, ast.Attribute) and node.attr == "table" and isinstance(node.ctx, ast.Load):
-            reads.append((".".join(scope), node.lineno))
+        out.append((".".join(scope), node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, ())
-    return reads
+    return out
+
+
+def _table_reads(tree):
+    """(enclosing function's qualified name, line) of each read of an attribute `table`."""
+    return [
+        (scope, node.lineno)
+        for scope, node in _scoped_nodes(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "table" and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def _is_arange(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "arange"
 
 
 def test_only_the_product_reads_the_table():
@@ -514,3 +557,22 @@ def test_only_the_product_reads_the_table():
                 offences.append(f"{path.name}:{line} reads .table in {scope or 'module scope'}")
     assert not offences, "\n".join(offences)
     assert "GL2Ambient.mul" in readers
+
+
+def test_one_subgroup_representation():
+    # the packed mask is packed and unpacked only by Subgroup, and no module
+    # builds its own position map of a subgroup's elements
+    offences = []
+    for path in sorted(Path(shadiv.__file__).parent.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')} in {scope or 'module scope'}"
+            if isinstance(node, ast.Attribute) and node.attr in ("packbits", "unpackbits"):
+                if (path.name, scope) not in {("gl2.py", "Subgroup.mask"), ("gl2.py", "_pack")}:
+                    offences.append(f"{where}: np.{node.attr}")
+            if _is_arange(node) and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "order":
+                if (path.name, scope) != ("gl2.py", "Subgroup.positions"):
+                    offences.append(f"{where}: np.arange over a subgroup's order")
+            if isinstance(node, ast.Assign) and _is_arange(node.value):
+                if any(isinstance(t, ast.Subscript) for t in node.targets) and scope not in _ARANGE_SCATTERS:
+                    offences.append(f"{where}: np.arange scattered into an array")
+    assert not offences, "\n".join(offences)
