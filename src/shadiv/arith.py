@@ -97,26 +97,43 @@ def legendre_symbol(a, p):
 _INT64_SQRT = 3037000499
 
 
-def legendre_symbols(a, primes):
-    """int8 array t with t[i, j] = (a[j] / primes[i]), for odd primes below _INT64_SQRT.
+def power_mods(base, exponent, modulus):
+    """base^exponent mod modulus over numpy int64 arrays, row by row.
 
-    Euler's criterion, a^((q - 1)/2) mod q, by square-and-multiply over
-    the whole array: one squaring per exponent bit, and one multiplication
-    on the rows whose exponent has that bit set.  Residues stay below q, so
-    their products stay inside int64.
+    Row i of base (broadcast to one row per entry of the 1-D arrays
+    exponent and modulus) is raised to exponent[i] >= 0 modulo modulus[i].
+    Square-and-multiply: one squaring per exponent bit, and one
+    multiplication on the rows whose exponent has that bit set.  Residues
+    stay below the modulus, so their products stay inside int64 for moduli
+    below _INT64_SQRT; other moduli raise ValueError.
     """
-    q = np.asarray(primes, dtype=np.int64).reshape(-1, 1)
-    if q.size and not (q.min() > 2 and q.max() < _INT64_SQRT):
-        raise ValueError("Euler's criterion runs in int64 for odd primes below 3.04 * 10^9")
-    base = np.asarray(a, dtype=np.int64).reshape(1, -1) % q
-    power = np.ones_like(base)
-    e = (q[:, 0] - 1) // 2
+    q = np.asarray(modulus, dtype=np.int64)
+    base = np.asarray(base, dtype=np.int64)
+    if q.size and not (q.min() > 0 and q.max() < _INT64_SQRT):
+        raise ValueError("modular powers run in int64 for moduli from 1 to 3.04 * 10^9")
+    q = q.reshape((-1,) + (1,) * (base.ndim - 1))
+    base = base % q
+    power = np.ones_like(base) % q
+    e = np.array(exponent, dtype=np.int64)
     while e.any():
         rows = np.flatnonzero(e & 1)
         power[rows] = power[rows] * base[rows] % q[rows]
         e >>= 1
         base *= base
         base %= q
+    return power
+
+
+def legendre_symbols(a, primes):
+    """int8 array t with t[i, j] = (a[j] / primes[i]), for odd primes below _INT64_SQRT.
+
+    Euler's criterion, a^((q - 1)/2) mod q, by power_mods over the whole
+    array.
+    """
+    q = np.asarray(primes, dtype=np.int64)
+    if q.size and q.min() <= 2:
+        raise ValueError("Euler's criterion needs odd primes")
+    power = power_mods(np.asarray(a, dtype=np.int64).reshape(1, -1), (q - 1) // 2, q)
     return (power == 1).astype(np.int8) - (power > 1)
 
 

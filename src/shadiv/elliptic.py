@@ -5,6 +5,7 @@ decided by p not dividing the discriminant of the given model.  All
 arithmetic is exact (python integers, numpy int64 for counting sweeps).
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -13,7 +14,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import is_prime, is_squarefree, legendre_symbol, primes_up_to
+from .arith import is_prime, is_squarefree, legendre_symbol, power_mods, primes_up_to
 from .errors import BadReduction, InternalInconsistency, SingularCurve, UnsupportedPrime
 
 
@@ -68,19 +69,22 @@ def curve(ainvs, label=None):
 
 # Primes at and above this are counted by Shanks-Mestre, below it by the
 # character sum.  Per prime on a 2-CPU machine, character sum against
-# Shanks-Mestre: 49 against 59 us at ell = 10^3, about 70 us each from 1750
-# to 2000, 1.4 against 0.16 ms at 3 * 10^4.
+# one-prime Shanks-Mestre: 49 against 59 us at ell = 10^3, about 70 us each
+# from 1750 to 2000, 1.4 against 0.16 ms at 3 * 10^4.  frobenius_traces
+# counts its primes from here up a column at a time (_shanks_mestre_column).
 BSGS_MIN_ELL = 2000
 
 
 def count_points(e: EllipticCurveQ, ell: int) -> int:
-    """Projective point count #E(F_ell), exact.
+    """Projective point count #E(F_ell) at one prime, exact.
 
     Below BSGS_MIN_ELL it is the quadratic character sum, O(ell) numpy
     work; at and above it, Shanks-Mestre baby-step giant-step on E and its
     quadratic twist, O(ell^(1/4)) group operations in python integers.
     The Shanks-Mestre search always ends for ell > 229 (Cremona and
     Sutherland, "On a theorem of Mestre and Schoof", 2010).
+    frobenius_traces counts the primes from BSGS_MIN_ELL up many at a time
+    instead, and calls this only below BSGS_MIN_ELL (through trace_at).
     """
     if e.discriminant % ell == 0:
         raise BadReduction(f"{ell} divides the discriminant")
@@ -183,6 +187,161 @@ def _multiples(k, lo, hi):
     return set(range(-(-lo // k) * k, hi + 1, k))
 
 
+def _shanks_mestre_column(e, ells):
+    """#E(F_ell) at every prime of the column ells at once; 0 where one point does not settle it.
+
+    ells are good primes, 5 <= ell <= TRACE_BOUND_MAX, at most 512 of them.
+    Every array below has one entry per prime on its last axis, and all
+    primes run the first round of _shanks_mestre_count in lockstep: the
+    point P = (d x0, d^2) for the first x0 with d = f(x0) != 0, its baby
+    steps j P (1 <= j <= M), the giant step (2M + 1) P, the start s0 P
+    with s0 = lo + M, and the giant steps from there.  M and the number of
+    giant steps are the largest any prime of the column needs.  The chains
+    run in Jacobian coordinates (x = X/Z^2, y = Y/Z^3) and are made affine
+    together by Montgomery's trick (Math. Comp. 48, 1987): one Fermat
+    inversion per prime for all its points.  One sort of the baby keys
+    index * 2^20 + x and one searchsorted match the giants' x against them.
+
+    A prime's count is its one candidate n in [lo, hi] with n P = O, which
+    Hasse's bound makes #E or #E', as d is a square or not.  A giant step
+    at O is a candidate, its own s.  A prime is left 0, for
+    _shanks_mestre_count to finish with more points, when it has another
+    number of candidates, or when its baby steps cannot key the giants: a
+    baby step at O, two with one x, one with y = 0, or a giant step
+    (2M + 1) P at O.
+
+    Every value stays inside int64: residues are reduced to [0, ell) with
+    ell <= 10^5 < 2^17, and each value reduced is a sum of at most three
+    terms, each at most 8 times a product of at most three numbers below
+    2^17 in absolute value, so below 3 * 2^3 * 2^51 < 2^63.  The Fermat
+    powers multiply two residues at a time (arith.power_mods), and the keys
+    stay below 2^9 * 2^20.
+    """
+    ell = np.array(ells, dtype=np.int64)
+    cols = len(ells)
+    if not cols:
+        return ell
+    if not (ell.min() >= 5 and ell.max() <= TRACE_BOUND_MAX and cols <= 1 << 9):
+        raise ValueError(f"a column holds at most 512 primes from 5 to {TRACE_BOUND_MAX}")
+    a = np.array([-27 * e.c4 % q for q in ells], dtype=np.int64)
+    b = np.array([-54 * e.c6 % q for q in ells], dtype=np.int64)
+    x0 = np.zeros_like(ell)
+    d = b.copy()
+    while not d.all():  # f has at most three roots
+        x0 += d == 0
+        d = ((x0 * x0 + a) * x0 + b) % ell
+    d2 = d * d % ell
+    px, py, one = d * x0 % ell, d2, np.ones_like(ell)
+    a = a * d2 % ell  # the point lies on y^2 = x^3 + a d^2 x + b d^3
+    twisted = power_mods(d, (ell - 1) // 2, ell) != 1
+    r = np.array([isqrt(4 * q) for q in ells], dtype=np.int64)
+    lo, hi = ell + 1 - r, ell + 1 + r
+    m = isqrt(int(r.max())) + 1
+    giants = -(-int((2 * r + 1).max()) // (2 * m + 1))
+
+    # baby steps j P, 1 <= j <= m, in rows 0 .. m - 1
+    pts = np.empty((3, m + giants, cols), dtype=np.int64)
+    pts[:, 0] = px, py, one
+    pts[:, 1] = _jacobian_double(px, py, one, a, ell)
+    for j in range(2, m):
+        pts[:, j] = _jacobian_add(*pts[:, j - 1], px, py, one, ell)[:3]
+    # the baby steps key the giants only when none is O (nor, below, shares its x)
+    faulty = (pts[2, :m] == 0).any(axis=0)
+    step = _jacobian_add(*_jacobian_double(*pts[:, m - 1], a, ell), px, py, one, ell)[:3]
+    faulty |= step[2] == 0
+
+    # the start s0 P by double-and-add from the top bit, then the giant steps;
+    # O + Q = Q, and Q + Q, which the addition formula cannot add, is 2 Q
+    s0 = lo + m
+    acc = np.stack([one, one, np.zeros_like(ell)])
+    for bit in range(int(s0.max()).bit_length() - 1, -1, -1):
+        acc = np.stack(_jacobian_double(*acc, a, ell))
+        *summed, equal = _jacobian_add(*acc, px, py, one, ell)
+        summed = np.where(acc[2] == 0, pts[:, 0], np.where(equal, pts[:, 1], summed))
+        acc = np.where((s0 >> bit) & 1 == 1, summed, acc)
+    step2 = _jacobian_double(*step, a, ell)
+    for k in range(giants):
+        if k:
+            *summed, equal = _jacobian_add(*acc, *step, ell)
+            acc = np.where(acc[2] == 0, step, np.where(equal, step2, summed))
+        pts[:, m + k] = acc
+
+    # affine coordinates by one inversion per column; O stays marked by z = 0
+    z = pts[2]
+    at_o = z == 0
+    x, y = _affine(pts[0], pts[1], np.where(at_o, 1, z), ell)
+    faulty |= (y[:m] == 0).any(axis=0)
+
+    # match the giants' x against the baby keys index * 2^20 + x
+    col = np.arange(cols)
+    keys = (col << 20) + x[:m]
+    order = np.argsort(keys, axis=None)
+    sorted_keys = keys.ravel()[order]
+    faulty[sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]] >> 20] = True
+    giant_keys = ((col << 20) + x[m:]).ravel()
+    at = np.minimum(np.searchsorted(sorted_keys, giant_keys), sorted_keys.size - 1)
+    hit = (sorted_keys[at] == giant_keys) & ~at_o[m:].ravel()
+    j = order[at] // cols + 1
+    s = (s0 + (2 * m + 1) * np.arange(giants)[:, None]).ravel()
+    n = np.where(y[m:].ravel() == y[:m].ravel()[order[at]], s - j, s + j)
+    n = np.where(at_o[m:].ravel(), s, n)
+    gcol = np.tile(col, giants)
+    kept = (hit | at_o[m:].ravel()) & (lo[gcol] <= n) & (n <= hi[gcol])
+    found = np.bincount(gcol[kept], minlength=cols)
+    count = np.zeros_like(ell)
+    count[gcol[kept]] = n[kept]
+    count = np.where(twisted, 2 * ell + 2 - count, count)
+    return np.where((found == 1) & ~faulty, count, 0)
+
+
+def _jacobian_double(x, y, z, a, ell):
+    """2 (x : y : z) on y^2 = x^3 + a x + b in Jacobian coordinates, columnwise mod ell."""
+    yy = y * y % ell
+    s = 4 * x * yy % ell
+    zz = z * z % ell
+    m = (3 * x * x + a * zz * zz) % ell
+    x3 = (m * m - 2 * s) % ell
+    return x3, (m * (s - x3) - 8 * yy * yy) % ell, 2 * y * z % ell
+
+
+def _jacobian_add(x1, y1, z1, x2, y2, z2, ell):
+    """(x1 : y1 : z1) + (x2 : y2 : z2) in Jacobian coordinates, columnwise mod ell,
+    and where the two points are equal and not O (the sum is then wrong).
+
+    Opposite points give z = 0, the point at infinity; so does a summand
+    at O, where the sum is the other summand instead.
+    """
+    zz1, zz2 = z1 * z1 % ell, z2 * z2 % ell
+    u1, u2 = x1 * zz2 % ell, x2 * zz1 % ell
+    s1, s2 = y1 * z2 * zz2 % ell, y2 * z1 * zz1 % ell
+    h, r = (u2 - u1) % ell, (s2 - s1) % ell
+    hh = h * h % ell
+    hhh, v = h * hh % ell, u1 * hh % ell
+    x3 = (r * r - hhh - 2 * v) % ell
+    y3 = (r * (v - x3) - s1 * hhh) % ell
+    return x3, y3, z1 * z2 * h % ell, (h == 0) & (r == 0) & (z1 != 0) & (z2 != 0)
+
+
+def _affine(x, y, z, ell):
+    """x / z^2 and y / z^3 for rows of Jacobian points with z != 0, by Montgomery's trick.
+
+    The prefix products of z down each column are inverted with one Fermat
+    power per column, then unwound row by row into each row's inverse.
+    """
+    prefix = np.empty_like(z)
+    acc = np.ones_like(ell)
+    for i, row in enumerate(z):
+        prefix[i] = acc = acc * row % ell
+    inv = power_mods(acc, ell - 2, ell)
+    zinv = np.empty_like(z)
+    for i in range(len(z) - 1, 0, -1):
+        zinv[i] = inv * prefix[i - 1] % ell
+        inv = inv * z[i] % ell
+    zinv[0] = inv
+    zz = zinv * zinv % ell
+    return x * zz % ell, y * zz * zinv % ell
+
+
 def _ec_add(p1, p2, a, ell):
     """Affine sum on y^2 = x^3 + a x + b over F_ell; None is the point at infinity."""
     if p1 is None:
@@ -260,16 +419,47 @@ class FrobeniusData:
 
 TRACE_BOUND_MAX = 10 ** 5
 
+# frobenius_traces counts the primes from BSGS_MIN_ELL up in columns of this
+# many consecutive primes, each column cached whole (_column_traces)
+COLUMN_PRIMES = 512
+
 
 def frobenius_traces(e: EllipticCurveQ, bound: int) -> FrobeniusData:
-    """Exact a_ell for all good ell <= bound; bad primes flagged."""
+    """Exact a_ell for all good ell <= bound; bad primes flagged.
+
+    Below BSGS_MIN_ELL each trace comes from trace_at.  From there up the
+    primes run in columns of COLUMN_PRIMES, counted together by
+    _shanks_mestre_column; the columns start at the first prime from
+    BSGS_MIN_ELL whatever the bound, so every bound shares them in the
+    column cache up to its last, shorter column.
+    """
     if bound > TRACE_BOUND_MAX:
         raise ValueError(f"trace bound {bound} exceeds {TRACE_BOUND_MAX}")
-    entries = []
-    for ell in primes_up_to(bound):
-        a = trace_at(e, ell)
-        entries.append((ell, a, a is not None))
-    return FrobeniusData(e, tuple(entries))
+    primes = primes_up_to(bound)
+    first = bisect_left(primes, BSGS_MIN_ELL)
+    traces = [trace_at(e, ell) for ell in primes[:first]]
+    for start in range(first, len(primes), COLUMN_PRIMES):
+        traces += _column_traces(e, primes[start : start + COLUMN_PRIMES])
+    return FrobeniusData(e, tuple((ell, a, a is not None) for ell, a in zip(primes, traces)))
+
+
+@lru_cache(maxsize=512)  # as many traces as trace_at's cache holds
+def _column_traces(e, ells):
+    """a_ell for each prime of ells (all at least BSGS_MIN_ELL), None where the model is bad.
+
+    _shanks_mestre_column counts the good primes; _shanks_mestre_count
+    finishes those it leaves.
+    """
+    good = [ell for ell in ells if e.discriminant % ell]
+    counts = dict(zip(good, _shanks_mestre_column(e, good).tolist()))
+    traces = []
+    for ell in ells:
+        a = None
+        if ell in counts:
+            a = ell + 1 - (counts[ell] or _shanks_mestre_count(e, ell))
+            assert a * a <= 4 * ell, "Hasse bound violated"
+        traces.append(a)
+    return tuple(traces)
 
 
 class ReductionType(Enum):

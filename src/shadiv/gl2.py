@@ -271,7 +271,8 @@ class Subgroup:
         return tuple(amb.mat_of(i) for i in self.element_ids)
 
     def is_subset_of(self, other):
-        return self.p == other.p and bool((self.mask <= other.mask).all())
+        """Whether every member of self is in other, read off the packed masks."""
+        return self.p == other.p and int.from_bytes(self.bits, "big") & ~int.from_bytes(other.bits, "big") == 0
 
 
 def _pack(mask):

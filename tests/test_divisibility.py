@@ -478,6 +478,7 @@ def test_twist_scan_point_counts_do_not_grow_with_dmax(monkeypatch):
     counts = []
     for dmax in (1, 100, 3000):
         ell.trace_at.cache_clear()
+        ell._column_traces.cache_clear()
         calls.clear()
         report = twist_scan(e, 3, dmax)
         assert report.rows[0][1].outcome == Outcome.CRITERION_FAILS
@@ -655,6 +656,7 @@ def test_bound_1e5_verdict_is_pinned_and_fast():
     import shadiv.elliptic as ell
 
     ell.trace_at.cache_clear()
+    ell._column_traces.cache_clear()
     t0 = time.monotonic()
     digest = _verdicts_digest([(curve((-2, -3, -3, 0, 0)), 5)], 10 ** 5)
     elapsed = time.monotonic() - t0
@@ -671,3 +673,22 @@ def test_bound_1e5_verdict_is_pinned_and_fast():
 )
 def test_deep_verdicts_are_pinned(key, cases):
     assert _verdicts_digest(cases(), 3 * 10 ** 4) == DEEP_VERDICT_DIGESTS[key]
+
+
+def test_second_deep_verdict_counts_no_point(monkeypatch):
+    # the column cache keeps a curve's traces past BSGS_MIN_ELL, as trace_at
+    # keeps those below it: a second verdict on the same curve at the same
+    # bound, at any p, counts no point
+    import shadiv.elliptic as ell
+
+    e = embedded_curve("121-B1")
+    ell.trace_at.cache_clear()
+    ell._column_traces.cache_clear()
+    verdict_over_Q(e, 3, RunConfig(trace_bound=3 * 10 ** 4))
+
+    def boom(*args):
+        raise AssertionError("a point was counted")
+
+    for name in ("count_points", "_shanks_mestre_count", "_shanks_mestre_column"):
+        monkeypatch.setattr(ell, name, boom)
+    assert _verdicts_digest([(e, p) for p in (3, 5, 7)], 3 * 10 ** 4) == DEEP_VERDICT_DIGESTS["121-B1-p357-3e4"]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -11,9 +12,12 @@ from shadiv.datasets import EMBEDDED_AINVS, embedded_curve
 from shadiv.divisibility import _trace_arrays, _twisted_entries, twist_scan
 from shadiv.elliptic import (
     BSGS_MIN_ELL,
+    COLUMN_PRIMES,
     FrobeniusData,
     ReductionType,
     _character_sum_count,
+    _column_traces,
+    _shanks_mestre_column,
     _shanks_mestre_count,
     count_points,
     count_points_enumeration,
@@ -135,6 +139,49 @@ def test_shanks_mestre_equals_enumeration_above_bsgs_min_ell():
         assert count_points(e, ell) == count_points_enumeration(e, ell), (label, ell)
 
 
+def test_column_kernel_equals_character_sum_to_1e4():
+    # the kernel's counts on every good prime from 5 to 10^4 (small primes
+    # give small point orders, which the kernel must leave to the
+    # finisher), and the traces frobenius_traces builds from them and from
+    # the finisher from BSGS_MIN_ELL up; c6 = 0 puts the first point at
+    # x0 = 1 on every prime, and the j = 1728 curves leave primes with
+    # several candidates to the finisher
+    for e in SHANKS_MESTRE_CURVES:
+        good = [l for l in primes_up_to(10 ** 4)[2:] if e.discriminant % l]
+        counts = np.concatenate([_shanks_mestre_column(e, good[i : i + COLUMN_PRIMES])
+                                 for i in range(0, len(good), COLUMN_PRIMES)]).tolist()
+        expected = [_character_sum_count(e, l) for l in good]
+        assert all(n in (0, m) for n, m in zip(counts, expected)), e
+        large = next(i for i, l in enumerate(good) if l >= BSGS_MIN_ELL)
+        if e.c4 != 0:  # at j = 0 the first point, x0 = 0, has order 3
+            assert counts[large:].count(0) < (len(good) - large) // 4, e
+        if e.c6 == 0:
+            assert counts[large:].count(0) > 0, e
+        _column_traces.cache_clear()
+        traces = {l: a for l, a, _ in frobenius_traces(e, 10 ** 4).entries}
+        assert [traces[l] for l in good[large:]] == [l + 1 - m for l, m in zip(good[large:], expected[large:])], e
+
+
+def test_column_kernel_equals_enumeration_across_a_column_boundary():
+    primes = primes_up_to(7000)
+    first = primes.index(2003)
+    edge = primes[first + COLUMN_PRIMES - 2 : first + COLUMN_PRIMES + 2]  # two on each side
+    assert len(edge) == 4 and primes[first - 1] < BSGS_MIN_ELL
+    for ell, label in zip(edge, ("121-B1", "legendre-test", "cm-j1728", "selmer-jacobian")):
+        e = embedded_curve(label)
+        _column_traces.cache_clear()
+        a = dict((l, a) for l, a, _ in frobenius_traces(e, edge[-1]).entries)[ell]
+        assert a == ell + 1 - count_points_enumeration(e, ell), (label, ell)
+
+
+def test_column_kernel_rejects_primes_outside_its_range():
+    e = embedded_curve("121-B1")
+    assert _shanks_mestre_column(e, []).size == 0
+    for ells in ([3, 5003], [100003], list(primes_up_to(10 ** 4)[3 : 3 + COLUMN_PRIMES + 1])):
+        with pytest.raises(ValueError):
+            _shanks_mestre_column(e, ells)
+
+
 def test_shanks_mestre_below_229_is_exact_or_raises():
     # below 230 the orders of the points of E and E' can leave several
     # candidates (y^2 = x^3 - x at 29); the count must then raise, never guess
@@ -160,6 +207,39 @@ def test_frobenius_traces_hasse_and_determinism():
             assert a * a <= 4 * ell
         else:
             assert a is None and e.discriminant % ell == 0
+
+
+# sha256 over repr(frobenius_traces(e, 3 * 10^4).entries), computed when
+# every prime was counted one at a time by count_points
+DEEP_TRACE_DIGESTS = {
+    "tate7-t2": ((-1, -4, -4, 0, 0), "db00ac61346b9c7bb411f2d0362ddac5203e66c318a8ef2e8295839091f3a070"),
+    "121-B1": ((0, -1, 1, -7, 10), "da6dc6516a1e1e4dc46aee37cadec50c8f5819827df05c411b0e86c0d6f9274f"),
+    "tate5-t3": ((-2, -3, -3, 0, 0), "062475fa82e02e980bb0fa49be35b3d9f3022dbfc06c6f013af61be9ffdec340"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DEEP_TRACE_DIGESTS))
+def test_deep_traces_are_pinned(label):
+    ainvs, digest = DEEP_TRACE_DIGESTS[label]
+    fd = frobenius_traces(curve(ainvs), 3 * 10 ** 4)
+    assert hashlib.sha256(repr(fd.entries).encode()).hexdigest() == digest
+
+
+def test_column_finisher_counts_few_primes(monkeypatch):
+    # the kernel settles all but a few of the good primes from BSGS_MIN_ELL
+    # to the pinned bound; the finisher counts the rest one at a time
+    import shadiv.elliptic as ell
+
+    calls = []
+    real = ell._shanks_mestre_count
+    monkeypatch.setattr(ell, "_shanks_mestre_count", lambda e, l: calls.append(l) or real(e, l))
+    for label, (ainvs, _) in DEEP_TRACE_DIGESTS.items():
+        ell._column_traces.cache_clear()
+        calls.clear()
+        fd = frobenius_traces(curve(ainvs), 3 * 10 ** 4)
+        large = [l for l, _, good in fd.entries if good and l >= BSGS_MIN_ELL]
+        assert 0 < len(calls) <= len(large) // 10, label
+        assert set(calls) <= set(large) and len(set(calls)) == len(calls), label
 
 
 def test_traces_against_slow_recount():

@@ -169,6 +169,20 @@ def test_is_subset_of_matches_set_inclusion(subgroups_p3):
     assert trivial.order == 1 and not trivial.is_subset_of(closure(5, [((2, 0), (0, 2))]))
 
 
+def test_is_subset_of_matches_the_mask_comparison(subgroups_p3, sampled_p7):
+    # is_subset_of reads the packed bytes; against the unpacked masks on every
+    # ordered pair at p = 3, and on each (Sylow, normalizer, group) triple of
+    # the first 50 sampled subgroups at p = 7
+    groups = [(h, g) for h in subgroups_p3 for g in subgroups_p3]
+    for g in sampled_p7[:50]:
+        sylow = p_sylow(g)
+        triple = (sylow, normalizer_in(g, sylow), g)
+        groups += [(h, k) for h in triple for k in triple]
+    assert any(not h.is_subset_of(g) for h, g in groups) and any(h.is_subset_of(g) for h, g in groups)
+    for h, g in groups:
+        assert h.is_subset_of(g) == bool((h.mask <= g.mask).all()), (h.generator_ids, g.generator_ids)
+
+
 def test_s3_copy_all_primes():
     for p in (2, 3, 5, 7, 11, 13):
         group, t_id, c_id = s3_copy(p)
