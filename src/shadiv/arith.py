@@ -156,7 +156,7 @@ def primes_up_to(n):
     for q in range(2, isqrt(n) + 1):
         if sieve[q]:
             sieve[q * q :: q] = False
-    return tuple(int(q) for q in np.nonzero(sieve)[0])
+    return tuple(np.nonzero(sieve)[0].tolist())
 
 
 def squarefree_sieve(n):

@@ -67,32 +67,41 @@ def curve(ainvs, label=None):
     return derive_invariants(*ainvs, label=label)
 
 
-# Primes at and above this are counted by Shanks-Mestre, below it by the
-# character sum.  Per prime on a 2-CPU machine, character sum against
-# one-prime Shanks-Mestre: 49 against 59 us at ell = 10^3, about 70 us each
-# from 1750 to 2000, 1.4 against 0.16 ms at 3 * 10^4.  frobenius_traces
-# counts its primes from here up a column at a time (_shanks_mestre_column).
+# Primes at and above this are counted by Shanks-Mestre a column at a time
+# (_column_traces), below it by the character sum.  On a 2-CPU machine the
+# character sum takes 49 us per prime at ell = 10^3 and 71 us at 2000, the
+# column's rounds 32 us per prime of the full column from 2003 and 38 us
+# from 26003.  The constant stays above the default trace bound 10^3, so
+# the default verdicts, the twist scans and one trace_at below it never
+# pay for a column.
 BSGS_MIN_ELL = 2000
 
 
 def count_points(e: EllipticCurveQ, ell: int) -> int:
-    """Projective point count #E(F_ell) at one prime, exact.
+    """Projective point count #E(F_ell) at a prime ell <= TRACE_BOUND_MAX, exact.
 
     Below BSGS_MIN_ELL it is the quadratic character sum, O(ell) numpy
-    work; at and above it, Shanks-Mestre baby-step giant-step on E and its
-    quadratic twist, O(ell^(1/4)) group operations in python integers.
-    The Shanks-Mestre search always ends for ell > 229 (Cremona and
-    Sutherland, "On a theorem of Mestre and Schoof", 2010).
-    frobenius_traces counts the primes from BSGS_MIN_ELL up many at a time
-    instead, and calls this only below BSGS_MIN_ELL (through trace_at).
+    work.  At and above it the count is read from _column_traces over the
+    column of primes_up_to(TRACE_BOUND_MAX) that holds ell, one of the
+    columns frobenius_traces counts: a cold call pays for the whole column
+    (about 19 ms near 3 * 10^4 on a 2-CPU machine), a call on a column
+    already counted only reads it.
+    Raises UnsupportedPrime when ell is not a prime up to TRACE_BOUND_MAX
+    (the column kernel's int64 range), BadReduction when ell divides the
+    discriminant.
     """
+    primes = primes_up_to(TRACE_BOUND_MAX)
+    i = bisect_left(primes, ell)
+    if i == len(primes) or primes[i] != ell:
+        raise UnsupportedPrime(f"point counts are for primes up to {TRACE_BOUND_MAX}, not {ell}")
     if e.discriminant % ell == 0:
         raise BadReduction(f"{ell} divides the discriminant")
     if ell == 2:
         return _count_affine_p2(e) + 1
-    if ell >= BSGS_MIN_ELL:
-        return _shanks_mestre_count(e, ell)
-    return _character_sum_count(e, ell)
+    if ell < BSGS_MIN_ELL:
+        return _character_sum_count(e, ell)
+    start = i - (i - bisect_left(primes, BSGS_MIN_ELL)) % COLUMN_PRIMES
+    return ell + 1 - _column_traces(e, primes[start : start + COLUMN_PRIMES])[i - start]
 
 
 def _character_sum_count(e, ell):
@@ -109,132 +118,94 @@ def _character_sum_count(e, ell):
     return int(counts[fx].sum()) + 1
 
 
-def _shanks_mestre_count(e, ell):
-    """#E(F_ell) for good ell >= 5 by baby-step giant-step (Cohen, GTM 138, 7.4.3).
+def _shanks_mestre_rounds(e, ells):
+    """#E(F_ell) at every prime of ells, exact, by rounds of _shanks_mestre_column.
 
-    E is y^2 = f(x) = x^3 + A x + B with A = -27 c4, B = -54 c6, whose
-    discriminant is 6^12 Delta.  For d = f(x0) != 0 the point (d x0, d^2)
-    lies on y^2 = X^3 + A d^2 X + B d^3, which is E when d is a square and
-    the twist E' otherwise, with #E' = 2 ell + 2 - #E.  Each point narrows
-    the Hasse interval to the N with N P = O; x0 running over F_ell meets
-    every point of E and E', which for ell > 229 leaves one candidate.
-    """
-    a = -27 * e.c4 % ell
-    b = -54 * e.c6 % ell
-    r = isqrt(4 * ell)
-    lo, hi = ell + 1 - r, ell + 1 + r
-    candidates = None
-    for x0 in range(ell):
-        d = ((x0 * x0 + a) * x0 + b) % ell
-        if d == 0:
-            continue
-        dd = d * d % ell
-        killers = _annihilators((d * x0 % ell, dd), a * dd % ell, ell, lo, hi)
-        if legendre_symbol(d, ell) == -1:
-            killers = {2 * ell + 2 - n for n in killers}
-        candidates = killers if candidates is None else candidates & killers
-        if len(candidates) == 1:
-            return candidates.pop()
-        if not candidates:
-            break
-    raise InternalInconsistency(f"Shanks-Mestre found no unique order at {ell}")
-
-
-def _annihilators(pt, a, ell, lo, hi):
-    """The n in [lo, hi] with n * pt = O on y^2 = x^3 + a x + b over F_ell.
-
-    Baby steps j * pt, 1 <= j <= m, are keyed by x; a giant step s with
-    s * pt = +-j * pt gives n = s -+ j.  A repeated baby step means the
-    order of pt is at most 2m, and then every multiple of it is returned.
-    """
-    m = isqrt((hi - lo) // 2) + 1
-    baby = {}
-    q = None
-    for j in range(1, m + 1):
-        q = _ec_add(q, pt, a, ell)
-        if q is None:
-            return _multiples(_order(pt, j, a, ell), lo, hi)
-        x, y = q
-        if x in baby:
-            i, yi = baby[x]
-            return _multiples(_order(pt, j - i if y == yi else j + i, a, ell), lo, hi)
-        baby[x] = (j, y)
-    step = 2 * m + 1
-    giant = _ec_add(_ec_add(q, q, a, ell), pt, a, ell)
-    s = lo + m
-    sp = _ec_mul(s, pt, a, ell)
-    found = set()
-    while s - m <= hi:
-        if sp is None:
-            found.add(s)
-        elif sp[0] in baby:
-            j, y = baby[sp[0]]
-            if sp[1] == y:
-                found.add(s - j)
-            if sp[1] == -y % ell:
-                found.add(s + j)
-        sp = _ec_add(sp, giant, a, ell)
-        s += step
-    return {n for n in found if lo <= n <= hi}
-
-
-def _order(pt, n, a, ell):
-    """The order of pt, given that n * pt = O for a small n > 0."""
-    return next(k for k in range(1, n + 1) if n % k == 0 and _ec_mul(k, pt, a, ell) is None)
-
-
-def _multiples(k, lo, hi):
-    return set(range(-(-lo // k) * k, hi + 1, k))
-
-
-def _shanks_mestre_column(e, ells):
-    """#E(F_ell) at every prime of the column ells at once; 0 where one point does not settle it.
-
-    ells are good primes, 5 <= ell <= TRACE_BOUND_MAX, at most 512 of them.
-    Every array below has one entry per prime on its last axis, and all
-    primes run the first round of _shanks_mestre_count in lockstep: the
-    point P = (d x0, d^2) for the first x0 with d = f(x0) != 0, its baby
-    steps j P (1 <= j <= M), the giant step (2M + 1) P, the start s0 P
-    with s0 = lo + M, and the giant steps from there.  M and the number of
-    giant steps are the largest any prime of the column needs.  The chains
-    run in Jacobian coordinates (x = X/Z^2, y = Y/Z^3) and are made affine
-    together by Montgomery's trick (Math. Comp. 48, 1987): one Fermat
-    inversion per prime for all its points.  One sort of the baby keys
-    index * 2^20 + x and one searchsorted match the giants' x against them.
-
-    A prime's count is its one candidate n in [lo, hi] with n P = O, which
-    Hasse's bound makes #E or #E', as d is a square or not.  A giant step
-    at O is a candidate, its own s.  A prime is left 0, for
-    _shanks_mestre_count to finish with more points, when it has another
-    number of candidates, or when its baby steps cannot key the giants: a
-    baby step at O, two with one x, one with y = 0, or a giant step
-    (2M + 1) P at O.
-
-    Every value stays inside int64: residues are reduced to [0, ell) with
-    ell <= 10^5 < 2^17, and each value reduced is a sum of at most three
-    terms, each at most 8 times a product of at most three numbers below
-    2^17 in absolute value, so below 3 * 2^3 * 2^51 < 2^63.  The Fermat
-    powers multiply two residues at a time (arith.power_mods), and the keys
-    stay below 2^9 * 2^20.
+    ells are good primes, 5 <= ell <= TRACE_BOUND_MAX, at most COLUMN_PRIMES
+    of them.  The first round gives each prime one point, from x0 = 1:
+    x0 = 0 is the flex (0, +-sqrt B) of order 3 on every j = 0 curve.  Each
+    later round gives each prime still open up to 4 consecutive starts past
+    the last x0 it used, at most COLUMN_PRIMES columns in all.  Any one
+    point that leaves one candidate settles its prime exactly, as #E P = O
+    and #E lies in the Hasse interval.  The starts 1 .. ell meet every
+    point of E and E' up to sign (ell standing for 0), and for ell > 229
+    some point of E or E' has one order multiple in the Hasse interval
+    (Cremona and Sutherland, "On a theorem of Mestre and Schoof", 2010).
+    A prime whose starts run past ell raises InternalInconsistency, which
+    can happen below 230.
     """
     ell = np.array(ells, dtype=np.int64)
+    count, start = np.zeros_like(ell), np.ones_like(ell)
+    todo, per = np.arange(ell.size), 1
+    while todo.size:
+        spent = start[todo] > ell[todo]
+        if spent.any():
+            raise InternalInconsistency(f"Shanks-Mestre found no unique order at {ell[todo[spent]].tolist()}")
+        cols = np.repeat(todo, per)
+        n, used = _shanks_mestre_column(e, ell[cols], start[cols] + np.tile(np.arange(per), todo.size))
+        count[todo] = n.reshape(-1, per).max(axis=1)
+        start[todo] = used.reshape(-1, per).max(axis=1) + 1
+        todo = todo[count[todo] == 0]
+        per = min(4, COLUMN_PRIMES // max(todo.size, 1))
+    return count
+
+
+def _shanks_mestre_column(e, ells, x0):
+    """One Shanks-Mestre point per column: #E(F_ell) where that point settles it, else 0.
+
+    Column i holds the good prime ells[i] (5 <= ell <= TRACE_BOUND_MAX, at
+    most 512 columns, a prime in any number of them) and a start
+    0 <= x0[i] < 2^17.  E is y^2 = f(x) = x^3 + A x + B with A = -27 c4,
+    B = -54 c6, whose discriminant is 6^12 Delta.  The column's point is
+    P = (d x, d^2) for the first x >= x0 with d = f(x) != 0 mod ell (f has
+    at most three roots); it lies on y^2 = X^3 + A d^2 X + B d^3, which is
+    E when d is a square and the twist E' otherwise, with
+    #E' = 2 ell + 2 - #E.  Returns the counts and the x of each column.
+
+    Every array below has one entry per column on its last axis, and all
+    columns run in lockstep: the point P, its baby steps j P
+    (1 <= j <= M), the giant step (2M + 1) P, the start s0 P with
+    s0 = lo + M, and the giant steps from there.  M and the number of
+    giant steps are the largest any prime of the call needs.  The chains
+    run in Jacobian coordinates (x = X/Z^2, y = Y/Z^3) and are made affine
+    together by Montgomery's trick (Math. Comp. 48, 1987): one Fermat
+    inversion per column for all its points.  One sort of the baby keys
+    index * 2^20 + x and one searchsorted match the giants' x against them.
+
+    A column's count is its one candidate n in [lo, hi] with n P = O, which
+    Hasse's bound makes #E or #E', as d is a square or not.  A giant step
+    at O is a candidate, its own s.  A column is left 0 when it has
+    another number of candidates, or when its baby steps cannot key the
+    giants: a baby step at O, two with one x, one with y = 0, or a giant
+    step (2M + 1) P at O.
+
+    Every value stays inside int64: x0 is below 2^17, residues are reduced
+    to [0, ell) with ell <= 10^5 < 2^17, and each value reduced is a sum of
+    at most three terms, each at most 8 times a product of at most three
+    numbers below 2^17 in absolute value, so below 3 * 2^3 * 2^51 < 2^63.
+    The Fermat powers multiply two residues at a time (arith.power_mods),
+    and the keys stay below 2^9 * 2^20.
+    """
+    ell = np.array(ells, dtype=np.int64)
+    x0 = np.array(x0, dtype=np.int64)
     cols = len(ells)
     if not cols:
-        return ell
+        return ell, x0
     if not (ell.min() >= 5 and ell.max() <= TRACE_BOUND_MAX and cols <= 1 << 9):
-        raise ValueError(f"a column holds at most 512 primes from 5 to {TRACE_BOUND_MAX}")
-    a = np.array([-27 * e.c4 % q for q in ells], dtype=np.int64)
-    b = np.array([-54 * e.c6 % q for q in ells], dtype=np.int64)
-    x0 = np.zeros_like(ell)
-    d = b.copy()
-    while not d.all():  # f has at most three roots
+        raise ValueError(f"a call holds at most 512 columns, each a prime from 5 to {TRACE_BOUND_MAX}")
+    qs = ell.tolist()
+    a = np.array([-27 * e.c4 % q for q in qs], dtype=np.int64)
+    b = np.array([-54 * e.c6 % q for q in qs], dtype=np.int64)
+    x0 -= 1
+    d = np.zeros_like(ell)
+    while not d.all():
         x0 += d == 0
-        d = ((x0 * x0 + a) * x0 + b) % ell
+        d = ((x0 * x0 % ell + a) * x0 + b) % ell
     d2 = d * d % ell
     px, py, one = d * x0 % ell, d2, np.ones_like(ell)
     a = a * d2 % ell  # the point lies on y^2 = x^3 + a d^2 x + b d^3
     twisted = power_mods(d, (ell - 1) // 2, ell) != 1
-    r = np.array([isqrt(4 * q) for q in ells], dtype=np.int64)
+    r = np.array([isqrt(4 * q) for q in qs], dtype=np.int64)
     lo, hi = ell + 1 - r, ell + 1 + r
     m = isqrt(int(r.max())) + 1
     giants = -(-int((2 * r + 1).max()) // (2 * m + 1))
@@ -291,7 +262,7 @@ def _shanks_mestre_column(e, ells):
     count = np.zeros_like(ell)
     count[gcol[kept]] = n[kept]
     count = np.where(twisted, 2 * ell + 2 - count, count)
-    return np.where((found == 1) & ~faulty, count, 0)
+    return np.where((found == 1) & ~faulty, count, 0), x0
 
 
 def _jacobian_double(x, y, z, a, ell):
@@ -342,35 +313,6 @@ def _affine(x, y, z, ell):
     return x * zz % ell, y * zz * zinv % ell
 
 
-def _ec_add(p1, p2, a, ell):
-    """Affine sum on y^2 = x^3 + a x + b over F_ell; None is the point at infinity."""
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % ell == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, ell) % ell
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
-    x3 = (lam * lam - x1 - x2) % ell
-    return x3, (lam * (x1 - x3) - y1) % ell
-
-
-def _ec_mul(k, pt, a, ell):
-    acc = None
-    while k:
-        if k & 1:
-            acc = _ec_add(acc, pt, a, ell)
-        k >>= 1
-        if k:
-            pt = _ec_add(pt, pt, a, ell)
-    return acc
-
-
 def count_points_enumeration(e: EllipticCurveQ, ell: int) -> int:
     """Independent oracle: brute enumeration of all
 
@@ -419,8 +361,9 @@ class FrobeniusData:
 
 TRACE_BOUND_MAX = 10 ** 5
 
-# frobenius_traces counts the primes from BSGS_MIN_ELL up in columns of this
-# many consecutive primes, each column cached whole (_column_traces)
+# frobenius_traces and count_points take the primes from BSGS_MIN_ELL up in
+# columns of this many consecutive primes, each column counted and cached
+# whole (_column_traces)
 COLUMN_PRIMES = 512
 
 
@@ -429,9 +372,10 @@ def frobenius_traces(e: EllipticCurveQ, bound: int) -> FrobeniusData:
 
     Below BSGS_MIN_ELL each trace comes from trace_at.  From there up the
     primes run in columns of COLUMN_PRIMES, counted together by
-    _shanks_mestre_column; the columns start at the first prime from
+    _shanks_mestre_rounds; the columns start at the first prime from
     BSGS_MIN_ELL whatever the bound, so every bound shares them in the
-    column cache up to its last, shorter column.
+    column cache up to its last, shorter column, and with count_points,
+    which reads the full columns of primes_up_to(TRACE_BOUND_MAX).
     """
     if bound > TRACE_BOUND_MAX:
         raise ValueError(f"trace bound {bound} exceeds {TRACE_BOUND_MAX}")
@@ -445,21 +389,16 @@ def frobenius_traces(e: EllipticCurveQ, bound: int) -> FrobeniusData:
 
 @lru_cache(maxsize=512)  # as many traces as trace_at's cache holds
 def _column_traces(e, ells):
-    """a_ell for each prime of ells (all at least BSGS_MIN_ELL), None where the model is bad.
+    """a_ell for each prime of ells (at least BSGS_MIN_ELL, at most COLUMN_PRIMES of them), None where the model is bad.
 
-    _shanks_mestre_column counts the good primes; _shanks_mestre_count
-    finishes those it leaves.
+    The good primes are counted together by _shanks_mestre_rounds.
     """
     good = [ell for ell in ells if e.discriminant % ell]
-    counts = dict(zip(good, _shanks_mestre_column(e, good).tolist()))
-    traces = []
-    for ell in ells:
-        a = None
-        if ell in counts:
-            a = ell + 1 - (counts[ell] or _shanks_mestre_count(e, ell))
-            assert a * a <= 4 * ell, "Hasse bound violated"
-        traces.append(a)
-    return tuple(traces)
+    traces = dict.fromkeys(ells)
+    for ell, n in zip(good, _shanks_mestre_rounds(e, good).tolist()):
+        traces[ell] = a = ell + 1 - n
+        assert a * a <= 4 * ell, "Hasse bound violated"
+    return tuple(traces.values())
 
 
 class ReductionType(Enum):

@@ -689,6 +689,6 @@ def test_second_deep_verdict_counts_no_point(monkeypatch):
     def boom(*args):
         raise AssertionError("a point was counted")
 
-    for name in ("count_points", "_shanks_mestre_count", "_shanks_mestre_column"):
+    for name in ("count_points", "_shanks_mestre_column"):
         monkeypatch.setattr(ell, name, boom)
     assert _verdicts_digest([(e, p) for p in (3, 5, 7)], 3 * 10 ** 4) == DEEP_VERDICT_DIGESTS["121-B1-p357-3e4"]

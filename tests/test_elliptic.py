@@ -3,6 +3,8 @@ import itertools
 import math
 import random
 import time
+from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from shadiv.elliptic import (
     _character_sum_count,
     _column_traces,
     _shanks_mestre_column,
-    _shanks_mestre_count,
+    _shanks_mestre_rounds,
     count_points,
     count_points_enumeration,
     curve,
@@ -140,21 +142,25 @@ def test_shanks_mestre_equals_enumeration_above_bsgs_min_ell():
 
 
 def test_column_kernel_equals_character_sum_to_1e4():
-    # the kernel's counts on every good prime from 5 to 10^4 (small primes
-    # give small point orders, which the kernel must leave to the
-    # finisher), and the traces frobenius_traces builds from them and from
-    # the finisher from BSGS_MIN_ELL up; c6 = 0 puts the first point at
-    # x0 = 1 on every prime, and the j = 1728 curves leave primes with
-    # several candidates to the finisher
+    # the kernel's first-round counts on every good prime from 5 to 10^4
+    # (small primes give small point orders, which the kernel must leave to
+    # later rounds), and the traces frobenius_traces builds from its rounds
+    # from BSGS_MIN_ELL up; the first point is at x0 = 1, past the order-3
+    # flex at x0 = 0 of the j = 0 curves, and the j = 1728 curves leave
+    # primes with several candidates to later rounds
     for e in SHANKS_MESTRE_CURVES:
         good = [l for l in primes_up_to(10 ** 4)[2:] if e.discriminant % l]
-        counts = np.concatenate([_shanks_mestre_column(e, good[i : i + COLUMN_PRIMES])
-                                 for i in range(0, len(good), COLUMN_PRIMES)]).tolist()
+        counts, x0 = [], []
+        for i in range(0, len(good), COLUMN_PRIMES):
+            column = good[i : i + COLUMN_PRIMES]
+            n, used = _shanks_mestre_column(e, column, [1] * len(column))
+            counts += n.tolist()
+            x0 += used.tolist()
         expected = [_character_sum_count(e, l) for l in good]
         assert all(n in (0, m) for n, m in zip(counts, expected)), e
+        assert all(1 <= x <= 4 for x in x0), e  # f has at most three roots
         large = next(i for i, l in enumerate(good) if l >= BSGS_MIN_ELL)
-        if e.c4 != 0:  # at j = 0 the first point, x0 = 0, has order 3
-            assert counts[large:].count(0) < (len(good) - large) // 4, e
+        assert counts[large:].count(0) < (len(good) - large) // 4, e
         if e.c6 == 0:
             assert counts[large:].count(0) > 0, e
         _column_traces.cache_clear()
@@ -176,22 +182,22 @@ def test_column_kernel_equals_enumeration_across_a_column_boundary():
 
 def test_column_kernel_rejects_primes_outside_its_range():
     e = embedded_curve("121-B1")
-    assert _shanks_mestre_column(e, []).size == 0
+    assert _shanks_mestre_column(e, [], [])[0].size == 0
     for ells in ([3, 5003], [100003], list(primes_up_to(10 ** 4)[3 : 3 + COLUMN_PRIMES + 1])):
         with pytest.raises(ValueError):
-            _shanks_mestre_column(e, ells)
+            _shanks_mestre_column(e, ells, [1] * len(ells))
 
 
 def test_shanks_mestre_below_229_is_exact_or_raises():
     # below 230 the orders of the points of E and E' can leave several
     # candidates (y^2 = x^3 - x at 29); the count must then raise, never guess
     with pytest.raises(InternalInconsistency):
-        _shanks_mestre_count(curve((0, 0, 0, -1, 0)), 29)
+        _shanks_mestre_rounds(curve((0, 0, 0, -1, 0)), [29])
     for e in SHANKS_MESTRE_CURVES:
         for ell in primes_up_to(229)[2:]:
             if e.discriminant % ell:
                 try:
-                    n = _shanks_mestre_count(e, ell)
+                    [n] = _shanks_mestre_rounds(e, [ell]).tolist()
                 except InternalInconsistency:
                     continue
                 assert n == _character_sum_count(e, ell), (e, ell)
@@ -225,21 +231,52 @@ def test_deep_traces_are_pinned(label):
     assert hashlib.sha256(repr(fd.entries).encode()).hexdigest() == digest
 
 
-def test_column_finisher_counts_few_primes(monkeypatch):
-    # the kernel settles all but a few of the good primes from BSGS_MIN_ELL
-    # to the pinned bound; the finisher counts the rest one at a time
+def test_columns_take_few_kernel_calls(monkeypatch):
+    # the first round settles all but a few of a column's good primes and
+    # the later rounds the rest: at most three kernel calls per column to
+    # the pinned bound, on the pinned curves and on the j = 0 curve
+    # y^2 = x^3 + 1
     import shadiv.elliptic as ell
 
     calls = []
-    real = ell._shanks_mestre_count
-    monkeypatch.setattr(ell, "_shanks_mestre_count", lambda e, l: calls.append(l) or real(e, l))
-    for label, (ainvs, _) in DEEP_TRACE_DIGESTS.items():
+    real = ell._shanks_mestre_column
+    monkeypatch.setattr(ell, "_shanks_mestre_column", lambda e, ells, x0: calls.append(int(ells[0])) or real(e, ells, x0))
+    cases = [(label, ainvs) for label, (ainvs, _) in DEEP_TRACE_DIGESTS.items()] + [("y^2 = x^3 + 1", (0, 0, 0, 0, 1))]
+    for label, ainvs in cases:
         ell._column_traces.cache_clear()
         calls.clear()
         fd = frobenius_traces(curve(ainvs), 3 * 10 ** 4)
-        large = [l for l, _, good in fd.entries if good and l >= BSGS_MIN_ELL]
-        assert 0 < len(calls) <= len(large) // 10, label
-        assert set(calls) <= set(large) and len(set(calls)) == len(calls), label
+        large = [l for l, _, _ in fd.entries if l >= BSGS_MIN_ELL]
+        starts = large[::COLUMN_PRIMES]
+        per_column = Counter(bisect_right(starts, l) for l in calls)
+        assert sorted(per_column) == list(range(1, len(starts) + 1)), label
+        assert 1 < max(per_column.values()) <= 3, label
+
+
+def test_count_points_reads_the_trace_columns(monkeypatch):
+    # from BSGS_MIN_ELL up, trace_at and frobenius_traces share one source:
+    # after the traces to 3 * 10^4, a trace in a full column counts no point
+    import shadiv.elliptic as ell
+
+    e = embedded_curve("121-B1")
+    ell._column_traces.cache_clear()
+    traces = {l: a for l, a, _ in frobenius_traces(e, 3 * 10 ** 4).entries}
+    ell.trace_at.cache_clear()
+
+    def boom(*args):
+        raise AssertionError("a point was counted")
+
+    monkeypatch.setattr(ell, "_shanks_mestre_column", boom)
+    for l in (2003, 9973, 26021):  # in the first, second and last full columns
+        assert ell.trace_at(e, l) == traces[l], l
+
+
+def test_count_points_rejects_composites_and_primes_past_the_bound():
+    e = embedded_curve("121-B1")
+    for n in (15, 1001, 2001, 100003):
+        with pytest.raises(UnsupportedPrime):
+            count_points(e, n)
+    assert count_points(e, 99991) == _character_sum_count(e, 99991)
 
 
 def test_traces_against_slow_recount():
