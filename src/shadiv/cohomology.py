@@ -150,7 +150,9 @@ def composition_factors(m: GModule):
     if basis is None:
         return [m]
     sub, quot = _split_module(m, basis, pivots)
-    return composition_factors(sub) + composition_factors(quot)
+    # sub has the least dimension of any invariant subspace of m, so it is
+    # irreducible: an invariant subspace of sub would be a smaller one of m
+    return [sub] + composition_factors(quot)
 
 
 def _split_module(m, basis, pivots):

@@ -166,11 +166,15 @@ def _shanks_mestre_column(e, ells, x0):
     columns run in lockstep: the point P, its baby steps j P
     (1 <= j <= M), the giant step (2M + 1) P, the start s0 P with
     s0 = lo + M, and the giant steps from there.  M and the number of
-    giant steps are the largest any prime of the call needs.  The chains
-    run in Jacobian coordinates (x = X/Z^2, y = Y/Z^3) and are made affine
-    together by Montgomery's trick (Math. Comp. 48, 1987): one Fermat
-    inversion per column for all its points.  One sort of the baby keys
-    index * 2^20 + x and one searchsorted match the giants' x against them.
+    giant steps are the largest any prime of the call needs.  The start
+    is summed over fixed windows of w = M.bit_length() - 1 bits of s0,
+    from the top: w doublings and one addition per window, whose addend
+    (the window's digit) P is a baby step, as the digit is below
+    2^w <= M.  The chains run in Jacobian coordinates (x = X/Z^2,
+    y = Y/Z^3) and are made affine together by Montgomery's trick
+    (Math. Comp. 48, 1987): one Fermat inversion per column for all its
+    points.  One sort of the baby keys index * 2^20 + x and one
+    searchsorted match the giants' x against them.
 
     A column's count is its one candidate n in [lo, hi] with n P = O, which
     Hasse's bound makes #E or #E', as d is a square or not.  A giant step
@@ -221,15 +225,25 @@ def _shanks_mestre_column(e, ells, x0):
     step = _jacobian_add(*_jacobian_double(*pts[:, m - 1], a, ell), px, py, one, ell)[:3]
     faulty |= step[2] == 0
 
-    # the start s0 P by double-and-add from the top bit, then the giant steps;
+    # the start s0 P by fixed windows of w bits from the top, each window's
+    # addend j P (1 <= j < 2^w <= m) a baby step, then the giant steps;
     # O + Q = Q, and Q + Q, which the addition formula cannot add, is 2 Q
     s0 = lo + m
+    col = np.arange(cols)
+    w = m.bit_length() - 1
+    top = (int(s0.max()).bit_length() - 1) // w * w
     acc = np.stack([one, one, np.zeros_like(ell)])
-    for bit in range(int(s0.max()).bit_length() - 1, -1, -1):
-        acc = np.stack(_jacobian_double(*acc, a, ell))
-        *summed, equal = _jacobian_add(*acc, px, py, one, ell)
-        summed = np.where(acc[2] == 0, pts[:, 0], np.where(equal, pts[:, 1], summed))
-        acc = np.where((s0 >> bit) & 1 == 1, summed, acc)
+    for shift in range(top, -1, -w):
+        if shift < top:  # acc is still O at the top window
+            for _ in range(w):
+                acc = np.stack(_jacobian_double(*acc, a, ell))
+        digit = (s0 >> shift) & ((1 << w) - 1)
+        addend = pts[:, np.maximum(digit - 1, 0), col]
+        *summed, equal = _jacobian_add(*acc, *addend, ell)
+        if equal.any():
+            summed = np.where(equal, np.stack(_jacobian_double(*addend, a, ell)), summed)
+        summed = np.where(acc[2] == 0, addend, summed)
+        acc = np.where(digit == 0, acc, summed)
     step2 = _jacobian_double(*step, a, ell)
     for k in range(giants):
         if k:
@@ -244,7 +258,6 @@ def _shanks_mestre_column(e, ells, x0):
     faulty |= (y[:m] == 0).any(axis=0)
 
     # match the giants' x against the baby keys index * 2^20 + x
-    col = np.arange(cols)
     keys = (col << 20) + x[:m]
     order = np.argsort(keys, axis=None)
     sorted_keys = keys.ravel()[order]

@@ -4,8 +4,8 @@ A per-prime ambient context indexes every element of GL2(F_p) in
 lexicographic order of its entry 4-tuple (a, b, c, d); that ordering is
 canonical throughout.  It has one product, `GL2Ambient.mul`, broadcast over
 id arrays: for p <= 7 a lookup in the full multiplication table, built
-once (|GL2(F_7)| = 2016, an 8 MB uint16 table), and for p = 11, 13 direct
-2x2 arithmetic mod p.  Element orders and the action on the p + 1 lines of
+once from the rows of a generating set (|GL2(F_7)| = 2016, an 8 MB uint16
+table), and for p = 11, 13 direct 2x2 arithmetic mod p.  Element orders and the action on the p + 1 lines of
 F_p^2 are arrays over all elements, computed once per prime.  Since p
 divides |GL2(F_p)| exactly once, a Sylow p-subgroup is trivial or cyclic
 of order p.
@@ -37,6 +37,7 @@ from .errors import (
 )
 
 TABLE_MAX_P = 7
+_TABLE_BLOCK = 256  # rows per gather while the multiplication table is built
 SAMPLING_MAX_P = 13
 EXHAUSTIVE_MAX_P = 5
 
@@ -52,16 +53,6 @@ def _encode(a, b, c, d, p):
     return ((a * p + b) * p + c) * p + d
 
 
-def _decode(code, p):
-    d = code % p
-    code //= p
-    c = code % p
-    code //= p
-    b = code % p
-    a = code // p
-    return a, b, c, d
-
-
 class GL2Ambient:
     """Indexed copy of GL2(F_p) with shared lookup structure."""
 
@@ -69,19 +60,17 @@ class GL2Ambient:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        codes = []
-        for code in range(p ** 4):
-            a, b, c, d = _decode(code, p)
-            if (a * d - b * c) % p != 0:
-                codes.append(code)
-        self.codes = np.array(codes, dtype=np.int64)
-        self.size = len(codes)
+        codes = np.arange(p ** 4, dtype=np.int64)
+        a, rem = np.divmod(codes, p ** 3)
+        b, rem = np.divmod(rem, p ** 2)
+        c, d = np.divmod(rem, p)
+        invertible = (a * d - b * c) % p != 0
+        self.codes = codes[invertible]
+        a, b, c, d = a[invertible], b[invertible], c[invertible], d[invertible]
+        self.size = len(self.codes)
         assert self.size == gl2_order(p)
         self.code_to_id = np.full(p ** 4, -1, dtype=np.int32)
         self.code_to_id[self.codes] = np.arange(self.size, dtype=np.int32)
-        a, rem = np.divmod(self.codes, p ** 3)
-        b, rem = np.divmod(rem, p ** 2)
-        c, d = np.divmod(rem, p)
         self.mats = np.stack(
             [np.stack([a, b], axis=1), np.stack([c, d], axis=1)], axis=1
         ).astype(np.int64)
@@ -102,13 +91,41 @@ class GL2Ambient:
         self._lock = threading.Lock()
 
     def _build_mul_table(self):
+        """The table of every product, table[x, z] = id of x z, grown from the rows of generators.
+
+        The rows of u = [[1, 1], [0, 1]] and w = [[0, 1], [-1, 0]], which
+        generate SL2(F_p), and of diag(t, 1) for t = 2 .. p - 1, which
+        bring every determinant, come from 2x2 arithmetic.  Every other row
+        is reached breadth-first along right multiplication by a generator
+        g: (x g) z = x (g z), so row(x g) = row(x)[row(g)], one gather of a
+        known row.  The identity too is a word in the generators, so the
+        walk reaches every id.  Each gather takes at most _TABLE_BLOCK rows,
+        which bounds its scratch memory.
+        """
         p = self.p
+        gens = [((1, 1), (0, 1)), ((0, 1), (-1, 0))] + [((t, 0), (0, 1)) for t in range(2, p)]
+        gen_ids = np.array([self.id_of_mat(g) for g in gens])
         table = np.empty((self.size, self.size), dtype=np.uint16)
-        mats = self.mats
-        for i in range(self.size):
-            prod = (mats[i] @ mats) % p
-            codes = _encode(prod[:, 0, 0], prod[:, 0, 1], prod[:, 1, 0], prod[:, 1, 1], p)
-            table[i] = self.code_to_id[codes]
+        table[gen_ids] = self._mat_mul(gen_ids[:, None], np.arange(self.size))
+        known = np.zeros(self.size, dtype=bool)
+        known[gen_ids] = True
+        frontier = gen_ids
+        while frontier.size:
+            reached = []
+            for start in range(0, frontier.size, _TABLE_BLOCK):
+                xs = frontier[start : start + _TABLE_BLOCK]
+                for g in gen_ids:
+                    ys = table[xs, g]
+                    new = ~known[ys]
+                    ys = ys[new]
+                    table[ys] = table[xs[new]].take(table[g], axis=1)
+                    known[ys] = True
+                    reached.append(ys)
+            frontier = np.concatenate(reached)
+        if not known.all():
+            raise InternalInconsistency(
+                f"the generator rows reach {np.count_nonzero(known)} of {self.size} rows at p={p}"
+            )
         return table
 
     def mat_of(self, eid):
@@ -131,6 +148,10 @@ class GL2Ambient:
         """
         if self.table is not None:
             return self.table[a, b]
+        return self._mat_mul(a, b)
+
+    def _mat_mul(self, a, b):
+        """Ids of the products a*b by 2x2 arithmetic mod p, broadcast as in mul."""
         p = self.p
         prod = (self.mats[np.asarray(a, dtype=np.intp)] @ self.mats[np.asarray(b, dtype=np.intp)]) % p
         codes = _encode(prod[..., 0, 0], prod[..., 0, 1], prod[..., 1, 0], prod[..., 1, 1], p)

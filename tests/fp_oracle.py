@@ -6,6 +6,7 @@ and the invariant-subspace filter below must not share the reducer
 (`shadiv.fp_linalg.echelon_bases`) that they check.
 """
 
+from functools import cache
 from itertools import product
 
 
@@ -99,11 +100,12 @@ def mat_vec(a, v, p):
     return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
 
 
+@cache
 def all_subspaces(p, n, d):
-    """Every d-dimensional subspace of F_p^n, as its RREF basis.
+    """Every d-dimensional subspace of F_p^n, as its RREF basis, in a frozenset.
 
     Grown from the zero space one vector at a time, so it shares nothing
-    with an echelon enumerator.
+    with an echelon enumerator.  Memoized: the set depends on (p, n, d) only.
     """
     spaces = {()}
     for _ in range(d):
@@ -114,7 +116,7 @@ def all_subspaces(p, n, d):
                 if len(pivots) > len(basis):
                     grown.add(reduced)
         spaces = grown
-    return spaces
+    return frozenset(spaces)
 
 
 def invariant_subspaces_by_filter(mats, p, n, d):

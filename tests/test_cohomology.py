@@ -1,11 +1,18 @@
 import dataclasses
 import hashlib
+import random
 from itertools import product
 
 import numpy as np
 import pytest
 
-from fp_oracle import LinearSystemInconsistent, kernel_basis, rank_of, solve_linear
+from fp_oracle import (
+    LinearSystemInconsistent,
+    invariant_subspaces_by_filter,
+    kernel_basis,
+    rank_of,
+    solve_linear,
+)
 from shadiv.cohomology import (
     GModule,
     borel_datum,
@@ -303,6 +310,21 @@ def test_composition_factors_standard_borel():
     chi1, chi2 = reducible_characters(g)
     values = sorted(tuple(int(f.gen_mats[i][0, 0]) for i in range(len(g.generator_ids))) for f in factors)
     assert values == sorted([chi1, chi2])
+
+
+def test_composition_factors_are_irreducible(subgroups_p3, subgroups_p5):
+    # every factor has no invariant subspace but 0 and itself (by the
+    # test-side filter, on the generators' matrices), and the dimensions
+    # add up to the module's
+    for g in list(subgroups_p3) + random.Random(20).sample(list(subgroups_p5), 60):
+        for make in (make_standard_module, make_adjoint_module):
+            m = make(g)
+            factors = composition_factors(m)
+            assert sum(f.dim for f in factors) == m.dim
+            for f in factors:
+                mats = f.gen_mats.tolist()
+                for d in range(1, f.dim):
+                    assert not invariant_subspaces_by_filter(mats, g.p, f.dim, d), (g.generator_ids, d)
 
 
 def test_adjoint_factors_for_borel_subgroup():

@@ -2,7 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -415,29 +415,53 @@ def _sample_ids(amb, rng, k):
     return np.arange(amb.size) if amb.p <= 5 else rng.integers(amb.size, size=k)
 
 
+def _products_by_arithmetic(amb, a, b):
+    """The matrices a*b for id arrays a and b, by 2x2 arithmetic mod p."""
+    p = amb.p
+    (x00, x01), (x10, x11) = np.moveaxis(amb.mats[a], (1, 2), (0, 1))
+    (y00, y01), (y10, y11) = np.moveaxis(amb.mats[b], (1, 2), (0, 1))
+    return np.stack(
+        [
+            np.stack([(x00 * y00 + x01 * y10) % p, (x00 * y01 + x01 * y11) % p], axis=1),
+            np.stack([(x10 * y00 + x11 * y10) % p, (x10 * y01 + x11 * y11) % p], axis=1),
+        ],
+        axis=1,
+    )
+
+
 def test_mul_matches_matrix_arithmetic():
     rng = np.random.default_rng(15)
-    for p in (3, 5, 7, 11, 13):
+    for p in (2, 3, 5, 7, 11, 13):
         amb = ambient(p)
-        if p <= 5:  # every pair
-            a, b = np.divmod(np.arange(amb.size ** 2), amb.size)
+        if p <= 7:  # every pair, 256 rows of the table at a time
+            for start in range(0, amb.size, 256):
+                a, b = np.divmod(np.arange(start * amb.size, min(start + 256, amb.size) * amb.size), amb.size)
+                assert np.array_equal(amb.mats[amb.mul(a, b)], _products_by_arithmetic(amb, a, b)), (p, start)
         else:
             a, b = rng.integers(amb.size, size=(2, 20000))
-        (x00, x01), (x10, x11) = np.moveaxis(amb.mats[a], (1, 2), (0, 1))
-        (y00, y01), (y10, y11) = np.moveaxis(amb.mats[b], (1, 2), (0, 1))
-        expected = np.stack(
-            [
-                np.stack([(x00 * y00 + x01 * y10) % p, (x00 * y01 + x01 * y11) % p], axis=1),
-                np.stack([(x10 * y00 + x11 * y10) % p, (x10 * y01 + x11 * y11) % p], axis=1),
-            ],
-            axis=1,
-        )
-        assert np.array_equal(amb.mats[amb.mul(a, b)], expected), p
+            assert np.array_equal(amb.mats[amb.mul(a, b)], _products_by_arithmetic(amb, a, b)), p
         # ids broadcast against each other; a pair of ids gives one id
         grid = amb.mul(a[:7, None], b[:5])
         assert grid.shape == (7, 5)
         i, j = int(a[3]), int(b[4])
         assert int(amb.mul(i, j)) == grid[3, 4] == amb.id_of_mat(_mat_mul(amb.mat_of(i), amb.mat_of(j), p))
+
+
+def test_table_is_a_contiguous_uint16_array_up_to_p7():
+    for p in (2, 3, 5, 7):
+        table = ambient(p).table
+        assert table.dtype == np.uint16 and table.flags.c_contiguous and table.shape == (gl2_order(p),) * 2
+    assert ambient(11).table is None
+
+
+def test_codes_are_the_invertible_codes_in_ascending_order():
+    for p in (2, 3, 5, 7, 11, 13):
+        brute = [
+            ((a * p + b) * p + c) * p + d
+            for a, b, c, d in product(range(p), repeat=4)
+            if (a * d - b * c) % p
+        ]
+        assert ambient(p).codes.tolist() == brute, p
 
 
 def test_orders_match_a_walk_of_powers():
@@ -528,7 +552,7 @@ def test_center_and_det_image_match_sets(subgroups_p3, subgroups_p5, helper_samp
 # ---------------------------------------------------------------------------
 # one product and one subgroup representation, checked on the package's source
 
-_TABLE_READERS = {"GL2Ambient.mul", "GL2Ambient._build_mul_table", "_close"}
+_TABLE_READERS = {"GL2Ambient.mul", "_close"}
 # the ambient's code -> id map and the one position map of a subgroup
 _ARANGE_SCATTERS = {"GL2Ambient.__init__", "Subgroup.positions"}
 
