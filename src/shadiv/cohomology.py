@@ -1,9 +1,12 @@
 """G-modules over F_p: composition factors, isomorphism testing, H^1.
 
-The first cohomology is computed by propagating unknown cocycle values on
-the generators along a spanning tree of the Cayley graph; every non-tree
-edge contributes linear constraints.  This keeps the unknown count at
-dim(M) * #generators independently of |G|.
+The first cohomology is read off the Sylow p-subgroup P by the
+stable-element theorem: restriction to P is injective on H^1(G, M), and
+since P is trivial or cyclic of order p, H^1(G, M) is H^1(P, M)^{N_G(P)},
+n x n linear algebra.  Only where that is nonzero are the cocycles found by
+propagating unknown values on the generators along a spanning tree of the
+Cayley graph; every non-tree edge contributes linear constraints.  This
+keeps the unknown count at dim(M) * #generators independently of |G|.
 """
 
 from bisect import bisect_left
@@ -13,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceeded, SizeExceeded
+from .errors import BudgetExceeded, InternalInconsistency, SizeExceeded
 from .fp_linalg import det_raw, echelon_bases, kernel_basis, rref
 from .gl2 import Subgroup, embeds_in_s3, invariant_line, normalizer_in, p_sylow
 
@@ -43,17 +46,45 @@ class GModule:
         ids = self.subgroup.element_ids
         return self.mats[[bisect_left(ids, g) for g in self.subgroup.generator_ids]]
 
+    @cached_property
+    def factors(self):
+        """Jordan-Holder factors, as a tuple of irreducible GModules, computed once."""
+        if self.dim > 4:
+            raise ValueError("modules of dimension > 4 are out of scope")
+        if self.dim == 0:
+            return ()
+        gens = self.gen_mats if len(self.subgroup.generator_ids) else np.eye(self.dim, dtype=np.int64)[None]
+        basis, pivots = _first_invariant_subspace(gens, self.p, self.dim, self.dim - 1)
+        if basis is None:
+            return (self,)
+        sub, quot = _split_module(self, basis, pivots)
+        # sub has the least dimension of any invariant subspace, so it is
+        # irreducible: an invariant subspace of sub would be a smaller one
+        return (sub,) + quot.factors
+
 
 def make_standard_module(g: Subgroup) -> GModule:
     """The tautological 2-dimensional module: action by inclusion."""
-    amb = g.ambient
-    return GModule(g, 2, amb.mats[list(g.element_ids)].copy())
+    return _ambient_module(g, g.generator_ids, 2)
 
 
 def make_adjoint_module(g: Subgroup) -> GModule:
     """End(V) with conjugation action, in the basis E11, E12, E21, E22."""
+    return _ambient_module(g, g.generator_ids, 4)
+
+
+@lru_cache(maxsize=4)
+def _ambient_module(g, generator_ids, dim):
+    """V (dim 2) or End V (dim 4) of g, built once and shared, with read-only mats.
+
+    Sharing the module shares its generator matrices and factors too.
+    Keyed by the generators as well: Subgroup equality ignores them, and
+    gen_mats depends on them.
+    """
     amb = g.ambient
-    return GModule(g, 4, amb.ad_mats[list(g.element_ids)].copy())
+    mats = (amb.mats if dim == 2 else amb.ad_mats)[list(g.element_ids)]
+    mats.flags.writeable = False
+    return GModule(g, dim, mats)
 
 
 def character_module(g: Subgroup, values) -> GModule:
@@ -139,20 +170,8 @@ def _first_invariant_subspace(gen_mats, p, n, max_dim):
 
 
 def composition_factors(m: GModule):
-    """Jordan-Holder factors of m, as a list of irreducible GModules."""
-    if m.dim > 4:
-        raise ValueError("modules of dimension > 4 are out of scope")
-    if m.dim == 0:
-        return []
-    p = m.p
-    gens = m.gen_mats if len(m.subgroup.generator_ids) else np.eye(m.dim, dtype=np.int64)[None]
-    basis, pivots = _first_invariant_subspace(gens, p, m.dim, m.dim - 1)
-    if basis is None:
-        return [m]
-    sub, quot = _split_module(m, basis, pivots)
-    # sub has the least dimension of any invariant subspace of m, so it is
-    # irreducible: an invariant subspace of sub would be a smaller one of m
-    return [sub] + composition_factors(quot)
+    """Jordan-Holder factors of m, as a list of irreducible GModules (see GModule.factors)."""
+    return list(m.factors)
 
 
 def _split_module(m, basis, pivots):
@@ -226,10 +245,8 @@ def modules_isomorphic(a: GModule, b: GModule) -> bool:
 
 def common_irreducible_factor(a: GModule, b: GModule) -> bool:
     """Whether some Jordan-Holder factor of a is isomorphic to one of b."""
-    fa = composition_factors(a)
-    fb = composition_factors(b)
-    for x in fa:
-        for y in fb:
+    for x in a.factors:
+        for y in b.factors:
             if x.dim == y.dim and modules_isomorphic(x, y):
                 return True
     return False
@@ -316,64 +333,99 @@ def _relations(g, m):
     return t, rel.reshape(len(src) * n, n * k) % p
 
 
-def _coboundary_rank(m):
-    """dim B^1, the rank of v -> (s.v - v) over the generators s."""
-    cob = (m.gen_mats - np.eye(m.dim, dtype=np.int64)).reshape(-1, m.dim)
-    return len(rref(cob, m.p)[1])
+@lru_cache(maxsize=8)
+def _sylow_normalizer(g):
+    """P = p_sylow(g) and its normalizer N_G(P), once per subgroup.
+
+    Both depend only on g's elements, so g alone is the key.
+    """
+    syl = p_sylow(g)
+    return syl, normalizer_in(g, syl)
+
+
+def _sylow_h1_dim(g, m):
+    """dim H^1(G, M), read off the Sylow p-subgroup by stable elements.
+
+    Restriction to P is injective on H^1(G, M): cor o res is
+    multiplication by [G : P], a unit mod p.  P is trivial or <sigma> of
+    order p, so P meets every conjugate other than itself trivially, and
+    the stable elements of H^1(P, M) are its N_G(P)-invariants (Swan;
+    Cartan-Eilenberg XII.10; Brown, Cohomology of Groups, III):
+    H^1(G, M) = H^1(P, M)^{N_G(P)}.  H^1(P, M) is ker N / (sigma - 1)M,
+    N = 1 + sigma + ... + sigma^{p-1}.  An x in N_G(P) with
+    x^-1 sigma x = sigma^a maps the class of v to that of x S_a v,
+    S_a = 1 + sigma + ... + sigma^{a-1}; v is fixed modulo (sigma - 1)M
+    when C (x S_a - 1) v = 0, the rows of C spanning the left kernel of
+    sigma - 1.  So the dimension is n - rank [N; C (x S_a - 1) for each
+    generator x of N_G(P)] - rank(sigma - 1).
+    """
+    p = g.p
+    if g.order % p:
+        return 0
+    amb = g.ambient
+    n = m.dim
+    ident = np.eye(n, dtype=np.int64)
+    syl, norm = _sylow_normalizer(g)
+    sigma = syl.generator_ids[0]
+    powers = [amb.identity_id]
+    for _ in range(p - 1):
+        powers.append(int(amb.mul(powers[-1], sigma)))
+    ids = g.element_ids
+    partial = np.cumsum(m.mats[[bisect_left(ids, x) for x in powers]], axis=0) % p  # S_1 .. S_p
+    shift = (m.mats[bisect_left(ids, sigma)] - ident) % p
+    left_kernel = np.array(kernel_basis(shift.T, n, p), dtype=np.int64).reshape(-1, n)
+    xs = np.asarray(norm.generator_ids, dtype=np.intp)
+    exponents = [powers.index(int(y)) for y in amb.mul(amb.mul(amb.inv[xs], sigma), xs)]
+    rows = [partial[-1]]
+    for x, a in zip(norm.generator_ids, exponents):
+        act = m.mats[bisect_left(ids, x)] @ partial[a - 1] - ident
+        rows.append(left_kernel @ act % p)
+    return n - len(rref(np.concatenate(rows), p)[1]) - len(rref(shift, p)[1])
 
 
 def h1(g: Subgroup, m: GModule) -> CohomologyClassSpace:
-    """H^1(G, M) with explicit cocycle basis on the generators."""
-    _, rel = _relations(g, m)
+    """H^1(G, M) with explicit cocycle basis on the generators.
+
+    The dimension comes from the Sylow p-subgroup (_sylow_h1_dim).  Where it
+    is 0, Z^1 = B^1, spanned by the cocycles (s.v - v)_s; the basis is
+    kernel_basis of the annihilator of B^1, which depends only on the
+    subspace and so equals the basis the Cayley relations give.  Only
+    where H^1 > 0 are the relations built (_relations), and their
+    kernel is Z^1.
+    """
+    if g != m.subgroup:
+        raise ValueError("module does not belong to the subgroup")
+    p = g.p
     n = m.dim
     k = len(g.generator_ids)
-    z1 = kernel_basis(rel, n * k, g.p)
-    dim_b1 = _coboundary_rank(m)
+    dim_h1 = _sylow_h1_dim(g, m)
+    cob = (m.gen_mats - np.eye(n, dtype=np.int64)).reshape(k * n, n)
+    annihilator = kernel_basis(cob.T, k * n, p)
+    dim_b1 = k * n - len(annihilator)
+    if dim_h1 == 0:
+        z1 = kernel_basis(annihilator, k * n, p)
+    else:
+        z1 = kernel_basis(_relations(g, m)[1], k * n, p)
+        if len(z1) != dim_b1 + dim_h1:
+            raise InternalInconsistency(
+                f"dim Z^1 = {len(z1)} from the relations, {dim_b1 + dim_h1} from the Sylow subgroup"
+            )
     basis = tuple(tuple(vec[j * n : (j + 1) * n] for j in range(k)) for vec in z1)
-    return CohomologyClassSpace(len(z1), dim_b1, len(z1) - dim_b1, basis)
-
-
-def _cyclic_generator_positions(g):
-    """Positions of the least generator of each nontrivial cyclic subgroup of g.
-
-    x is the least generator of <x> when no x^j with j prime to the order
-    of x has a smaller id; one power walk checks every element at once.
-    """
-    amb = g.ambient
-    ids = np.asarray(g.element_ids, dtype=np.intp)
-    orders = amb.orders[ids]
-    least = ids.copy()
-    power = ids
-    for j in range(2, int(orders.max())):
-        power = amb.mul(power, ids)
-        generates = (np.gcd(j, orders) == 1) & (j < orders)
-        least = np.where(generates, np.minimum(least, power), least)
-    return np.flatnonzero((least == ids) & (orders > 1))
+    return CohomologyClassSpace(len(z1), dim_b1, dim_h1, basis)
 
 
 def h1_star(g: Subgroup, m: GModule) -> int:
-    """Dimension of the classes killed by restriction to every cyclic subgroup.
+    """Dimension of the classes killed by restriction to every cyclic subgroup: always 0.
 
-    A cocycle restricts to a coboundary on <x> exactly when f(x) lies in
-    (x - 1)M, i.e. when the left kernel of x - 1 kills f(x) = t[x] u, u
-    the unknowns.  Those rows join the relations, and one rank gives the
-    subspace W of Z^1 they cut out.
+    The Sylow p-subgroup P of G is trivial or cyclic of order p, since p
+    divides |GL2(F_p)| exactly once.  A class killed on every cyclic
+    subgroup is killed on P, and restriction to P is injective on
+    H^1(G, M), because cor o res is multiplication by [G : P], a unit mod
+    p.  So the class is 0, for every subgroup and every F_p-module.
     """
-    t, rel = _relations(g, m)
-    p = g.p
-    n = m.dim
-    nunk = t.shape[2]
-    reduced, pivots = rref(rel, p)
-    dim_b1 = _coboundary_rank(m)
-    if nunk - len(pivots) == dim_b1:
-        return 0
-    rows = [reduced]
-    for i in _cyclic_generator_positions(g):
-        shifted = (m.mats[i] - np.eye(n, dtype=np.int64)) % p
-        left_kernel = np.array(kernel_basis(shifted.T, n, p), dtype=np.int64)
-        rows.append(left_kernel.reshape(-1, n) @ t[i] % p)
-    dim_w = nunk - len(rref(np.concatenate(rows), p)[1])
-    return dim_w - dim_b1
+    if g != m.subgroup:
+        raise ValueError("module does not belong to the subgroup")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +499,7 @@ def borel_datum(g: Subgroup):
     if g.order % p != 0:
         return None
     amb = g.ambient
-    syl = p_sylow(g)
-    norm = normalizer_in(g, syl)
+    syl, norm = _sylow_normalizer(g)
     # the one line P fixes: where its generator has an eigenvalue
     line_idx = int(np.flatnonzero(amb.lines[1][syl.generator_ids[0]])[0])
     ids = norm.element_ids

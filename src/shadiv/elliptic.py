@@ -58,8 +58,8 @@ def derive_invariants(a1, a2, a3, a4, a6, label=None) -> EllipticCurveQ:
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if disc == 0:
         raise SingularCurve(f"[{a1},{a2},{a3},{a4},{a6}] has discriminant zero")
-    assert 4 * b8 == b2 * b6 - b4 * b4
-    assert 1728 * disc == c4 ** 3 - c6 * c6
+    if 4 * b8 != b2 * b6 - b4 * b4 or 1728 * disc != c4 ** 3 - c6 * c6:
+        raise InternalInconsistency(f"[{a1},{a2},{a3},{a4},{a6}]: the b- and c-invariants disagree")
     return EllipticCurveQ(a1, a2, a3, a4, a6, b2, b4, b6, b8, c4, c6, disc, label)
 
 
@@ -361,8 +361,13 @@ def trace_at(e: EllipticCurveQ, ell: int):
     """a_ell = ell + 1 - #E(F_ell), or None when the model is bad at ell."""
     if e.discriminant % ell == 0:
         return None
-    a = ell + 1 - count_points(e, ell)
-    assert a * a <= 4 * ell, "Hasse bound violated"
+    return _hasse_checked(ell, ell + 1 - count_points(e, ell))
+
+
+def _hasse_checked(ell, a):
+    """a, after checking the Hasse bound a^2 <= 4 ell that every trace of Frobenius obeys."""
+    if a * a > 4 * ell:
+        raise InternalInconsistency(f"a_{ell} = {a} violates the Hasse bound")
     return a
 
 
@@ -409,8 +414,7 @@ def _column_traces(e, ells):
     good = [ell for ell in ells if e.discriminant % ell]
     traces = dict.fromkeys(ells)
     for ell, n in zip(good, _shanks_mestre_rounds(e, good).tolist()):
-        traces[ell] = a = ell + 1 - n
-        assert a * a <= 4 * ell, "Hasse bound violated"
+        traces[ell] = _hasse_checked(ell, ell + 1 - n)
     return tuple(traces.values())
 
 

@@ -68,7 +68,8 @@ class GL2Ambient:
         self.codes = codes[invertible]
         a, b, c, d = a[invertible], b[invertible], c[invertible], d[invertible]
         self.size = len(self.codes)
-        assert self.size == gl2_order(p)
+        if self.size != gl2_order(p):
+            raise InternalInconsistency(f"{self.size} invertible matrices mod {p}, expected {gl2_order(p)}")
         self.code_to_id = np.full(p ** 4, -1, dtype=np.int32)
         self.code_to_id[self.codes] = np.arange(self.size, dtype=np.int32)
         self.mats = np.stack(
@@ -375,7 +376,7 @@ def meets_center(g: Subgroup) -> bool:
 
 
 def det_image_order(g: Subgroup) -> int:
-    return len(np.unique(g.ambient.dets[g.mask]))
+    return int(np.count_nonzero(np.bincount(g.ambient.dets[g.mask], minlength=g.p)))
 
 
 def p_sylow(g: Subgroup) -> Subgroup:
@@ -524,15 +525,16 @@ def classify(g: Subgroup) -> ClassificationTag:
         return ClassificationTag.SPLIT_TORUS_NORMALIZER
     if _in_nonsplit_torus_normalizer(g):
         return ClassificationTag.NONSPLIT_TORUS_NORMALIZER
-    # each coset of the scalars, by its least id
-    cosets = np.unique(amb.mul(amb.scalar_ids[:, None], g.element_ids).min(axis=0))
+    # each coset of the scalars, by its least id, in id order
+    least = amb.mul(amb.scalar_ids[:, None], g.element_ids).min(axis=0)
+    cosets = np.flatnonzero(np.bincount(least, minlength=amb.size))
     image_order = len(cosets)
     if image_order in _EXCEPTIONAL_ORDER_PROFILES:
         name, profile = _EXCEPTIONAL_ORDER_PROFILES[image_order]
         scalar = np.zeros(amb.size, dtype=bool)
         scalar[amb.scalar_ids] = True
-        orders, counts = np.unique(_first_power_in(amb, cosets, scalar), return_counts=True)
-        observed = dict(zip(orders.tolist(), counts.tolist()))
+        counts = np.bincount(_first_power_in(amb, cosets, scalar))
+        observed = {k: c for k, c in enumerate(counts.tolist()) if c}
         if observed != profile:
             raise InternalInconsistency(
                 f"projective image of order {image_order} has order profile "

@@ -13,6 +13,7 @@ from fp_oracle import (
     rank_of,
     solve_linear,
 )
+from h1_oracle import h1_by_relations, h1_star_by_relations
 from shadiv.cohomology import (
     GModule,
     borel_datum,
@@ -30,7 +31,8 @@ from shadiv.cohomology import (
     reducible_characters,
     sylow_hom_bound,
 )
-from shadiv.gl2 import closure, s3_copy
+from shadiv.errors import SizeExceeded
+from shadiv.gl2 import Sampled, closure, enumerate_subgroups, s3_copy
 
 
 def h1_dims_bruteforce(g, mod):
@@ -94,7 +96,8 @@ def test_h1_matches_bruteforce(p, gens):
 
 # sha256 over (dim Z1, dim B1, h1, basis) for V and End V, and h1_*(End V),
 # of every subgroup in the seed-1 samples, computed with the per-row
-# reducer that preceded fp_linalg.rref: the reducer must not move them
+# reducer that preceded fp_linalg.rref: the reducer must not move them.
+# h1_* is 0 by proof; the relation-route oracle recomputes it here.
 H1_DIGESTS = {
     5: "5206aff4d7aae636a35c0d7028317fe6ae9cf9e947bd094a05156de842e4ba14",
     7: "96a9c504899907cf0b3a4aa4524a45ed748756b5b49acada313bca3b1a7b5af4",
@@ -111,8 +114,60 @@ def test_h1_digests_are_pinned(sampled_p5, sampled_p7):
                 space = h1(s, mod)
                 row.append((space.dim_z1, space.dim_b1, space.h1, space.basis))
             row.append(h1_star(s, adj))
+            assert h1_star_by_relations(s, adj) == 0, s.generator_ids
             digest.update(repr(tuple(row)).encode())
         assert digest.hexdigest() == H1_DIGESTS[sample[0].p]
+
+
+def test_h1_equals_relation_route(subgroups_p3, subgroups_p5, sampled_p7):
+    # the Sylow route against Z^1 from the full Cayley relations: the
+    # dimensions and the cocycle basis
+    for s in list(subgroups_p3) + list(subgroups_p5) + list(sampled_p7):
+        for mod in (make_standard_module(s), make_adjoint_module(s)):
+            assert h1(s, mod) == h1_by_relations(s, mod), (s.p, s.generator_ids, mod.dim)
+
+
+def test_h1_builds_relations_only_where_positive(subgroups_p3, subgroups_p5, monkeypatch):
+    import shadiv.cohomology as coh
+
+    def refuse(g, m):
+        raise RuntimeError("relation matrix built")
+
+    expected = {}
+    for s in list(subgroups_p3) + list(subgroups_p5):
+        for mod in (make_standard_module(s), make_adjoint_module(s)):
+            expected[s, mod.dim] = h1_by_relations(s, mod)
+    monkeypatch.setattr(coh, "_relations", refuse)
+    positive = 0
+    for (s, dim), want in expected.items():
+        mod = make_standard_module(s) if dim == 2 else make_adjoint_module(s)
+        if want.h1 == 0:
+            assert h1(s, mod) == want
+        else:
+            positive += 1
+            with pytest.raises(RuntimeError):
+                h1(s, mod)
+    assert positive == 17 + 68
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_h1_answers_above_the_relation_size_limit(p):
+    # the seed-1 samples hold subgroups above H1_MAX_ORDER, where the
+    # relation route raises SizeExceeded; their H^1 vanishes, and h1 answers
+    import shadiv.cohomology as coh
+
+    large = 0
+    for s in enumerate_subgroups(p, Sampled(120, 1)):
+        for mod in (make_standard_module(s), make_adjoint_module(s)):
+            space = h1(s, mod)
+            if s.order <= coh.H1_MAX_ORDER:
+                assert space == h1_by_relations(s, mod), (s.generator_ids, mod.dim)
+            else:
+                assert space.h1 == 0
+                with pytest.raises(SizeExceeded):
+                    h1_by_relations(s, mod)
+        large += s.order > coh.H1_MAX_ORDER
+    assert large == {11: 1, 13: 2}[p]
 
 
 def test_h1_unipotent_cyclic_is_one_dimensional():
@@ -144,16 +199,16 @@ def test_b1_dimension_identity(subgroups_p3):
 
 
 def test_h1_size_limit(monkeypatch):
+    # the limit binds only where H^1 > 0, the one place the relations are built
     import shadiv.cohomology as coh
 
-    g = closure(5, [((1, 1), (0, 1)), ((1, 0), (1, 1))])
-    monkeypatch.setattr(coh, "H1_MAX_ORDER", 100)
-    from shadiv.errors import SizeExceeded
-
+    borel = closure(5, [((1, 1), (0, 1)), ((4, 0), (0, 2))])  # h1(V) = 1, order 20
+    sl2 = closure(5, [((1, 1), (0, 1)), ((1, 0), (1, 1))])  # h1(V) = 0, order 120
+    monkeypatch.setattr(coh, "H1_MAX_ORDER", 10)
     with pytest.raises(SizeExceeded):
-        coh.h1(g, make_standard_module(g))
-    with pytest.raises(SizeExceeded):
-        coh.h1_star(g, make_standard_module(g))
+        coh.h1(borel, make_standard_module(borel))
+    assert coh.h1(sl2, make_standard_module(sl2)).h1 == 0
+    assert coh.h1_star(borel, make_standard_module(borel)) == 0
 
 
 def test_h1_vanishes_prime_to_p(subgroups_p3):
@@ -173,6 +228,7 @@ def test_h1_star_basics(subgroups_p3):
         std = make_standard_module(s)
         star = h1_star(s, std)
         full = h1(s, std).h1
+        assert star == h1_star_by_relations(s, std)
         assert 0 <= star <= full
         # cyclic groups restrict to themselves
         if _is_cyclic(s):
@@ -420,13 +476,15 @@ def _iso_after_realign(x, y, g):
 
 
 def test_sylow_hom_bound_matches_h1(subgroups_p3, sampled_p5):
+    # the bound is exact; h1 itself rests on the Sylow subgroup, so the
+    # comparison is with the relation-route oracle
     for s in list(subgroups_p3) + list(sampled_p5[:200]):
         if s.order % s.p:
             assert sylow_hom_bound(s) is None
             continue
         bound = sylow_hom_bound(s)
         assert bound in (0, 1)
-        assert h1(s, make_standard_module(s)).h1 <= bound
+        assert h1_by_relations(s, make_standard_module(s)).h1 == bound
 
 
 def test_borel_datum_characters_multiplicative():
