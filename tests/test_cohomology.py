@@ -13,10 +13,12 @@ from fp_oracle import (
     rank_of,
     solve_linear,
 )
-from h1_oracle import h1_by_relations, h1_star_by_relations
+from h1_oracle import RELATIONS_MAX_ORDER, h1_by_relations, h1_star_by_relations
 from shadiv.cohomology import (
     GModule,
+    _line_characters,
     borel_datum,
+    character_module,
     common_irreducible_factor,
     composition_factors,
     gmodule_from_action,
@@ -24,23 +26,21 @@ from shadiv.cohomology import (
     groupcrit_side_structural,
     h1,
     h1_star,
-    invariant_subspaces,
     make_adjoint_module,
     make_standard_module,
     modules_isomorphic,
     reducible_characters,
     sylow_hom_bound,
 )
-from shadiv.errors import SizeExceeded
-from shadiv.gl2 import Sampled, closure, enumerate_subgroups, s3_copy
+from shadiv.gl2 import Sampled, closure, enumerate_subgroups, invariant_line, s3_copy
 
 
 def h1_dims_bruteforce(g, mod):
     """Oracle: unknowns f(x) for every x in G, cocycle constraints on all pairs.
 
-    Completely independent of the Cayley-tree propagation: builds the full
-    linear system f(ab) - f(a) - a.f(b) = 0 and reads dim Z^1 and dim B^1
-    off its kernel and the coboundary map.
+    Independent of the transfer route and of the Cayley relations: builds
+    the full linear system f(ab) - f(a) - a.f(b) = 0 and reads dim Z^1 and
+    dim B^1 off its kernel and the coboundary map.
     """
     amb = g.ambient
     p = g.p
@@ -119,55 +119,53 @@ def test_h1_digests_are_pinned(sampled_p5, sampled_p7):
         assert digest.hexdigest() == H1_DIGESTS[sample[0].p]
 
 
+def _character_modules(s):
+    """det^k for 0 <= k < p - 1, and chi_1 on the first invariant line where there is one."""
+    amb = s.ambient
+    p = s.p
+    dets = amb.dets[list(s.element_ids)].tolist()
+    mods = [
+        character_module(s, dict(zip(s.element_ids, (pow(d, k, p) for d in dets))))
+        for k in range(p - 1)
+    ]
+    line_idx = invariant_line(s)
+    if line_idx is not None:
+        chi1 = _line_characters(amb, s.element_ids, line_idx)[0].tolist()
+        mods.append(character_module(s, dict(zip(s.element_ids, chi1))))
+    return mods
+
+
 def test_h1_equals_relation_route(subgroups_p3, subgroups_p5, sampled_p7):
-    # the Sylow route against Z^1 from the full Cayley relations: the
+    # the transfer route against Z^1 from the full Cayley relations: the
     # dimensions and the cocycle basis
     for s in list(subgroups_p3) + list(subgroups_p5) + list(sampled_p7):
-        for mod in (make_standard_module(s), make_adjoint_module(s)):
+        mods = [make_standard_module(s), make_adjoint_module(s)]
+        if s.p < 7:
+            mods += _character_modules(s)
+        for mod in mods:
             assert h1(s, mod) == h1_by_relations(s, mod), (s.p, s.generator_ids, mod.dim)
-
-
-def test_h1_builds_relations_only_where_positive(subgroups_p3, subgroups_p5, monkeypatch):
-    import shadiv.cohomology as coh
-
-    def refuse(g, m):
-        raise RuntimeError("relation matrix built")
-
-    expected = {}
-    for s in list(subgroups_p3) + list(subgroups_p5):
-        for mod in (make_standard_module(s), make_adjoint_module(s)):
-            expected[s, mod.dim] = h1_by_relations(s, mod)
-    monkeypatch.setattr(coh, "_relations", refuse)
-    positive = 0
-    for (s, dim), want in expected.items():
-        mod = make_standard_module(s) if dim == 2 else make_adjoint_module(s)
-        if want.h1 == 0:
-            assert h1(s, mod) == want
-        else:
-            positive += 1
-            with pytest.raises(RuntimeError):
-                h1(s, mod)
-    assert positive == 17 + 68
 
 
 @pytest.mark.parametrize("p", [11, 13])
 def test_h1_answers_above_the_relation_size_limit(p):
-    # the seed-1 samples hold subgroups above H1_MAX_ORDER, where the
-    # relation route raises SizeExceeded; their H^1 vanishes, and h1 answers
-    import shadiv.cohomology as coh
-
+    # the seed-1 samples hold subgroups above the oracle's size limit, and
+    # GL2(F_p) itself is above it; their H^1 vanishes, and h1 answers
+    gl2 = closure(p, [((1, 1), (0, 1)), ((0, 1), (-1, 0)), ((2, 0), (0, 1))])  # 2 generates F_p^*
+    assert gl2.order > RELATIONS_MAX_ORDER
     large = 0
     for s in enumerate_subgroups(p, Sampled(120, 1)):
         for mod in (make_standard_module(s), make_adjoint_module(s)):
             space = h1(s, mod)
-            if s.order <= coh.H1_MAX_ORDER:
+            if s.order <= RELATIONS_MAX_ORDER:
                 assert space == h1_by_relations(s, mod), (s.generator_ids, mod.dim)
             else:
                 assert space.h1 == 0
-                with pytest.raises(SizeExceeded):
+                with pytest.raises(ValueError, match="size limit"):
                     h1_by_relations(s, mod)
-        large += s.order > coh.H1_MAX_ORDER
+        large += s.order > RELATIONS_MAX_ORDER
     assert large == {11: 1, 13: 2}[p]
+    for mod in (make_standard_module(gl2), make_adjoint_module(gl2)):
+        assert h1(gl2, mod).h1 == 0
 
 
 def test_h1_unipotent_cyclic_is_one_dimensional():
@@ -196,19 +194,6 @@ def test_b1_dimension_identity(subgroups_p3):
                 rows.extend(tuple(int(x) for x in r) for r in block)
             fixed_dim = len(kernel_basis(rows, mod.dim, 3))
             assert space.dim_b1 == mod.dim - fixed_dim
-
-
-def test_h1_size_limit(monkeypatch):
-    # the limit binds only where H^1 > 0, the one place the relations are built
-    import shadiv.cohomology as coh
-
-    borel = closure(5, [((1, 1), (0, 1)), ((4, 0), (0, 2))])  # h1(V) = 1, order 20
-    sl2 = closure(5, [((1, 1), (0, 1)), ((1, 0), (1, 1))])  # h1(V) = 0, order 120
-    monkeypatch.setattr(coh, "H1_MAX_ORDER", 10)
-    with pytest.raises(SizeExceeded):
-        coh.h1(borel, make_standard_module(borel))
-    assert coh.h1(sl2, make_standard_module(sl2)).h1 == 0
-    assert coh.h1_star(borel, make_standard_module(borel)) == 0
 
 
 def test_h1_vanishes_prime_to_p(subgroups_p3):
@@ -355,7 +340,7 @@ def test_composition_factors_nonsplit_torus_irreducible():
     for v in [(1, t) for t in range(5)] + [(0, 1)]:
         w = ((a * v[0] + b * v[1]) % 5, (c * v[0] + d * v[1]) % 5)
         assert (w[0] * v[1] - w[1] * v[0]) % 5 != 0
-    assert invariant_subspaces(make_standard_module(g).gen_mats, 5, 2, 1) == []
+    assert invariant_subspaces_by_filter(make_standard_module(g).gen_mats.tolist(), 5, 2, 1) == set()
 
 
 def test_composition_factors_standard_borel():
@@ -409,18 +394,8 @@ def test_adjoint_splits_for_torus_normalizer():
         g = closure(p, gens)
         assert g.order % p != 0
         adj = make_adjoint_module(g)
-        planes = invariant_subspaces(adj.gen_mats, p, 4, 2)
-        found_complementary = False
-        for i in range(len(planes)):
-            for j in range(len(planes)):
-                if i == j:
-                    continue
-                stacked = [tuple(int(x) for x in row) for row in planes[i]] + [
-                    tuple(int(x) for x in row) for row in planes[j]
-                ]
-                if rank_of(stacked, p) == 4:
-                    found_complementary = True
-        assert found_complementary
+        planes = list(invariant_subspaces_by_filter(adj.gen_mats.tolist(), p, 4, 2))
+        assert any(rank_of(a + b, p) == 4 for a in planes for b in planes)
 
 
 def test_modules_isomorphic_basics():

@@ -12,7 +12,7 @@ from fp_oracle import (
     solve_linear,
 )
 from shadiv.arith import is_prime
-from shadiv.cohomology import invariant_subspaces
+from shadiv.cohomology import _first_invariant_subspace
 from shadiv.errors import BudgetExceeded
 from shadiv.fp_linalg import (
     det_raw,
@@ -151,20 +151,35 @@ def test_subspace_count_matches_enumeration():
                         )
 
 
-def _invariant(mats, p, n, d):
-    found = invariant_subspaces(np.array(mats, dtype=np.int64), p, n, d)
-    return {tuple(map(tuple, basis.tolist())) for basis in found}
+def _pivots(basis):
+    return tuple(next(i for i, x in enumerate(row) if x) for row in basis)
+
+
+def _least_invariant(mats, p, n):
+    """The oracle's invariant subspaces of least dimension 0 < d < n, checked against the package.
+
+    _first_invariant_subspace must return the first of them in echelon
+    order (pivot columns, then entries), or None when there are none.
+    """
+    basis, pivots = _first_invariant_subspace(np.array(mats, dtype=np.int64), p, n, n - 1)
+    for d in range(1, n):
+        spaces = invariant_subspaces_by_filter(mats, p, n, d)
+        if spaces:
+            first = min(spaces, key=lambda b: (_pivots(b), b))
+            assert (tuple(map(tuple, basis.tolist())), tuple(pivots)) == (first, _pivots(first))
+            return spaces
+    assert basis is None and pivots is None
+    return set()
 
 
 def test_enumerate_invariant_subspaces_trivial_action():
-    lines = _invariant([((1, 0), (0, 1))], 3, 2, 1)
-    assert lines == invariant_subspaces_by_filter([((1, 0), (0, 1))], 3, 2, 1)
+    lines = _least_invariant([((1, 0), (0, 1))], 3, 2)
     assert len(lines) == 4  # all lines of F_3^2
 
 
 def test_enumerate_invariant_subspaces_unipotent_line():
     u = ((1, 1), (0, 1))
-    lines = _invariant([u], 5, 2, 1)
+    lines = _least_invariant([u], 5, 2)
     # oracle: direct check over all p + 1 lines
     expected = []
     for rep in [(1, t) for t in range(5)] + [(0, 1)]:
@@ -173,14 +188,12 @@ def test_enumerate_invariant_subspaces_unipotent_line():
             expected.append(rep)
     assert len(lines) == len(expected) == 1
     assert lines == {((1, 0),)}
-    assert lines == invariant_subspaces_by_filter([u], 5, 2, 1)
 
 
 def test_enumerate_invariant_subspaces_irreducible_empty():
     # nonsplit torus element: x^2 = nonresidue has no eigenline over F_p
     m = ((0, 2), (1, 0))  # eigenvalues sqrt(2), 2 is a nonresidue mod 5
-    assert _invariant([m], 5, 2, 1) == set()
-    assert invariant_subspaces_by_filter([m], 5, 2, 1) == set()
+    assert _least_invariant([m], 5, 2) == set()
 
 
 def test_invariant_subspaces_agree_with_exhaustive_filter():
@@ -188,9 +201,10 @@ def test_invariant_subspaces_agree_with_exhaustive_filter():
     rng = random.Random(3)
     for p, n in ((3, 3), (5, 2), (3, 4), (2, 4)):
         for trial in range(2):
-            mats = [_random_invertible(rng, p, n) for _ in range(2 - trial)]
-            for d in range(n + 1):
-                assert _invariant(mats, p, n, d) == invariant_subspaces_by_filter(mats, p, n, d)
+            _least_invariant([_random_invertible(rng, p, n) for _ in range(2 - trial)], p, n)
+    # two non-isomorphic irreducible planes: no line, two invariant planes
+    block = ((0, 2, 0, 0), (1, 0, 0, 0), (0, 0, 0, 3), (0, 0, 1, 0))
+    assert len(_least_invariant([block], 5, 4)) == 2
 
 
 def test_subspace_budget_error():
