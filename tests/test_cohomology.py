@@ -17,6 +17,7 @@ from h1_oracle import RELATIONS_MAX_ORDER, h1_by_relations, h1_star_by_relations
 from shadiv.cohomology import (
     GModule,
     _line_characters,
+    _sylow_cosets,
     borel_datum,
     character_module,
     common_irreducible_factor,
@@ -166,6 +167,45 @@ def test_h1_answers_above_the_relation_size_limit(p):
     assert large == {11: 1, 13: 2}[p]
     for mod in (make_standard_module(gl2), make_adjoint_module(gl2)):
         assert h1(gl2, mod).h1 == 0
+
+
+def test_sylow_cosets_factor_generators_through_the_transversal(subgroups_p3, subgroups_p5):
+    # s t = t' sigma^e, with t, t' the least elements of their cosets t P,
+    # checked against the cosets built as sets of element ids
+    for g in list(subgroups_p3) + list(subgroups_p5):
+        p = g.p
+        data = _sylow_cosets(g, g.generator_ids)
+        if g.order % p:
+            assert data is None
+            continue
+        amb = g.ambient
+        ids = list(g.element_ids)
+        powers, t_prime, e = (np.asarray(a).tolist() for a in data)
+        sigma_powers = [ids[i] for i in powers]
+        assert sigma_powers[0] == amb.identity_id
+        assert len(set(sigma_powers)) == p
+        assert int(amb.mul(sigma_powers[-1], sigma_powers[1])) == amb.identity_id
+        coset_of = {x: frozenset(int(amb.mul(x, y)) for y in sigma_powers) for x in ids}
+        rank = {x: i for i, x in enumerate(ids)}
+        transversal = sorted({min(c, key=rank.get) for c in coset_of.values()}, key=rank.get)
+        assert len(transversal) * p == g.order
+        for j, s in enumerate(g.generator_ids):
+            for i, t in enumerate(transversal):
+                rep = ids[t_prime[j][i]]
+                assert rep in transversal
+                assert 0 <= e[j][i] < p
+                assert int(amb.mul(s, t)) == int(amb.mul(rep, sigma_powers[e[j][i]]))
+
+
+def test_h1_follows_the_generators_of_equal_subgroups():
+    # Subgroup equality ignores the generators, so the coset cache must not
+    # hand one generating set's transfers to another of the same group
+    a, b = ((1, 1), (0, 1)), ((4, 0), (0, 2))
+    for gens in ([a, b], [b, a], [b, a, a]):
+        g = closure(5, gens)
+        assert g == closure(5, [a, b])
+        for mod in (make_standard_module(g), make_adjoint_module(g)):
+            assert h1(g, mod) == h1_by_relations(g, mod), (gens, mod.dim)
 
 
 def test_h1_unipotent_cyclic_is_one_dimensional():
