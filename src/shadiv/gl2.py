@@ -14,11 +14,14 @@ A subgroup is one frozen value, `Subgroup`: its generators and its
 membership mask over the ambient's ids, packed into bytes.  Equality, hash,
 membership, containment, element ids and element positions all come from
 that mask.  Every closure goes through one kernel, `_close`, which grows a
-boolean membership mask from a known subgroup.  Every subgroup enumeration
-goes through one join memo, `_Joins`: the seeded stream and the exhaustive
-enumeration each intern the subgroups they meet and memoize their joins,
-within one stream or one enumeration only; the seeded stream stays a pure
-function of (p, count, seed).
+boolean membership mask from a known subgroup.  For p <= TABLE_MAX_P the
+whole subgroup lattice, `_Lattice`, is built once per process when a
+stream first needs it, by cyclic extension over conjugacy classes, with a
+table of every join S v <g>: the seeded stream resolves each draw by
+lookups in it, and the exhaustive enumeration yields it.  At p = 11 and
+13 the seeded stream joins through the memo `_Joins` instead, which
+lives for one stream.  Either way the stream is a pure function of
+(p, count, seed).
 """
 
 import random
@@ -29,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import is_prime, legendre_symbol
+from .arith import is_prime, legendre_symbol, prime_factors
 from .errors import (
     InternalInconsistency,
     ModeUnsupported,
@@ -39,7 +42,7 @@ from .errors import (
 TABLE_MAX_P = 7
 _TABLE_BLOCK = 256  # rows per gather while the multiplication table is built
 SAMPLING_MAX_P = 13
-EXHAUSTIVE_MAX_P = 5
+EXHAUSTIVE_MAX_P = TABLE_MAX_P  # the lattice needs the multiplication table
 
 _ambient_cache = {}
 _ambient_lock = threading.Lock()
@@ -396,10 +399,8 @@ def normalizer_in(g: Subgroup, h: Subgroup) -> Subgroup:
     """Normalizer of h inside g: the x in g with x s x^-1 in h for every generator s of h."""
     if not h.is_subset_of(g):
         raise ValueError("h must be a subgroup of g")
-    amb = g.ambient
-    x = np.asarray(g.element_ids, dtype=np.intp)[:, None]
-    conj = amb.mul(amb.mul(x, h.generator_ids), amb.inv[x])
-    return subgroup_from_ids(g.p, x[h.mask[conj].all(axis=1), 0])
+    x = np.asarray(g.element_ids, dtype=np.intp)
+    return subgroup_from_ids(g.p, x[h.mask[_conjugates(g.ambient, x, h.generator_ids)].all(axis=1)])
 
 
 def s3_copy(p):
@@ -564,12 +565,10 @@ class Sampled:
 def enumerate_subgroups(p, mode):
     """Iterator over subgroups of GL2(F_p), either all of them or a seeded sample.
 
-    Exhaustive mode (p <= EXHAUSTIVE_MAX_P) builds the full subgroup
-    lattice as the fixpoint of joins with the cyclic subgroups, in
-    (order, element ids) order.  Sampled mode draws generator sets of size
-    <= 3 from a seeded RNG and deduplicates; its output is a pure function
-    of (p, count, seed).  Both resolve joins through one `_Joins` memo,
-    which lives for one stream or one enumeration.  An unsupported mode or
+    Exhaustive mode (p <= EXHAUSTIVE_MAX_P) yields the subgroup lattice,
+    `_Lattice`, in (order, element ids) order.  Sampled mode draws
+    generator sets of size <= 3 from a seeded RNG and deduplicates; its
+    output is a pure function of (p, count, seed).  An unsupported mode or
     prime raises ModeUnsupported at the call, before any iteration.
     """
     if isinstance(mode, Exhaustive):
@@ -584,52 +583,188 @@ def enumerate_subgroups(p, mode):
 
 
 def _enumerate_all(p):
-    """Every subgroup of GL2(F_p), as the fixpoint of joins with cyclic subgroups.
+    """Every subgroup of GL2(F_p), in the lattice's (order, element ids) order.
 
-    A subgroup is the join of the cyclic subgroups of its elements, so
-    closing the set of cyclic subgroups under joins with them reaches the
-    whole lattice.  Each cyclic subgroup is keyed by its first generator in
-    id order; each newly found subgroup K is joined, through the memo of
-    `_Joins`, with every cyclic subgroup whose generator lies outside K,
-    until a round finds nothing new.  A new subgroup keeps the generators
-    of the join that found it first: K's generators and the new one.
+    The generator ids are those of the fixpoint of joins with the cyclic
+    subgroups, replayed over the join table, so they do not depend on how
+    the lattice was built.  The fixpoint starts from the cyclic subgroups,
+    each generated by its least generator in id order (the lattice's
+    `firsts`).  Round by round, it joins each subgroup K that the previous
+    round found with every first g, in id order; a subgroup first reached
+    by (K, g) gets K's generators and g.  It stops when a round finds
+    nothing new.
     """
-    amb = ambient(p)
-    joins = _Joins(amb)
-    found = {}  # bits -> subgroup
-    firsts = []  # the first generator in id order of each distinct cyclic subgroup
-    for g in range(amb.size):
-        cyc = joins._cyclic(g)
-        if cyc.bits not in found:
-            found[cyc.bits] = cyc
-            firsts.append(g)
-    frontier = list(found.values())
+    lat = _lattice(p)
+    firsts = lat.firsts
+    frontier = lat.join[0, firsts].tolist()  # the trivial group's row: <g> for each first g
+    gens = {k: (g,) for k, g in zip(frontier, firsts.tolist())}
+    found = np.zeros(len(lat.bits), dtype=bool)
+    found[frontier] = True
     while frontier:
         new = []
-        for known in frontier:
-            for g in firsts:
-                if g not in known:
-                    joined = joins.generated(known.generator_ids + (g,))
-                    if joined.bits not in found:
-                        found[joined.bits] = joined
-                        new.append(joined)
+        for k in frontier:
+            reached = lat.join[k, firsts]
+            at = np.flatnonzero(~found[reached])
+            _, first = np.unique(reached[at], return_index=True)
+            for i in at[np.sort(first)].tolist():
+                j = int(reached[i])
+                found[j] = True
+                gens[j] = gens[k] + (int(firsts[i]),)
+                new.append(j)
         frontier = new
-    yield from sorted(found.values(), key=lambda s: (s.order, s.element_ids))
+    if not found.all():
+        raise InternalInconsistency(f"the joins reach {len(gens)} of {len(lat.bits)} subgroups at p={p}")
+    for j, bits in enumerate(lat.bits):
+        yield Subgroup(p, gens[j], bits)
+
+
+def _conjugates(amb, xs, ids):
+    """x s x^-1 for x in xs down the rows and s in ids along the columns."""
+    xs = np.asarray(xs, dtype=np.intp)[:, None]
+    return amb.mul(amb.mul(xs, np.asarray(ids, dtype=np.intp)), amb.inv[xs])
+
+
+def _least_generators(amb):
+    """For each id g, the least id that generates <g>: g^k for k prime to the order of g."""
+    ids = np.arange(amb.size)
+    orders = amb.orders
+    least = ids
+    power = ids
+    for k in range(2, int(orders.max())):
+        power = amb.mul(power, ids)
+        least = np.where((k < orders) & (np.gcd(k, orders) == 1), np.minimum(least, power), least)
+    return least
+
+
+def _subgroups(amb, least):
+    """Every subgroup, class by class, by cyclic extension: (members, bits, generator ids).
+
+    Every subgroup is the join of its cyclic subgroups of prime-power order
+    (an element is a product of commuting prime-power powers of itself).
+    So it ends a chain 1 = H_0 < H_1 < ... with H_{i+1} = H_i v C_i.
+    Conjugating step by step puts each H_i on its class representative R,
+    and R v C depends on C only up to its orbit under N_G(R).  So,
+    breadth first from the trivial group, each representative R is joined
+    with one prime-power cyclic subgroup outside R from each N_G(R)-orbit.
+    This is Neubueser's cyclic extension method (1960); see Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory (2005), the
+    subgroup-lattice chapter.  A join is a new class unless its bits are
+    among those of the conjugates met so far, so each class is expanded
+    into its conjugates as soon as it is found: x R x^-1 for x over a left
+    transversal of N_G(R), the least id of each coset.
+    """
+    orders = amb.orders
+    prime_power = np.array([len(prime_factors(n)) == 1 for n in range(1, int(orders.max()) + 1)])
+    cyclic = np.unique(least[prime_power[orders - 1]])  # each prime-power cyclic subgroup by its least generator
+    members, gens, reps = [], [], []
+    seen = {}  # the bits of every subgroup met, as keys in the order met
+
+    def new_class(mask, rep_gens):
+        normalizer = np.flatnonzero(mask[_conjugates(amb, np.arange(amb.size), rep_gens)].all(axis=1))
+        transversal = []
+        left = np.ones(amb.size, dtype=bool)
+        while left.any():
+            x = int(left.argmax())
+            transversal.append(x)
+            left[amb.mul(x, normalizer)] = False
+        block = np.zeros((len(transversal), amb.size), dtype=bool)
+        block[np.arange(len(transversal))[:, None], _conjugates(amb, transversal, np.flatnonzero(mask))] = True
+        for row in block:
+            seen[_pack(row)] = None
+        members.append(block)
+        gens.extend(map(tuple, _conjugates(amb, transversal, rep_gens).tolist()))
+        reps.append((mask, rep_gens, normalizer))
+
+    new_class(_close(amb, ()), ())
+    for mask, rep_gens, normalizer in reps:  # the list grows while it is read: breadth first
+        outside = cyclic[~mask[cyclic]]
+        if outside.size:
+            for c in np.unique(least[_conjugates(amb, normalizer, outside)].min(axis=0)).tolist():
+                joined = _close(amb, rep_gens + (c,), start=mask)
+                if _pack(joined) not in seen:
+                    new_class(joined, rep_gens + (c,))
+    return np.concatenate(members), list(seen), gens
+
+
+class _Lattice:
+    """Every subgroup of GL2(F_p), p <= TABLE_MAX_P, with the table of its joins.
+
+    The subgroups are those of `_subgroups`, sorted by (order, element
+    ids); `bits[i]` is the i-th one's packed mask, and index 0 is the
+    trivial group.  `join[i, g]` is the index of S_i v <g>,
+    the subgroup that S_i and the id g generate.  It is the first
+    supergroup of S_i in that order that holds g: every supergroup of S_i
+    holding g holds the join, and the join comes first among them, since
+    it has the least order.  Containment S_i <= S_j is read off S_i's
+    generators, one column of the membership masks each.
+
+    `bits_of` reads `join` through a flat int16 buffer, one row per
+    generator; Python ints for the whole table would cost more memory
+    than the lookups save.  `firsts` are the ids that are the least
+    generator of their cyclic subgroup.
+    """
+
+    def __init__(self, amb):
+        least = _least_generators(amb)
+        self.firsts = np.flatnonzero(least == np.arange(amb.size))
+        members, bits, gens = _subgroups(amb, least)
+        orders = np.count_nonzero(members, axis=1).tolist()
+        # (order, element ids) ascending is (order ascending, bits descending):
+        # of two sets of one size, the one that holds the least id of their
+        # difference has that bit set
+        ranked = sorted(range(len(bits)), key=lambda i: (-orders[i], bits[i]), reverse=True)
+        members = members[ranked]
+        self.bits = [bits[i] for i in ranked]
+        n = len(ranked)
+        columns = np.full((n, max(map(len, gens))), amb.identity_id)  # padded with an id every subgroup holds
+        for row, i in enumerate(ranked):
+            columns[row, : len(gens[i])] = gens[i]
+        contains = np.ones((n, n), dtype=bool)  # contains[j, i]: S_i <= S_j
+        for col in columns.T:
+            contains &= members[:, col]
+        cyclic = members[:, self.firsts]
+        column = np.searchsorted(self.firsts, least)  # <g> = <least[g]>, so g reads its first's column
+        self.join = np.empty((n, amb.size), dtype=np.int16)
+        for i in range(n):
+            above = np.flatnonzero(contains[:, i])
+            self.join[i] = above[cyclic[above].argmax(axis=0)][column]
+        self._flat = memoryview(self.join.reshape(-1))
+        self._size = amb.size
+
+    def bits_of(self, gen_ids):
+        """The bits of the subgroup the ids generate, one join lookup per id."""
+        cur = 0
+        for g in gen_ids:
+            cur = self._flat[cur * self._size + g]
+        return self.bits[cur]
+
+
+_lattice_cache = {}
+_lattice_lock = threading.Lock()
+
+
+def _lattice(p):
+    """The subgroup lattice of GL2(F_p), p <= TABLE_MAX_P, built when a stream first needs it."""
+    with _lattice_lock:
+        if p not in _lattice_cache:
+            _lattice_cache[p] = _Lattice(ambient(p))
+        return _lattice_cache[p]
 
 
 class _Joins:
     """Subgroups generated by id tuples, with every subgroup interned and every join memoized.
 
-    A tuple (g1, ..., gk) is resolved from the cyclic subgroup of g1 by
-    joining one generator at a time.  A generator already inside the
-    current subgroup is skipped; otherwise the join is looked up under the
-    unordered pair {current subgroup, cyclic subgroup of the generator}
-    (a join is symmetric), and computed by `_close` from the current
-    subgroup only when that pair is new.  Subgroups are interned by their
-    bits, so each is kept once, with the generators it was first met by.
-    The memos are keyed by bits, not by Subgroup: bytes cache their hash,
-    and a Subgroup is built only for a mask not met before.  The memo
-    lives for one stream or one enumeration.
+    The seeded stream's joins at p = 11 and 13, where no multiplication
+    table, and so no `_Lattice`, exists.  A tuple (g1, ..., gk) is resolved
+    from the cyclic subgroup of g1 by joining one generator at a time.  A
+    generator already inside the current subgroup is skipped; otherwise the
+    join is looked up under the unordered pair {current subgroup, cyclic
+    subgroup of the generator} (a join is symmetric), and computed by
+    `_close` from the current subgroup only when that pair is new.
+    Subgroups are interned by their bits, so each is kept once, with the
+    generators it was first met by.  The memos are keyed by bits, not by
+    Subgroup: bytes cache their hash, and a Subgroup is built only for a
+    mask not met before.  The memo lives for one stream.
     """
 
     def __init__(self, amb):
@@ -664,6 +799,9 @@ class _Joins:
             cur = joined
         return cur
 
+    def bits_of(self, gen_ids):
+        return self.generated(gen_ids).bits
+
 
 def _sample(p, count, seed):
     """Distinct subgroups from seeded <=3-generator draws.
@@ -672,12 +810,14 @@ def _sample(p, count, seed):
     466 in total), so the stream saturates: it stops early, after yielding
     everything it found, once a deterministic attempt or stall budget runs
     out.  Output is a pure function of (p, count, seed): the generator ids
-    are the drawn tuple and the element ids its closure.  Past saturation
-    nearly every draw is a subgroup met before, so the stream memoizes its
-    joins (`_Joins`); the memo lives and dies with the stream.
+    are the drawn tuple and the element ids its closure.  For p <=
+    TABLE_MAX_P each draw is resolved by lookups in the join table of
+    `_Lattice`, built on the stream's first step and kept for the process;
+    above it, by the join memo `_Joins`, which lives and dies with the
+    stream.
     """
     amb = ambient(p)
-    joins = _Joins(amb)
+    joins = _lattice(p) if p <= TABLE_MAX_P else _Joins(amb)
     rng = random.Random(seed)
     yielded = set()
     produced = 0
@@ -689,7 +829,7 @@ def _sample(p, count, seed):
         attempts += 1
         k = rng.randint(1, 3)
         gen_ids = tuple(rng.randrange(amb.size) for _ in range(k))
-        bits = joins.generated(gen_ids).bits
+        bits = joins.bits_of(gen_ids)
         if bits in yielded:
             stall += 1
             continue

@@ -41,6 +41,11 @@ def subgroups_p5():
 
 
 @pytest.fixture(scope="session")
+def subgroups_p7():
+    return _timed(7, Exhaustive())
+
+
+@pytest.fixture(scope="session")
 def sampled_p5():
     return _timed(5, Sampled(ACCEPTANCE_COUNT, ACCEPTANCE_SEED))
 

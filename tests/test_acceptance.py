@@ -4,8 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 Criterion 1 requests 5000 distinct subgroups at p = 5 and p = 7; GL2(F_5)
 has exactly 466 subgroups in total, so the p = 5 sample saturates
-instead, at 461 of them; a second criterion-1 test checks all 466 from
-the exhaustive enumeration.  Criterion 3 contains two sub-claims that are mathematically false
+instead, at 461 of them; two more criterion-1 tests check all 466, and
+all 1704 subgroups of GL2(F_7), from the exhaustive enumeration.  Criterion 3 contains two sub-claims that are mathematically false
 as stated; they are split into a strict test that pins their refutation
 by explicit counterexamples, see test_criterion_3_strict_literal_reading.
 """
@@ -117,6 +117,32 @@ def test_criterion_1_on_every_subgroup_at_5(subgroups_p5, sampled_p5):
     assert sampled <= everything
     assert extra == [4, 16, 16, 16, 16]
     assert elapsed < 15, f"exhaustive criterion 1 at p = 5 took {elapsed:.1f}s"
+
+
+def test_criterion_1_on_every_subgroup_at_7(subgroups_p7, sampled_p7):
+    # the whole lattice of GL2(F_7), next to the pinned sampled check
+    t0 = time.monotonic()
+    mismatches = [
+        (s.order, s.generator_ids)
+        for s in subgroups_p7
+        if groupcrit_side_analytic(s) != groupcrit_side_structural(s)
+    ]
+    elapsed = time.monotonic() - t0 + subgroups_p7.elapsed
+    everything = {s.element_ids for s in subgroups_p7}
+    sampled = {s.element_ids for s in sampled_p7}
+    missed = len(everything - sampled)
+    ok = not mismatches and len(everything) == 1704 and sampled <= everything and elapsed < 15
+    _line(
+        1,
+        ok,
+        f"0 mismatches on all {len(everything)} subgroups of GL2(F_7) in {elapsed:.1f}s; "
+        f"the seed-1 sample misses {missed}",
+    )
+    assert not mismatches
+    assert len(subgroups_p7) == len(everything) == 1704
+    assert sampled <= everything
+    assert missed == 1704 - EXPECTED_SAMPLE_SIZES[7]
+    assert elapsed < 15, f"exhaustive criterion 1 at p = 7 took {elapsed:.1f}s"
 
 
 def test_criterion_2_h1_cross_validation(subgroups_p3, sampled_p5, sampled_p7):

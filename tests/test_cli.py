@@ -102,10 +102,10 @@ def test_groupcrit_verify_exhaustive_p3(runner):
     assert payload["mismatches"] == 0
 
 
-def test_groupcrit_verify_exhaustive_p7_is_a_clean_error(runner):
-    result = runner.invoke(main, ["groupcrit-verify", "--p", "7", "--mode", "exhaustive"])
+def test_groupcrit_verify_exhaustive_p11_is_a_clean_error(runner):
+    result = runner.invoke(main, ["groupcrit-verify", "--p", "11", "--mode", "exhaustive"])
     assert result.exit_code == 1
-    assert result.output == "Error: exhaustive enumeration only for p <= 5\n"
+    assert result.output == "Error: groupcrit-verify supports p in {3, 5, 7}\n"
     assert isinstance(result.exception, SystemExit)  # not an uncaught ModeUnsupported
 
 
@@ -203,6 +203,9 @@ JSON_DIGESTS = {
     # 466 subgroups, 0 mismatches, 303 with both sides true
     "groupcrit-verify --p 5 --mode exhaustive":
         "b0519530a53b340840c42ba0180f1bb4bdfb8abe2f9296a398a2dcbf6624a94b",
+    # 1704 subgroups, 0 mismatches, 1315 with both sides true
+    "groupcrit-verify --p 7 --mode exhaustive":
+        "1c7b1a242b079bdcbc856e6412b037455bce7fb99e68150391544c41909b11d5",
 }
 
 

@@ -7,9 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from lattice_oracle import fixpoint_subgroups
 
 import shadiv
-from shadiv.cohomology import borel_datum, reducible_characters, sylow_hom_bound
+from shadiv import gl2
+from shadiv.cohomology import (
+    borel_datum,
+    groupcrit_side_analytic,
+    groupcrit_side_structural,
+    reducible_characters,
+    sylow_hom_bound,
+)
 from shadiv.errors import ModeUnsupported, NonInvertibleGenerator
 from shadiv.gl2 import (
     ClassificationTag,
@@ -17,6 +25,7 @@ from shadiv.gl2 import (
     Sampled,
     _close,
     _in_split_torus_normalizer,
+    _lattice,
     ambient,
     classify,
     closure,
@@ -340,8 +349,9 @@ def test_exhaustive_streams_are_pinned(subgroups_p3, subgroups_p5):
 
 
 def test_enumerate_exhaustive_rejects_large_p():
+    # the lattice needs the multiplication table, which stops at p = 7
     with pytest.raises(ModeUnsupported):
-        list(enumerate_subgroups(7, Exhaustive()))
+        list(enumerate_subgroups(11, Exhaustive()))
     with pytest.raises(ModeUnsupported):
         list(enumerate_subgroups(17, Sampled(10, 0)))
 
@@ -398,6 +408,131 @@ def test_sampled_streams_are_pinned(sampled_p5, sampled_p7):
     assert _stream_digest(sampled_p7) == (
         "ea114a333db0917b428db53ac5b19f52eaa29a53fbde8fac068c8153cf411d2f"
     )
+
+
+# ---------------------------------------------------------------------------
+# the subgroup lattice and its join table
+
+
+def test_exhaustive_equals_the_fixpoint_oracle():
+    # generator ids included: the lattice replays the fixpoint's discovery
+    # order; the pins above cover p = 5
+    for p in (2, 3):
+        ours = [(s.generator_ids, s.element_ids) for s in enumerate_subgroups(p, Exhaustive())]
+        assert ours == [(s.generator_ids, s.element_ids) for s in fixpoint_subgroups(p)]
+
+
+def _conjugacy_classes(subgroups):
+    """The subgroups' indices, grouped into orbits under conjugation, each in list order.
+
+    Conjugation by u = [[1, 1], [0, 1]] and w = [[0, 1], [-1, 0]], which
+    generate SL2(F_p), and by diag(t, 1), which bring every determinant:
+    the orbits of a generating set are those of the group.  A conjugate
+    outside the list raises KeyError.
+    """
+    amb = subgroups[0].ambient
+    p = amb.p
+    mats = [((1, 1), (0, 1)), ((0, 1), (-1, 0))] + [((t, 0), (0, 1)) for t in range(2, p)]
+    xs = [amb.id_of_mat(m) for m in mats]
+    index = {s.element_ids: i for i, s in enumerate(subgroups)}
+    root = list(range(len(subgroups)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, s in enumerate(subgroups):
+        for x in xs:
+            conj = np.sort(amb.mul(amb.mul(x, np.asarray(s.element_ids)), amb.inv[x]))
+            a, b = sorted((find(i), find(index[tuple(conj.tolist())])))
+            root[b] = a
+    classes = {}
+    for i in range(len(subgroups)):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize("p, classes, subgroups", [(3, 16, 55), (5, 48, 466), (7, 84, 1704)])
+def test_lattice_counts(request, p, classes, subgroups):
+    stream = request.getfixturevalue(f"subgroups_p{p}")
+    assert len(stream) == len(_lattice(p).bits) == subgroups
+    assert len({s.element_ids for s in stream}) == subgroups
+    assert len(_conjugacy_classes(stream)) == classes
+
+
+def test_lattice_at_5_is_closed_under_conjugation(subgroups_p5):
+    amb = ambient(5)
+    known = {s.element_ids for s in subgroups_p5}
+    x = np.arange(amb.size)[:, None]
+    for s in subgroups_p5:
+        conj = np.unique(np.sort(amb.mul(amb.mul(x, s.element_ids), amb.inv[x]), axis=1), axis=0)
+        assert {tuple(row) for row in conj.tolist()} <= known
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_join_table_matches_close(request, p):
+    # every entry at p = 3, 2000 seeded (subgroup, id) pairs at p = 5 and 7
+    stream = request.getfixturevalue(f"subgroups_p{p}")
+    amb = ambient(p)
+    lat = _lattice(p)
+    assert lat.bits == [s.bits for s in stream]
+    if p == 3:
+        pairs = list(product(range(len(stream)), range(amb.size)))
+    else:
+        rng = random.Random(p)
+        pairs = [(rng.randrange(len(stream)), rng.randrange(amb.size)) for _ in range(2000)]
+    for i, g in pairs:
+        s = stream[i]
+        joined = _close(amb, s.generator_ids + (g,), start=s.mask)
+        assert np.flatnonzero(joined).tolist() == list(stream[int(lat.join[i, g])].element_ids), (i, g)
+
+
+def test_criterion_sides_agree_on_conjugates_at_7(subgroups_p7):
+    # both sides are conjugation-invariant: each class's first subgroup and
+    # three conjugates of it, by seeded x, with conjugated generators
+    amb = ambient(7)
+    rng = random.Random(7)
+    classes = _conjugacy_classes(subgroups_p7)
+    for members in classes:
+        rep = subgroups_p7[members[0]]
+        for x in [None] + rng.sample(range(amb.size), 3):
+            s = rep if x is None else closure(
+                7, [amb.mat_of(int(amb.mul(amb.mul(x, g), amb.inv[x]))) for g in rep.generator_ids]
+            )
+            assert s.element_ids in {subgroups_p7[i].element_ids for i in members}
+            assert groupcrit_side_analytic(s) == groupcrit_side_structural(s), (s.order, s.generator_ids)
+
+
+def test_sampled_streams_make_no_closure_once_the_lattice_exists(monkeypatch):
+    for p in (3, 5, 7):
+        _lattice(p)
+    calls = []
+    close = gl2._close
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return close(*args, **kwargs)
+
+    monkeypatch.setattr(gl2, "_close", counted)
+    for p, count in ((3, 100), (5, 500), (7, 300)):
+        assert list(enumerate_subgroups(p, Sampled(count, 3)))
+    assert calls == []
+    # the count sees the joins at p = 11, where no lattice exists
+    list(enumerate_subgroups(11, Sampled(3, 1)))
+    assert calls
+
+
+def test_ambient_and_closure_build_no_lattice(monkeypatch):
+    monkeypatch.setattr(gl2, "_ambient_cache", {})
+    monkeypatch.setattr(gl2, "_lattice_cache", {})
+    amb = ambient(7)
+    g = closure(7, [((1, 1), (0, 1)), ((3, 0), (0, 1))])
+    assert g.order == 42 and amb.orders.max() == 48
+    assert gl2._lattice_cache == {}
+    # a stream's first step builds it, in the cache this test watches
+    next(enumerate_subgroups(7, Sampled(1, 1)))
+    assert list(gl2._lattice_cache) == [7]
 
 
 # ---------------------------------------------------------------------------
