@@ -22,17 +22,21 @@ ISO_SCAN_BUDGET = 10 ** 6
 HOM_CHECK_FULL_MAX = 200
 
 
-@dataclass(frozen=True, eq=False)
 class GModule:
     """Finite-dimensional F_p representation of an explicit subgroup.
 
     mats[i] is the matrix of the i-th element in the subgroup's canonical
     element order; vectors are columns and matrices act on the left.
+    gen_mats are the generators' matrices.  A module split off another
+    (a composition factor, or a quotient on the way to one) is built from
+    the generator matrices alone; its mats are derived on first read, by
+    one change of basis from the module above it that holds its mats.
     """
 
-    subgroup: Subgroup
-    dim: int
-    mats: np.ndarray
+    def __init__(self, subgroup: Subgroup, dim: int, mats: np.ndarray):
+        self.subgroup = subgroup
+        self.dim = dim
+        self.mats = mats
 
     @property
     def p(self):
@@ -44,8 +48,41 @@ class GModule:
         return self.mats[[bisect_left(ids, g) for g in self.subgroup.generator_ids]]
 
     @cached_property
+    def mats(self):
+        source, left, right = self._change_of_basis
+        return left @ source @ right % self.p
+
+    def _section(self, left, right):
+        """The module of left @ x @ right over the matrices x of self.
+
+        left (d x n) and right (n x d) satisfy left @ right = 1, and
+        either right's columns span an invariant subspace (a sub-module)
+        or left kills one (a quotient), so this is a representation.  Only
+        the generator matrices are computed here.  The change of basis is
+        kept against the nearest module above that holds its mats, so a
+        factor's mats are one product and no quotient on the way to it
+        derives its own.
+        """
+        p = self.p
+        mod = GModule.__new__(GModule)
+        mod.subgroup = self.subgroup
+        mod.dim = len(left)
+        mod.gen_mats = left @ self.gen_mats @ right % p
+        if "mats" in vars(self):
+            mod._change_of_basis = (self.mats, left, right)
+        else:
+            source, outer_left, outer_right = self._change_of_basis
+            mod._change_of_basis = (source, left @ outer_left % p, outer_right @ right % p)
+        return mod
+
+    @cached_property
     def factors(self):
-        """Jordan-Holder factors, as a tuple of irreducible GModules, computed once."""
+        """Jordan-Holder factors, as a tuple of irreducible GModules, computed once.
+
+        The first invariant subspace of least dimension is a factor, and
+        the factors of the quotient by it follow.  Both come from the
+        generator matrices; the factors' mats are derived on first read.
+        """
         if self.dim > 4:
             raise ValueError("modules of dimension > 4 are out of scope")
         if self.dim == 0:
@@ -54,7 +91,13 @@ class GModule:
         basis, pivots = _first_invariant_subspace(gens, self.p, self.dim, self.dim - 1)
         if basis is None:
             return (self,)
-        sub, quot = _split_module(self, basis, pivots)
+        # the RREF basis B is the identity on its pivot columns: B^T y has
+        # y at the pivots, and the quotient keeps the other coordinates of
+        # x less B^T times x's pivot coordinates
+        eye = np.eye(self.dim, dtype=np.int64)
+        others = [c for c in range(self.dim) if c not in pivots]
+        sub = self._section(eye[pivots], basis.T)
+        quot = self._section((eye - basis.T @ eye[pivots])[others] % self.p, eye[:, others])
         # sub has the least dimension of any invariant subspace, so it is
         # irreducible: an invariant subspace of sub would be a smaller one
         return (sub,) + quot.factors
@@ -138,10 +181,33 @@ def _invariant_mask(gen_mats, p, pivots, bases):
     return mask
 
 
+@lru_cache(maxsize=16)
+def _lines(p, n):
+    """Every line of F_p^n as its echelon vector, in echelon order, and its lead column."""
+    lines = np.concatenate([bases[:, 0] for _, bases in echelon_bases(p, n, 1)])
+    leads = (lines != 0).argmax(axis=1)
+    lines.flags.writeable = leads.flags.writeable = False
+    return lines, leads
+
+
 def _first_invariant_subspace(gen_mats, p, n, max_dim):
-    """First (canonical) invariant subspace of minimal dimension, or None."""
+    """First (canonical) invariant subspace of minimal dimension, or None.
+
+    Lines are tested all at once: M maps the line of v, v's lead entry 1,
+    into itself exactly when M v = c v, c the entry of M v at v's lead.
+    Planes and up are scanned one pivot group at a time.
+    """
+    if max_dim < 1:
+        return None, None
     gen_mats = np.asarray(gen_mats, dtype=np.int64) % p
-    for d in range(1, max_dim + 1):
+    lines, leads = _lines(p, n)
+    images = gen_mats @ lines.T % p  # (k, n, lines)
+    c = images[:, leads, np.arange(len(lines))]
+    invariant = ~((images - c[:, None, :] * lines.T) % p).any(axis=(0, 1))
+    first = int(invariant.argmax())
+    if invariant[first]:
+        return lines[first : first + 1], [int(leads[first])]
+    for d in range(2, max_dim + 1):
         for pivots, bases in echelon_bases(p, n, d):
             mask = _invariant_mask(gen_mats, p, pivots, bases)
             idx = np.nonzero(mask)[0]
@@ -155,25 +221,12 @@ def _first_invariant_subspace(gen_mats, p, n, max_dim):
 
 
 def composition_factors(m: GModule):
-    """Jordan-Holder factors of m, as a list of irreducible GModules (see GModule.factors)."""
+    """Jordan-Holder factors of m, as a list of irreducible GModules (see GModule.factors).
+
+    They are found on the generator matrices; a factor's mats are derived
+    when first read.
+    """
     return list(m.factors)
-
-
-def _split_module(m, basis, pivots):
-    """Sub and quotient module for an invariant subspace in RREF."""
-    p = m.p
-    n = m.dim
-    d = len(pivots)
-    others = [c for c in range(n) if c not in pivots]
-    w = m.mats @ basis.T % p  # (|G|, n, d): images of basis vectors as columns
-    sub_mats = w[:, pivots, :] % p
-    cols = m.mats[:, :, others] % p  # images of the complement unit vectors
-    coords = cols[:, pivots, :]
-    reduced = (cols - basis.T @ coords) % p
-    quot_mats = reduced[:, others, :] % p
-    sub = GModule(m.subgroup, d, sub_mats)
-    quot = GModule(m.subgroup, n - d, quot_mats)
-    return sub, quot
 
 
 def modules_isomorphic(a: GModule, b: GModule) -> bool:
@@ -191,12 +244,10 @@ def modules_isomorphic(a: GModule, b: GModule) -> bool:
     p = a.p
     amats = a.gen_mats
     bmats = b.gen_mats
-    if len(amats) == 0 or all(
-        np.array_equal(x, y) for x, y in zip(amats, bmats)
-    ):
+    if np.array_equal(amats, bmats):
         return True  # identity intertwines
     if n == 1:
-        return all(int(x[0, 0]) == int(y[0, 0]) for x, y in zip(amats, bmats))
+        return False  # a 1 x 1 intertwiner is a scalar, which commutes
     rows = []
     for s in range(len(amats)):
         A = amats[s]

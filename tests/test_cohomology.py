@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from factor_oracle import factors_by_splitting
 from fp_oracle import (
     LinearSystemInconsistent,
     invariant_subspaces_by_filter,
@@ -33,7 +34,7 @@ from shadiv.cohomology import (
     reducible_characters,
     sylow_hom_bound,
 )
-from shadiv.gl2 import Sampled, closure, enumerate_subgroups, invariant_line, s3_copy
+from shadiv.gl2 import Exhaustive, Sampled, closure, enumerate_subgroups, invariant_line, s3_copy
 
 
 def h1_dims_bruteforce(g, mod):
@@ -408,6 +409,52 @@ def test_composition_factors_are_irreducible(subgroups_p3, subgroups_p5):
                     assert not invariant_subspaces_by_filter(mats, g.p, f.dim, d), (g.generator_ids, d)
 
 
+def test_composition_factors_match_the_splitting_oracle(subgroups_p3, subgroups_p5, sampled_p7):
+    # the factors found on the generator matrices against the recursion
+    # that splits every element's matrix: the same dims in the same order,
+    # the same generator matrices, and the same mats once they are read
+    subgroups = list(enumerate_subgroups(2, Exhaustive())) + list(subgroups_p3) + list(subgroups_p5)
+    for s in subgroups + list(sampled_p7):
+        mods = [make_standard_module(s), make_adjoint_module(s)]
+        if s.p in (3, 5):
+            mods += _character_modules(s)
+        for mod in mods:
+            got = composition_factors(mod)
+            want = factors_by_splitting(mod)
+            assert [f.dim for f in got] == [f.dim for f in want], (s.p, s.generator_ids, mod.dim)
+            for f, w in zip(got, want):
+                assert np.array_equal(f.gen_mats, w.gen_mats), (s.p, s.generator_ids, mod.dim)
+                assert np.array_equal(f.mats, w.mats), (s.p, s.generator_ids, mod.dim)
+
+
+class _Refused:
+    """Stands in for GModule.mats, the derivation of a split-off module's mats: it raises.
+
+    It defines __get__ alone, so a module that holds its mats in its
+    instance dict still reads them.
+    """
+
+    def __get__(self, mod, owner=None):
+        raise AssertionError("all-element matrices derived")
+
+
+def test_factors_derive_no_element_matrices(monkeypatch, subgroups_p5, sampled_p7):
+    # the analytic side and the factor dims need only the generator
+    # matrices; a split-off module derives its mats on first read alone
+    monkeypatch.setattr(GModule, "mats", _Refused())
+    for s in subgroups_p5:
+        assert groupcrit_side_analytic(s) == groupcrit_side_structural(s), s.generator_ids
+    makes = (make_standard_module, make_adjoint_module)
+    dims = [[f.dim for f in make(s).factors] for s in sampled_p7 for make in makes]
+    g = closure(5, [((2, 0), (0, 1))])
+    fresh = GModule(g, 2, make_standard_module(g).mats)
+    assert [f.dim for f in fresh.factors] == [1, 1]
+    with pytest.raises(AssertionError, match="derived"):
+        fresh.factors[0].mats
+    monkeypatch.undo()
+    assert dims == [[f.dim for f in factors_by_splitting(make(s))] for s in sampled_p7 for make in makes]
+
+
 def test_adjoint_factors_for_borel_subgroup():
     # irreducible factors of End(V): chi1/chi2, 1, 1, chi2/chi1
     for p, gens in ((5, [((2, 0), (0, 1)), ((1, 1), (0, 1))]), (7, [((3, 0), (0, 2)), ((1, 1), (0, 1))])):
@@ -452,6 +499,29 @@ def test_modules_isomorphic_requires_same_subgroup():
     b = make_standard_module(closure(5, [((1, 0), (0, 2))]))
     with pytest.raises(ValueError):
         modules_isomorphic(a, b)
+
+
+def test_one_dimensional_isomorphism_is_equality_of_characters(subgroups_p5):
+    # two characters are isomorphic exactly when they agree on every
+    # element: on det^k and chi_1 of every subgroup, and on the
+    # 1-dimensional factors of V and End V
+    def character(mod):
+        return mod.mats[:, 0, 0].tolist()
+
+    pairs = 0
+    for s in subgroups_p5:
+        factors = [f for mod in (make_standard_module(s), make_adjoint_module(s)) for f in mod.factors if f.dim == 1]
+        for mods in (_character_modules(s), factors):
+            for a in mods:
+                for b in mods:
+                    assert modules_isomorphic(a, b) == (character(a) == character(b)), s.generator_ids
+                    pairs += 1
+    assert pairs > 10 ** 4
+    # equal characters on two different subgroups of order 4 still raise
+    dets = [_character_modules(closure(5, gens))[1] for gens in ([((2, 0), (0, 1))], [((1, 0), (0, 2))])]
+    assert character(dets[0]) == character(dets[1])
+    with pytest.raises(ValueError):
+        modules_isomorphic(*dets)
 
 
 def test_s3_standard_inside_adjoint():

@@ -207,6 +207,62 @@ def test_invariant_subspaces_agree_with_exhaustive_filter():
     assert len(_least_invariant([block], 5, 4)) == 2
 
 
+def _inverse(m, p):
+    n = len(m)
+    cols = [solve_linear(m, tuple(int(i == j) for i in range(n)), p)[0] for j in range(n)]
+    return tuple(zip(*cols))
+
+
+def _block_triangular(rng, p, n, k):
+    """k matrices with the block shape [[A, B], [0, D]], conjugated by one random matrix.
+
+    All of them map C span(e_1, ..., e_b) into itself, C the conjugating
+    matrix: for b = 1 a common invariant line, for b > 1 a common
+    invariant subspace that may or may not hold one.
+    """
+    b = rng.randrange(1, n)
+    mats = []
+    for _ in range(k):
+        while True:
+            m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            for i in range(b, n):
+                m[i][:b] = [0] * b
+            if det_raw(m, p):
+                break
+        mats.append(m)
+    c = _random_invertible(rng, p, n)
+    c_inv = _inverse(c, p)
+    return [_mat_mul(_mat_mul(c, m, p), c_inv, p) for m in mats]
+
+
+def test_line_scan_matches_filter():
+    # the first invariant line in echelon order, or none, found by one
+    # product over all lines against the oracle's filter over all lines;
+    # a singular matrix maps its kernel's lines to 0, which they contain
+    rng = random.Random(24)
+    for p in (7, 11, 13):
+        hits = misses = 0
+        for n in (2, 3, 4):
+            singular = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+            singular.append(singular[0])
+            for k in (1, 2, 3):
+                for mats in (
+                    [_random_invertible(rng, p, n) for _ in range(k)],
+                    _block_triangular(rng, p, n, k),
+                    [_random_invertible(rng, p, n) for _ in range(k - 1)] + [singular],
+                ):
+                    basis, pivots = _first_invariant_subspace(np.array(mats, dtype=np.int64), p, n, 1)
+                    lines = invariant_subspaces_by_filter(mats, p, n, 1)
+                    if lines:
+                        first = min(lines, key=lambda b: (_pivots(b), b))
+                        assert (tuple(map(tuple, basis.tolist())), tuple(pivots)) == (first, _pivots(first))
+                        hits += 1
+                    else:
+                        assert basis is None and pivots is None, (p, n, mats)
+                        misses += 1
+        assert hits > 3 and misses > 3, (p, hits, misses)
+
+
 def test_subspace_budget_error():
     with pytest.raises(BudgetExceeded):
         echelon_bases(1009, 4, 2)
