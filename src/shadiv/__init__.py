@@ -30,7 +30,6 @@ from .elliptic import (
     FrobeniusData,
     ReductionType,
     count_points,
-    count_points_enumeration,
     curve,
     derive_invariants,
     frobenius_traces,

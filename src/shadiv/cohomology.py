@@ -75,22 +75,27 @@ class GModule:
             mod._change_of_basis = (source, left @ outer_left % p, outer_right @ right % p)
         return mod
 
-    @cached_property
+    @property
     def factors(self):
-        """Jordan-Holder factors, as a tuple of irreducible GModules, computed once.
+        """Jordan-Holder factors, as a tuple of irreducible GModules, found once.
 
         The first invariant subspace of least dimension is a factor, and
         the factors of the quotient by it follow.  Both come from the
         generator matrices; the factors' mats are derived on first read.
+        An irreducible module caches None: a cached (self,) would be a
+        reference cycle, which only the cyclic collector frees.
         """
+        return (self,) if self._reducible_factors is None else self._reducible_factors
+
+    @cached_property
+    def _reducible_factors(self):
         if self.dim > 4:
             raise ValueError("modules of dimension > 4 are out of scope")
         if self.dim == 0:
             return ()
-        gens = self.gen_mats if len(self.subgroup.generator_ids) else np.eye(self.dim, dtype=np.int64)[None]
-        basis, pivots = _first_invariant_subspace(gens, self.p, self.dim, self.dim - 1)
+        basis, pivots = _first_invariant_subspace(self.gen_mats, self.p, self.dim, self.dim - 1)
         if basis is None:
-            return (self,)
+            return None
         # the RREF basis B is the identity on its pivot columns: B^T y has
         # y at the pivots, and the quotient keeps the other coordinates of
         # x less B^T times x's pivot coordinates
@@ -167,52 +172,40 @@ def _validate_hom(mod):
 # invariant subspace machinery (echelon representatives, vectorized scan)
 
 
-def _invariant_mask(gen_mats, p, pivots, bases):
-    """Boolean mask of which echelon bases span invariant subspaces."""
-    mask = np.ones(len(bases), dtype=bool)
-    piv = list(pivots)
-    for m in gen_mats:
-        if not mask.any():
-            break
-        w = bases @ m.T % p
-        coords = w[:, :, piv]
-        residual = (w - coords @ bases) % p
-        mask &= ~residual.any(axis=(1, 2))
-    return mask
-
-
 @lru_cache(maxsize=16)
-def _lines(p, n):
-    """Every line of F_p^n as its echelon vector, in echelon order, and its lead column."""
-    lines = np.concatenate([bases[:, 0] for _, bases in echelon_bases(p, n, 1)])
-    leads = (lines != 0).argmax(axis=1)
-    lines.flags.writeable = leads.flags.writeable = False
-    return lines, leads
+def _subspaces(p, n, d):
+    """Every d-subspace of F_p^n in echelon order: (bases, pivots, kernels), read-only.
+
+    bases[i] is the RREF basis B (d x n), pivots[i] its pivot columns and
+    kernels[i] the basis K (n x (n - d)) of ker B that is the identity at
+    B's free columns and minus B's free entries at its pivots, so B K = 0.
+    """
+    groups = echelon_bases(p, n, d)
+    eye = np.eye(n, dtype=np.int64)
+    bases = np.concatenate([b for _, b in groups])
+    pivots = np.concatenate([np.broadcast_to(piv, (len(b), d)) for piv, b in groups])
+    # K is the columns of 1 - E^T B at B's free columns, E the pivot rows of 1
+    free = [[c for c in range(n) if c not in piv] for piv, _ in groups]
+    kernels = np.concatenate([(eye - eye[list(piv)].T @ b)[:, :, f] % p for (piv, b), f in zip(groups, free)])
+    bases.flags.writeable = pivots.flags.writeable = kernels.flags.writeable = False
+    return bases, pivots, kernels
 
 
 def _first_invariant_subspace(gen_mats, p, n, max_dim):
     """First (canonical) invariant subspace of minimal dimension, or None.
 
-    Lines are tested all at once: M maps the line of v, v's lead entry 1,
-    into itself exactly when M v = c v, c the entry of M v at v's lead.
-    Planes and up are scanned one pivot group at a time.
+    With B and K as in _subspaces, the row space of B is the annihilator
+    of ker B, spanned by the columns of K, so M maps it into itself exactly when every B M^T K vanishes
+    mod p: u^T M^T x = (M u) . x is 0 for u in the row space and x in
+    ker B.  Each dimension is one test over all its subspaces at once.
     """
-    if max_dim < 1:
-        return None, None
-    gen_mats = np.asarray(gen_mats, dtype=np.int64) % p
-    lines, leads = _lines(p, n)
-    images = gen_mats @ lines.T % p  # (k, n, lines)
-    c = images[:, leads, np.arange(len(lines))]
-    invariant = ~((images - c[:, None, :] * lines.T) % p).any(axis=(0, 1))
-    first = int(invariant.argmax())
-    if invariant[first]:
-        return lines[first : first + 1], [int(leads[first])]
-    for d in range(2, max_dim + 1):
-        for pivots, bases in echelon_bases(p, n, d):
-            mask = _invariant_mask(gen_mats, p, pivots, bases)
-            idx = np.nonzero(mask)[0]
-            if len(idx):
-                return bases[int(idx[0])], list(pivots)
+    gen_mats_t = np.asarray(gen_mats, dtype=np.int64).transpose(0, 2, 1)[:, None]
+    for d in range(1, max_dim + 1):
+        bases, pivots, kernels = _subspaces(p, n, d)
+        invariant = ~(bases @ gen_mats_t @ kernels % p).any(axis=(0, 2, 3))
+        first = int(invariant.argmax())
+        if invariant[first]:
+            return bases[first], pivots[first].tolist()
     return None, None
 
 
@@ -248,33 +241,20 @@ def modules_isomorphic(a: GModule, b: GModule) -> bool:
         return True  # identity intertwines
     if n == 1:
         return False  # a 1 x 1 intertwiner is a scalar, which commutes
-    rows = []
-    for s in range(len(amats)):
-        A = amats[s]
-        B = bmats[s]
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = (row[i * n + k] + int(A[k, j])) % p
-                    row[k * n + j] = (row[k * n + j] - int(B[i, k])) % p
-                rows.append(tuple(row))
-    basis = kernel_basis(rows, n * n, p)
+    # T A = B T on every generator, row-major vec(T): equation (s, i, j)
+    # has coefficient [i == a] A[s, b, j] - B[s, i, a] [b == j] on T[a, b]
+    eye = np.eye(n, dtype=np.int64)
+    a_t = amats.transpose(0, 2, 1)
+    system = eye[:, None, :, None] * a_t[:, None, :, None, :] - bmats[:, :, None, :, None] * eye[:, None, :]
+    basis = kernel_basis(system.reshape(-1, n * n) % p, n * n, p)
     dim = len(basis)
     if dim == 0:
         return False
     if p ** dim > ISO_SCAN_BUDGET:
         raise BudgetExceeded(f"intertwiner scan p^{dim} over budget")
+    basis = np.array(basis, dtype=np.int64).reshape(dim, n, n)
     for coeffs in product(range(p), repeat=dim):
-        if not any(coeffs):
-            continue
-        t = [[0] * n for _ in range(n)]
-        for c, vec in zip(coeffs, basis):
-            if c:
-                for i in range(n):
-                    for j in range(n):
-                        t[i][j] = (t[i][j] + c * vec[i * n + j]) % p
-        if det_raw(tuple(tuple(r) for r in t), p) != 0:
+        if any(coeffs) and det_raw((np.tensordot(coeffs, basis, axes=1) % p).tolist(), p) != 0:
             return True
     return False
 

@@ -326,25 +326,6 @@ def _affine(x, y, z, ell):
     return x * zz % ell, y * zz * zinv % ell
 
 
-def count_points_enumeration(e: EllipticCurveQ, ell: int) -> int:
-    """Independent oracle: brute enumeration of all
-
-    affine pairs (x, y) in F_ell^2 against the original equation, a block
-    of about 2^20 pairs at a time."""
-    if e.discriminant % ell == 0:
-        raise BadReduction(f"{ell} divides the discriminant")
-    ys = np.arange(ell, dtype=np.int64)
-    rows = max(1, (1 << 20) // ell)
-    total = 0
-    for start in range(0, ell, rows):
-        xs = ys[start : start + rows, None]
-        lhs = (ys * ys + (e.a1 % ell) * xs * ys + (e.a3 % ell) * ys) % ell
-        x2 = xs * xs % ell
-        rhs = (x2 * xs + (e.a2 % ell) * x2 + (e.a4 % ell) * xs + e.a6 % ell) % ell
-        total += int(np.count_nonzero(lhs == rhs))
-    return total + 1
-
-
 def _count_affine_p2(e):
     total = 0
     for x in range(2):

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+from count_oracle import count_points_enumeration
 from h1_oracle import h1_by_relations, h1_star_by_relations
 
 from shadiv.arith import legendre_symbol, primes_up_to
@@ -34,7 +35,6 @@ from shadiv.datasets import SELMER_COMPANIONS, SELMER_CUBIC, embedded_curve
 from shadiv.divisibility import Outcome, twist_scan, verdict_over_Q
 from shadiv.elliptic import (
     count_points,
-    count_points_enumeration,
     curve,
     frobenius_traces,
     is_supersingular,

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import random
+import weakref
 from itertools import product
 
 import numpy as np
@@ -15,6 +17,7 @@ from fp_oracle import (
     solve_linear,
 )
 from h1_oracle import RELATIONS_MAX_ORDER, h1_by_relations, h1_star_by_relations
+from shadiv import cohomology
 from shadiv.cohomology import (
     GModule,
     _line_characters,
@@ -455,6 +458,26 @@ def test_factors_derive_no_element_matrices(monkeypatch, subgroups_p5, sampled_p
     assert dims == [[f.dim for f in factors_by_splitting(make(s))] for s in sampled_p7 for make in makes]
 
 
+def test_irreducible_module_frees_without_the_cyclic_collector(monkeypatch):
+    # reading factors on an irreducible module scans once and caches no
+    # reference to the module itself: with the cyclic collector off, del
+    # frees it
+    calls = []
+    scan = cohomology._first_invariant_subspace
+    monkeypatch.setattr(cohomology, "_first_invariant_subspace", lambda *args: calls.append(args) or scan(*args))
+    g = closure(5, [((0, 2), (1, 0))])  # nonsplit torus: V is irreducible
+    mod = GModule(g, 2, make_standard_module(g).mats)
+    gc.disable()
+    try:
+        assert mod.factors[0] is mod and len(mod.factors) == 1
+        assert len(calls) == 1
+        ref = weakref.ref(mod)
+        del mod
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_adjoint_factors_for_borel_subgroup():
     # irreducible factors of End(V): chi1/chi2, 1, 1, chi2/chi1
     for p, gens in ((5, [((2, 0), (0, 1)), ((1, 1), (0, 1))]), (7, [((3, 0), (0, 2)), ((1, 1), (0, 1))])):
@@ -499,6 +522,51 @@ def test_modules_isomorphic_requires_same_subgroup():
     b = make_standard_module(closure(5, [((1, 0), (0, 2))]))
     with pytest.raises(ValueError):
         modules_isomorphic(a, b)
+
+
+def _isomorphic_by_search(a, b):
+    """Oracle: an invertible T among all n x n matrices over F_p with T A = B T on every generator."""
+    p, n = a.p, a.dim
+    ts = np.array(list(product(range(p), repeat=n * n)), dtype=np.int64).reshape(-1, 1, n, n)
+    intertwines = ((ts @ a.gen_mats - b.gen_mats @ ts) % p == 0).all(axis=(1, 2, 3))
+    return any(rank_of(t.tolist(), p) == n for t in ts[intertwines, 0])
+
+
+def test_modules_isomorphic_on_twists_of_the_standard_module(subgroups_p3, sampled_p5):
+    # V against V (x) det^k, n = 2, against a search over every 2 x 2
+    # matrix; where det^k is not 1 on the generators their matrices differ
+    found = {True: 0, False: 0}
+    for s in list(subgroups_p3) + list(sampled_p5):
+        amb = s.ambient
+        p = s.p
+        std = make_standard_module(s)
+        for k in range(1, p - 1):
+            twist = gmodule_from_action(s, 2, lambda eid: amb.mats[eid] * pow(int(amb.dets[eid]), k, p))
+            expected = _isomorphic_by_search(std, twist)
+            assert modules_isomorphic(std, twist) == expected, (s.generator_ids, k)
+            if not np.array_equal(std.gen_mats, twist.gen_mats):
+                found[expected] += 1
+    assert found[True] > 10 and found[False] > 10, found
+
+
+def test_modules_isomorphic_on_a_conjugate_of_the_adjoint_module(subgroups_p3, sampled_p5):
+    # C End(V) C^-1 is isomorphic to End(V), through C^-1, for every
+    # invertible C; its generator matrices differ from End(V)'s
+    from sympy import Matrix
+
+    rng = random.Random(25)
+    unequal = 0
+    for s in list(subgroups_p3) + list(sampled_p5[:100]):
+        p = s.p
+        adj = make_adjoint_module(s)
+        c = Matrix(4, 4, lambda i, j: rng.randrange(p))
+        while c.det() % p == 0:
+            c = Matrix(4, 4, lambda i, j: rng.randrange(p))
+        c, c_inv = (np.array(x.tolist(), dtype=np.int64) for x in (c, c.inv_mod(p)))
+        conj = GModule(s, 4, c @ adj.mats @ c_inv % p)
+        assert modules_isomorphic(adj, conj), s.generator_ids
+        unequal += not np.array_equal(adj.gen_mats, conj.gen_mats)
+    assert unequal > 100, unequal
 
 
 def test_one_dimensional_isomorphism_is_equality_of_characters(subgroups_p5):

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from count_oracle import count_points_enumeration
 from shadiv.arith import legendre_symbol, primes_up_to
 from shadiv.datasets import EMBEDDED_AINVS, embedded_curve
 from shadiv.divisibility import _trace_arrays, _twisted_entries, twist_scan
@@ -22,7 +23,6 @@ from shadiv.elliptic import (
     _shanks_mestre_column,
     _shanks_mestre_rounds,
     count_points,
-    count_points_enumeration,
     curve,
     derive_invariants,
     frobenius_traces,

@@ -238,19 +238,23 @@ def _block_triangular(rng, p, n, k):
 def test_line_scan_matches_filter():
     # the first invariant line in echelon order, or none, found by one
     # product over all lines against the oracle's filter over all lines;
-    # a singular matrix maps its kernel's lines to 0, which they contain
+    # a singular matrix maps its kernel's lines to 0, which they contain.
+    # At n = 3, and on the block-triangular sets at n = 4 and p = 7, the
+    # scan up to dimension n - 1 is checked as well: there the least
+    # invariant subspace is at times a plane or more
     rng = random.Random(24)
+    deep_hits = 0
     for p in (7, 11, 13):
         hits = misses = 0
         for n in (2, 3, 4):
             singular = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
             singular.append(singular[0])
             for k in (1, 2, 3):
-                for mats in (
+                for kind, mats in enumerate((
                     [_random_invertible(rng, p, n) for _ in range(k)],
                     _block_triangular(rng, p, n, k),
                     [_random_invertible(rng, p, n) for _ in range(k - 1)] + [singular],
-                ):
+                )):
                     basis, pivots = _first_invariant_subspace(np.array(mats, dtype=np.int64), p, n, 1)
                     lines = invariant_subspaces_by_filter(mats, p, n, 1)
                     if lines:
@@ -260,7 +264,10 @@ def test_line_scan_matches_filter():
                     else:
                         assert basis is None and pivots is None, (p, n, mats)
                         misses += 1
+                    if n == 3 or (p, n, kind) == (7, 4, 1):
+                        deep_hits += any(len(space) >= 2 for space in _least_invariant(mats, p, n))
         assert hits > 3 and misses > 3, (p, hits, misses)
+    assert deep_hits >= 1, deep_hits
 
 
 def test_subspace_budget_error():

@@ -685,7 +685,8 @@ def test_center_and_det_image_match_sets(subgroups_p3, subgroups_p5, helper_samp
 
 
 # ---------------------------------------------------------------------------
-# one product and one subgroup representation, checked on the package's source
+# one product, one subgroup representation and one subspace scan, checked on
+# the package's source
 
 _TABLE_READERS = {"GL2Ambient.mul", "_close"}
 # the ambient's code -> id map and the one position map of a subgroup
@@ -730,6 +731,19 @@ def test_only_the_product_reads_the_table():
                 offences.append(f"{path.name}:{line} reads .table in {scope or 'module scope'}")
     assert not offences, "\n".join(offences)
     assert "GL2Ambient.mul" in readers
+
+
+def test_only_the_subspace_scan_reads_the_subspace_enumerator():
+    # every invariant-subspace question goes through the one cached scan:
+    # echelon_bases is read in cohomology._subspaces alone
+    readers = [
+        (path.name, scope)
+        for path in sorted(Path(shadiv.__file__).parent.glob("*.py"))
+        for scope, node in _scoped_nodes(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "echelon_bases" and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and node.attr == "echelon_bases"
+    ]
+    assert readers == [("cohomology.py", "_subspaces")], readers
 
 
 def test_one_subgroup_representation():
