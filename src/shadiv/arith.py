@@ -127,13 +127,16 @@ def power_mods(base, exponent, modulus):
 def legendre_symbols(a, primes):
     """int8 array t with t[i, j] = (a[j] / primes[i]), for odd primes below _INT64_SQRT.
 
-    Euler's criterion, a^((q - 1)/2) mod q, by power_mods over the whole
-    array.
+    Euler's criterion, a^((q - 1)/2) mod q, by power_mods over a; over the
+    classes 0 .. max(primes) - 1 instead, read at a mod q, when they are fewer.
     """
     q = np.asarray(primes, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
     if q.size and q.min() <= 2:
         raise ValueError("Euler's criterion needs odd primes")
-    power = power_mods(np.asarray(a, dtype=np.int64).reshape(1, -1), (q - 1) // 2, q)
+    if q.size and a.size > q.max():
+        return np.take_along_axis(legendre_symbols(np.arange(q.max()), q), a % q[:, None], axis=1)
+    power = power_mods(a.reshape(1, -1), (q - 1) // 2, q)
     return (power == 1).astype(np.int8) - (power > 1)
 
 

@@ -23,6 +23,7 @@ from .elliptic import (
     EllipticCurveQ,
     FrobeniusData,
     ReductionType,
+    _reduction_type,
     _twist_model,
     frobenius_traces,
     has_full_rational_2torsion,
@@ -166,12 +167,13 @@ def verdict_over_Q(e: EllipticCurveQ, p: int, cfg: RunConfig = DEFAULT_CONFIG) -
     return TwistScanReport(e, p, 1, (1,), *_twist_columns(e, p, cfg, (1,)), TWIST_FAILURE_CAPS[p]).rows[0][1]
 
 
-def _early_chain(e, p, supersingular, full_2torsion):
-    """The one-step chain that settles p in {3, 5, 7} before the bad-shape scan, or None.
+def _early_chain(rt, p, supersingular, full_2torsion):
+    """The one-step chain that settles p in {3, 5, 7} before the bad-shape scan, or None,
+    for a curve whose reduction type at p is rt.
 
-    None means the bad shapes decide.  supersingular() (asked only when e
-    is good at p) and full_2torsion() answer for e; each is consulted only
-    on the path that needs it.
+    None means the bad shapes decide.  supersingular() (asked only when rt
+    is good) and full_2torsion() answer for the curve; each is consulted
+    only on the path that needs it.
     """
     if p >= 5 and full_2torsion():
         step = ChainStep(
@@ -180,7 +182,7 @@ def _early_chain(e, p, supersingular, full_2torsion):
             {"p": p, "two_torsion_roots": 3},
             RIGOROUS,
         )
-    elif e.discriminant % p:
+    elif rt == ReductionType.GOOD:
         if not supersingular():
             return None
         step = ChainStep(
@@ -189,16 +191,15 @@ def _early_chain(e, p, supersingular, full_2torsion):
             {"p": p, "a_p mod p": 0},
             RIGOROUS,
         )
-    else:
-        rt = reduction_type(e, p)
-        if rt != ReductionType.MULTIPLICATIVE_NONSPLIT:
-            return None
+    elif rt == ReductionType.MULTIPLICATIVE_NONSPLIT:
         step = ChainStep(
             "rational.nonsplit_multiplicative",
             "nonsplit multiplicative reduction at p forces the unramified quadratic twist shape, excluding the bad shapes",
             {"p": p, "reduction": rt.value},
             RIGOROUS,
         )
+    else:
+        return None
     return (step,)
 
 
@@ -418,8 +419,8 @@ def verdict_number_field(degree, p, good_place_norms=(), cfg=DEFAULT_CONFIG,
 
 @dataclass(frozen=True)
 class TwistScanReport:
-    """A scan as columns: ds, each Guaranteed row's chain (None if open), open rows' verdicts by d,
-    the E^d built for early chains; rows, the (d, verdict) pairs with every E^d, built when read."""
+    """A scan as columns: ds, each Guaranteed row's chain (None if open), open rows' verdicts by d;
+    rows, the (d, verdict) pairs with every E^d, built when read."""
 
     curve: EllipticCurveQ
     p: int
@@ -427,15 +428,13 @@ class TwistScanReport:
     ds: tuple
     chains: tuple
     open: dict
-    twists: dict
     cap: int
 
     @cached_property
     def rows(self):
-        e, p, twists, guaranteed = self.curve, self.p, self.twists, Outcome.GUARANTEED  # bound once: a hot loop
+        e, p, guaranteed = self.curve, self.p, Outcome.GUARANTEED  # bound once: a hot loop
         return tuple([
-            (d, self.open[d] if chain is None else
-             DivisibilityVerdict(twists.get(d) or _twist_row(e, d), p, guaranteed, chain))
+            (d, self.open[d] if chain is None else DivisibilityVerdict(_twist_row(e, d), p, guaranteed, chain))
             for d, chain in zip(self.ds, self.chains)
         ])
 
@@ -502,32 +501,32 @@ def _twist_row(e, d):
 def _twist_columns(e, p, cfg, ds):
     """The verdicts at p in {3, 5, 7} of the twists E^d (d in ds, E^1 = E), decided from E alone.
 
-    Returns the report's columns chains, open and twists.  E^d's 2-division
-    cubic is E's rescaled by 4d, and where p does not divide d, E^d has E's
-    reduction type at p (c4' = 16d^2 c4, disc' = 4096d^6 disc), except that
-    split and nonsplit multiplicative swap with (d/p); where E is good,
-    a_p(E^d) = +-a_p(E).  So E's early chain (supersingular, full 2-torsion
-    or None) is E^d's unless p | d or E is multiplicative at p; only those
-    twists run _early_chain, and only they and the open rows are built.
-    One call of _shape_tests decides the bad shapes of every twist left
-    open, from E's traces and a_ell(E^d) = (d/ell) a_ell(E).  Twists whose
-    shapes are all refuted alike share one result there, and here one
-    exclusion chain.
+    Returns the report's columns chains and open; only the open rows build
+    E^d.  E^d's model (d != 1, _twist_row) scales E's disc, c4 and c6 by
+    u^6, u^2 and u^3, u = 4d' (d' = d, or d/4 where 4 | d), so
+    reduction_type's arithmetic on these mod p gives E^d's type (split by
+    (-u^3 c6/p)); where E^d is good so is E, and a_p(E^d) = +-a_p(E).  E^d's
+    2-division cubic is E's rescaled.  So E^d's early chain depends on u mod
+    p alone, and _early_chain runs once per class.  E = E^1 falls in the
+    class of u = 4: 4^k is a square.  One call of _shape_tests decides the
+    bad shapes of every twist left open, from E's traces and
+    a_ell(E^d) = (d/ell) a_ell(E); each outcome it shares among twists
+    whose shapes are all refuted alike gets one exclusion chain.
     """
     supersingular = cache(lambda: is_supersingular(e, p))
     full_2torsion = cache(lambda: has_full_rational_2torsion(e))
-    base = _early_chain(e, p, supersingular, full_2torsion)
-    multiplicative = e.discriminant % p == 0 and e.c4 % p != 0
-    twists = {d: _twist_row(e, d) for d in ds if d != 1 and (d % p == 0 or multiplicative)}
-    early = [_early_chain(twists[d], p, supersingular, full_2torsion) if d in twists else base for d in ds]
-    open_ds = [d for d, chain in zip(ds, early) if chain is None]
-    tests = _shape_tests(lambda bound: frobenius_traces(e, bound), p, open_ds, cfg.trace_bound)
-    refuted = {id(r): r[0] for r in tests.values() if r[1] is None}  # one per distinct refutation key
-    exclusions = {key: _exclusion_chain(p, refutations) for key, refutations in refuted.items()}
-    chains = tuple([exclusions.get(id(tests[d])) if chain is None else chain for d, chain in zip(ds, early)])
-    open_rows = {d: _scan_bad_shapes(twists.get(d) or _twist_row(e, d), p, cfg, *tests[d])
-                 for d, chain in zip(ds, chains) if chain is None}
-    return chains, open_rows, twists
+    twisted = [_reduction_type(r ** 6 * e.discriminant, r * r * e.c4, r ** 3 * e.c6, p) for r in range(p)]
+    by_class = [_early_chain(rt, p, supersingular, full_2torsion) for rt in twisted]
+    d = np.array(ds, dtype=np.int64)
+    u = 4 * np.where(d % 4 == 1, d, d // 4) % p
+    opened = np.array([chain is None for chain in by_class])[u]
+    outcomes, index = _shape_tests(lambda bound: frobenius_traces(e, bound), p, d[opened], cfg.trace_bound)
+    exclusions = [None if entries is not None else _exclusion_chain(p, tests) for tests, entries in outcomes]
+    u[opened] = len(by_class) + index  # each row's chain, early or exclusion, by one index
+    chains = tuple(map((by_class + exclusions).__getitem__, u.tolist()))
+    open_rows = {dj: _scan_bad_shapes(_twist_row(e, dj), p, cfg, *outcomes[i])
+                 for dj, i in zip(d[opened].tolist(), index.tolist()) if exclusions[i] is None}
+    return chains, open_rows
 
 
 def _shape_tests(traces, p, ds, trace_bound):
@@ -542,12 +541,14 @@ def _shape_tests(traces, p, ds, trace_bound):
     ell tests E^d where E^d is good and ell != p (_twist_symbols), and
     there a_ell(E^d) = chi_d(ell) a_ell(E) must be ell^a + ell^b mod p.
 
-    Returns {d: (tests, entries)}.  tests holds (pair, RefutedAt) for each
-    refuted shape, at its first refuting prime, in the order found (block,
-    then pair order), followed by (pair, Consistent(checked primes)) for
-    each shape consistent up to the trace bound, in pair order.  When a
-    shape is consistent, entries are E^d's FrobeniusData entries up to the
-    trace bound, read off E's (_twisted_entries); otherwise None.
+    Returns (outcomes, index), ds[j]'s outcome (tests, entries) being
+    outcomes[index[j]].  tests holds (pair, RefutedAt) for each refuted
+    shape, at its first refuting prime, in the order found (block, then
+    pair order), followed by (pair, Consistent(checked primes)) for each
+    shape consistent up to the trace bound, in pair order.  When a shape is
+    consistent, entries are E^d's FrobeniusData entries up to the trace
+    bound, read off E's (_twisted_entries); otherwise None, one outcome
+    shared by the twists with the same refutations (equal int64 keys).
     """
     pairs = BAD_SHAPE_PAIRS[p]
     bounds = _escalation_bounds(trace_bound)
@@ -575,28 +576,27 @@ def _shape_tests(traces, p, ds, trace_bound):
 
     ell_list = ells.tolist()
 
-    def tests_of(key, consistent):
-        where, seen = key[: len(pairs)], key[len(pairs) :]
+    def tests_of(j, consistent):
         tests = [
             (pair, consistent if i < 0 else RefutedAt(ell_list[i], obs, shape_values(ell_list[i], p, pair)))
-            for pair, i, obs in zip(pairs, where, seen)
+            for pair, i, obs in zip(pairs, first[:, j].tolist(), observed[:, j].tolist())
         ]
         tests.sort(key=lambda t: bisect_left(bounds, t[1].ell) if isinstance(t[1], RefutedAt) else len(bounds))
         return tuple(tests)
 
-    keys = list(map(tuple, np.vstack((first, observed)).T.tolist()))
-    survivors = np.nonzero((first < 0).any(axis=0))[0].tolist()
-    results = {}
-    for j, entries in zip(survivors, _twisted_entries(ells, a, good, d[survivors])):
-        checked = Consistent(tuple(ell for ell, _, good in entries if good and ell != p))
-        results[ds[j]] = (tests_of(keys[j], checked), entries)
-    shared = {}  # twists with equal refutations share one result
-    for dj, key in zip(ds, keys):
-        if dj not in results:
-            if key not in shared:
-                shared[key] = (tests_of(key, None), None)
-            results[dj] = shared[key]
-    return results
+    # 25 bits for each of at most two shapes (first + 1 < 2^14 primes, |observed| < 2^10 by Hasse);
+    # the survivors' keys negative, in order
+    key = np.zeros(len(d), dtype=np.int64)
+    for where, seen in zip(first, observed):
+        key = key << 25 | (where + 1) << 11 | (seen + (1 << 10))
+    survivors = np.flatnonzero((first < 0).any(axis=0))
+    key[survivors] = survivors - len(d)
+    _, firsts, index = np.unique(key, return_index=True, return_inverse=True)
+    outcomes = [
+        (tests_of(j, Consistent(tuple(ell for ell, _, good in entries if good and ell != p))), entries)
+        for j, entries in zip(survivors.tolist(), _twisted_entries(ells, a, good, d[survivors]))
+    ] + [(tests_of(j, None), None) for j in firsts[len(survivors) :].tolist()]
+    return outcomes, index
 
 
 def _trace_arrays(entries):

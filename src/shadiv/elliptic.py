@@ -96,12 +96,13 @@ def count_points(e: EllipticCurveQ, ell: int) -> int:
         raise UnsupportedPrime(f"point counts are for primes up to {TRACE_BOUND_MAX}, not {ell}")
     if e.discriminant % ell == 0:
         raise BadReduction(f"{ell} divides the discriminant")
-    if ell == 2:
-        return _count_affine_p2(e) + 1
+    if ell == 2:  # the affine points among the four of F_2^2, and O
+        return 1 + sum((y * y + e.a1 * x * y + e.a3 * y - x ** 3 - e.a2 * x * x - e.a4 * x - e.a6) % 2 == 0
+                       for x in range(2) for y in range(2))
     if ell < BSGS_MIN_ELL:
         return _character_sum_count(e, ell)
     start = i - (i - bisect_left(primes, BSGS_MIN_ELL)) % COLUMN_PRIMES
-    return ell + 1 - _column_traces(e, primes[start : start + COLUMN_PRIMES])[i - start]
+    return ell + 1 - _column_traces(e, start, min(start + COLUMN_PRIMES, len(primes)))[i - start]
 
 
 def _character_sum_count(e, ell):
@@ -326,17 +327,6 @@ def _affine(x, y, z, ell):
     return x * zz % ell, y * zz * zinv % ell
 
 
-def _count_affine_p2(e):
-    total = 0
-    for x in range(2):
-        for y in range(2):
-            lhs = y * y + e.a1 * x * y + e.a3 * y
-            rhs = x ** 3 + e.a2 * x * x + e.a4 * x + e.a6
-            if (lhs - rhs) % 2 == 0:
-                total += 1
-    return total
-
-
 @lru_cache(maxsize=262144)
 def trace_at(e: EllipticCurveQ, ell: int):
     """a_ell = ell + 1 - #E(F_ell), or None when the model is bad at ell."""
@@ -382,16 +372,17 @@ def frobenius_traces(e: EllipticCurveQ, bound: int) -> FrobeniusData:
     first = bisect_left(primes, BSGS_MIN_ELL)
     traces = [trace_at(e, ell) for ell in primes[:first]]
     for start in range(first, len(primes), COLUMN_PRIMES):
-        traces += _column_traces(e, primes[start : start + COLUMN_PRIMES])
+        traces += _column_traces(e, start, min(start + COLUMN_PRIMES, len(primes)))
     return FrobeniusData(e, tuple((ell, a, a is not None) for ell, a in zip(primes, traces)))
 
 
 @lru_cache(maxsize=512)  # as many traces as trace_at's cache holds
-def _column_traces(e, ells):
-    """a_ell for each prime of ells (at least BSGS_MIN_ELL, at most COLUMN_PRIMES of them), None where the model is bad.
+def _column_traces(e, start, stop):
+    """a_ell for each prime of primes_up_to(TRACE_BOUND_MAX)[start:stop] (at most COLUMN_PRIMES), None where bad.
 
     The good primes are counted together by _shanks_mestre_rounds.
     """
+    ells = primes_up_to(TRACE_BOUND_MAX)[start:stop]
     good = [ell for ell in ells if e.discriminant % ell]
     traces = dict.fromkeys(ells)
     for ell, n in zip(good, _shanks_mestre_rounds(e, good).tolist()):
@@ -423,11 +414,16 @@ def reduction_type(e: EllipticCurveQ, p: int) -> ReductionType:
     """
     if p == 2:
         raise UnsupportedPrime("reduction type analysis is restricted to odd p")
-    if e.discriminant % p != 0:
+    return _reduction_type(e.discriminant, e.c4, e.c6, p)
+
+
+def _reduction_type(disc, c4, c6, p):
+    """reduction_type of a model with these invariants at an odd prime p."""
+    if disc % p != 0:
         return ReductionType.GOOD
-    if e.c4 % p == 0:
+    if c4 % p == 0:
         return ReductionType.ADDITIVE
-    if legendre_symbol(-e.c6, p) == 1:
+    if legendre_symbol(-c6, p) == 1:
         return ReductionType.MULTIPLICATIVE_SPLIT
     return ReductionType.MULTIPLICATIVE_NONSPLIT
 

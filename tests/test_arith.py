@@ -87,6 +87,16 @@ def test_legendre_symbols_match_legendre_symbol():
     assert legendre_symbols(a, []).shape == (0, len(a))
 
 
+def test_legendre_symbols_agree_on_both_sides_of_the_residue_table():
+    # len(a) = max(q) takes Euler's criterion on a itself, max(q) + 1 the
+    # table of residue classes read at a mod q; negative a and a >= q both ways
+    primes = [3, 5, 7, 11, 13]
+    for n in (13, 14):
+        a = [(-1) ** k * (7 * k + 2) for k in range(n)]
+        assert min(a) < 0 and max(a) >= 13
+        assert legendre_symbols(a, primes).tolist() == [[legendre_symbol(x, p) for x in a] for p in primes], n
+
+
 def test_legendre_symbols_reject_moduli_outside_int64():
     for p in (2, 3037000507):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
@@ -12,6 +13,7 @@ import shadiv.divisibility as divisibility
 from shadiv.datasets import embedded_curve, regular_prime_resolutions
 from shadiv.divisibility import (
     BAD_SHAPE_PAIRS,
+    ChainStep,
     HEURISTIC,
     RIGOROUS,
     Outcome,
@@ -27,6 +29,7 @@ from shadiv.elliptic import (
     ReductionType,
     curve,
     frobenius_traces,
+    has_full_rational_2torsion,
     is_supersingular,
     quadratic_twist,
     reduction_type,
@@ -417,6 +420,12 @@ _ORACLE_CURVES = [embedded_curve(label) for label in ("121-B1", "selmer-jacobian
 ]
 
 
+def _base_outcome(e, p, bound):
+    """_shape_tests' (tests, entries) for d = 1 alone."""
+    outcomes, index = divisibility._shape_tests(lambda b: frobenius_traces(e, b), p, [1], bound)
+    return outcomes[index[0]]
+
+
 @pytest.mark.parametrize("bound", [0, 2, 13, 49, 50, 51, 199, 200, 201, 1000])
 def test_shape_tests_match_test_cyclotomic_pair(bound):
     # for d = 1 the engine's record of each shape is the one the per-prime
@@ -427,7 +436,7 @@ def test_shape_tests_match_test_cyclotomic_pair(bound):
     for e in _ORACLE_CURVES:
         fd = frobenius_traces(e, bound)
         for p in (3, 5, 7):
-            tests, entries = divisibility._shape_tests(lambda b: frobenius_traces(e, b), p, [1], bound)[1]
+            tests, entries = _base_outcome(e, p, bound)
             expected = sorted(
                 ((pair, test_cyclotomic_pair(fd, p, pair)) for pair in BAD_SHAPE_PAIRS[p]),
                 key=lambda t: bisect_left(blocks, t[1].ell) if isinstance(t[1], RefutedAt) else len(blocks),
@@ -440,7 +449,7 @@ def test_shape_tests_match_test_cyclotomic_pair(bound):
 def test_shape_tests_keep_ell_2_for_the_base_curve():
     e = _ORACLE_CURVES[-1]
     for p, expected in ((3, 0), (7, 3)):
-        tests, _ = divisibility._shape_tests(lambda b: frobenius_traces(e, b), p, [1], 1000)[1]
+        tests, _ = _base_outcome(e, p, 1000)
         assert tests == (((0, 1), RefutedAt(2, -2, expected)),)
     assert verdict_over_Q(e, 3).chain[0].inputs["ell"] == 2
 
@@ -490,11 +499,10 @@ def test_twist_scan_work_does_not_grow_with_dmax(monkeypatch):
     # a scan scales each twist from the base curve instead of deriving its
     # invariants, validates p once instead of once per row, builds one
     # exclusion chain per distinct refutation key, shared by its rows, and
-    # runs _early_chain beyond the base curve only on twists whose
-    # reduction type at p can differ from the base's: p | d, or all d != 1
-    # when the base is multiplicative at p.  The scan builds E^d only for
-    # those twists and the open rows; the JSON builds none, and the rows,
-    # built on first read, build each other twist once
+    # runs _early_chain once per class of 4d mod p, none per twist: each
+    # twist's early chain comes from the base curve's invariants mod p.
+    # The scan builds E^d only for the open rows; the JSON builds none, and
+    # the rows, built on first read, build each other twist once
     import shadiv.arith as arith
     import shadiv.elliptic as ell
 
@@ -526,19 +534,13 @@ def test_twist_scan_work_does_not_grow_with_dmax(monkeypatch):
                 chains = [v.chain for _, v in report.rows if v.chain[0].rule == "rational.shape_exclusion"]
                 assert len({id(c) for c in chains}) == len({repr(c) for c in chains}) < len(chains), (e.label, p)
             assert primality[0] == primality[1] <= 10, (e.label, p, primality)
-    multiplicative = (ReductionType.MULTIPLICATIVE_SPLIT, ReductionType.MULTIPLICATIVE_NONSPLIT)
     for e in _SCAN_CURVES:  # good, additive and multiplicative at some p
         for p in (3, 5, 7):
             calls.clear()
             report = twist_scan(e, p, 10 ** 4)
-            if reduction_type(e, p) in multiplicative:
-                rerun = {d for d in report.ds if d != 1}
-            else:
-                rerun = {d for d in report.ds if d % p == 0}
-            assert calls["_early_chain"] == 1 + len(rerun), (e.label, p)
-            built = rerun | set(report.open) - {1}  # E^1 is E
+            assert calls["_early_chain"] == p, (e.label, p)
+            built = set(report.open) - {1}  # E^1 is E
             assert calls["_twist_model"] == len(built), (e.label, p)
-            assert set(report.twists) == rerun
             calls.clear()
             report.to_json_dict()
             assert calls["_twist_model"] == 0, (e.label, p)
@@ -546,6 +548,63 @@ def test_twist_scan_work_does_not_grow_with_dmax(monkeypatch):
             assert calls["_twist_model"] == len(report.ds) - 1 - len(built), (e.label, p)
             assert report.rows is rows
             assert {d: v for d, v in rows if v.outcome != Outcome.GUARANTEED} == report.open, (e.label, p)
+
+
+def _curve_early_chain(e, p, supersingular, full_2torsion):
+    """The early chain of the curve e itself, as scans found it on every built E^d
+    before they took it from the base curve's invariants mod p."""
+    if p >= 5 and full_2torsion():
+        step = ChainStep(
+            "rational.full_2torsion",
+            "rational 2-torsion caps odd rational torsion of every quadratic twist at 3, excluding all bad shapes for p >= 5",
+            {"p": p, "two_torsion_roots": 3},
+            RIGOROUS,
+        )
+    elif e.discriminant % p:
+        if not supersingular():
+            return None
+        step = ChainStep(
+            "rational.supersingular",
+            "supersingular reduction makes the mod-p representation irreducible",
+            {"p": p, "a_p mod p": 0},
+            RIGOROUS,
+        )
+    else:
+        rt = reduction_type(e, p)
+        if rt != ReductionType.MULTIPLICATIVE_NONSPLIT:
+            return None
+        step = ChainStep(
+            "rational.nonsplit_multiplicative",
+            "nonsplit multiplicative reduction at p forces the unramified quadratic twist shape, excluding the bad shapes",
+            {"p": p, "reduction": rt.value},
+            RIGOROUS,
+        )
+    return (step,)
+
+
+_EARLY_RULES = ("rational.full_2torsion", "rational.supersingular", "rational.nonsplit_multiplicative")
+
+
+def test_twist_scan_early_chains_equal_the_per_twist_route():
+    # the scan takes each twist's early chain from the base curve's
+    # invariants mod p; the route it replaced built every E^d it needed
+    # and examined the curve (with the base curve's supersingularity and
+    # 2-torsion, which every twist shares).  Each row's early chain is its
+    # chain when that starts with an early rule, None otherwise
+    seen = set()
+    for e in _SCAN_CURVES:
+        for p in (3, 5, 7):
+            supersingular = cache(lambda: is_supersingular(e, p))
+            full_2torsion = cache(lambda: has_full_rational_2torsion(e))
+            for d, v in twist_scan(e, p, 10 ** 4).rows:
+                twist = divisibility._twist_row(e, d)
+                expected = _curve_early_chain(twist, p, supersingular, full_2torsion)
+                assert (v.chain if v.chain[0].rule in _EARLY_RULES else None) == expected, (e.label, p, d)
+                seen.add((reduction_type(e, p), d % p != 0 and reduction_type(twist, p)))
+    for rt in (ReductionType.GOOD, ReductionType.ADDITIVE):
+        assert (rt, rt) in seen
+    for base in (ReductionType.MULTIPLICATIVE_SPLIT, ReductionType.MULTIPLICATIVE_NONSPLIT):
+        assert {(base, ReductionType.MULTIPLICATIVE_SPLIT), (base, ReductionType.MULTIPLICATIVE_NONSPLIT)} <= seen
 
 
 def test_twist_scan_raises_from_its_open_rows(monkeypatch):
