@@ -4,7 +4,6 @@ of elliptic curves, with the finite-group-cohomology engine behind them."""
 from .cohomology import (
     CohomologyClassSpace,
     GModule,
-    character_module,
     common_irreducible_factor,
     composition_factors,
     groupcrit_side_analytic,
@@ -51,19 +50,14 @@ from .galois_image import (
     test_cyclotomic_pair,
 )
 from .gl2 import (
-    ClassificationTag,
     Exhaustive,
     Sampled,
     Subgroup,
-    classify,
     closure,
-    det_image_order,
     embeds_in_s3,
     enumerate_subgroups,
-    meets_center,
     normalizer_in,
     p_sylow,
-    s3_copy,
 )
 from .local_cubic import (
     CubeClass,

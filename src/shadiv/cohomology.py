@@ -10,16 +10,11 @@ algebra, and the transfer is one sum over the cosets of P.
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceeded
-from .fp_linalg import det_raw, echelon_bases, kernel_basis
+from .fp_linalg import echelon_bases, kernel_basis
 from .gl2 import Subgroup, embeds_in_s3, invariant_line, normalizer_in, p_sylow
-
-ISO_SCAN_BUDGET = 10 ** 6
-HOM_CHECK_FULL_MAX = 200
 
 
 class GModule:
@@ -105,6 +100,7 @@ class GModule:
         quot = self._section((eye - basis.T @ eye[pivots])[others] % self.p, eye[:, others])
         # sub has the least dimension of any invariant subspace, so it is
         # irreducible: an invariant subspace of sub would be a smaller one
+        sub._reducible_factors = None
         return (sub,) + quot.factors
 
 
@@ -130,42 +126,6 @@ def _ambient_module(g, generator_ids, dim):
     mats = (amb.mats if dim == 2 else amb.ad_mats)[list(g.element_ids)]
     mats.flags.writeable = False
     return GModule(g, dim, mats)
-
-
-def character_module(g: Subgroup, values) -> GModule:
-    """A 1-dimensional module from an element -> F_p* value map."""
-    return gmodule_from_action(g, 1, {eid: ((values[eid],),) for eid in g.element_ids})
-
-
-def gmodule_from_action(g: Subgroup, dim, action):
-    """Build a GModule from an element -> matrix map, checking it is a hom.
-
-    The homomorphism property is verified on all pairs for |G| <= 200 and
-    on generator x element pairs for larger groups.
-    """
-    p = g.p
-    mats = np.zeros((g.order, dim, dim), dtype=np.int64)
-    for i, eid in enumerate(g.element_ids):
-        mat = action[eid] if not callable(action) else action(eid)
-        mats[i] = np.asarray(mat, dtype=np.int64) % p
-    mod = GModule(g, dim, mats)
-    _validate_hom(mod)
-    return mod
-
-
-def _validate_hom(mod):
-    g = mod.subgroup
-    amb = g.ambient
-    p = g.p
-    pos = g.positions
-    ident = mod.mats[pos[amb.identity_id]]
-    if not np.array_equal(ident % p, np.eye(mod.dim, dtype=np.int64)):
-        raise ValueError("action(identity) != identity matrix")
-    left = g.element_ids if g.order <= HOM_CHECK_FULL_MAX else g.generator_ids
-    left = np.asarray(left, dtype=np.intp)
-    ab = amb.mul(left[:, None], g.element_ids)
-    if not np.array_equal(mod.mats[pos[left]][:, None] @ mod.mats % p, mod.mats[pos[ab]]):
-        raise ValueError("action is not a homomorphism")
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +183,17 @@ def composition_factors(m: GModule):
 
 
 def modules_isomorphic(a: GModule, b: GModule) -> bool:
-    """Whether an invertible equivariant map a -> b exists.
+    """Whether the irreducible modules a and b are isomorphic.
 
-    Solves T A(s) = B(s) T on the generators and scans the intertwiner
-    space for an invertible element; the scan is exhaustive and
-    deterministic, capped by the p^dim budget.
+    By Schur's lemma a nonzero equivariant map between irreducible modules
+    is invertible, since its kernel and image are sub-modules; so a and b
+    are isomorphic exactly when T A(s) = B(s) T on the generators has a
+    nonzero solution T.  A reducible argument raises ValueError.
     """
     if a.subgroup != b.subgroup:
         raise ValueError("modules must share their subgroup")
+    if len(a.factors) != 1 or len(b.factors) != 1:
+        raise ValueError("modules must be irreducible")
     if a.dim != b.dim:
         return False
     n = a.dim
@@ -246,17 +209,7 @@ def modules_isomorphic(a: GModule, b: GModule) -> bool:
     eye = np.eye(n, dtype=np.int64)
     a_t = amats.transpose(0, 2, 1)
     system = eye[:, None, :, None] * a_t[:, None, :, None, :] - bmats[:, :, None, :, None] * eye[:, None, :]
-    basis = kernel_basis(system.reshape(-1, n * n) % p, n * n, p)
-    dim = len(basis)
-    if dim == 0:
-        return False
-    if p ** dim > ISO_SCAN_BUDGET:
-        raise BudgetExceeded(f"intertwiner scan p^{dim} over budget")
-    basis = np.array(basis, dtype=np.int64).reshape(dim, n, n)
-    for coeffs in product(range(p), repeat=dim):
-        if any(coeffs) and det_raw((np.tensordot(coeffs, basis, axes=1) % p).tolist(), p) != 0:
-            return True
-    return False
+    return bool(kernel_basis(system.reshape(-1, n * n) % p, n * n, p))
 
 
 def common_irreducible_factor(a: GModule, b: GModule) -> bool:

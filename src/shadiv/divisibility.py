@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -468,8 +468,14 @@ def fundamental_discriminants(dmax):
     d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree;
     ordered by |d|, the negative one first.
     """
+    return list(_fundamental_discriminants(dmax))
+
+
+@lru_cache(maxsize=4)
+def _fundamental_discriminants(dmax):
+    """fundamental_discriminants(dmax) as a tuple, computed once per dmax in a process."""
     if dmax < 1:
-        return []
+        return ()
     squarefree = squarefree_sieve(dmax)
     n = np.arange(1, dmax + 1)
     d = np.stack([-n, n], axis=1).ravel()
@@ -477,7 +483,7 @@ def fundamental_discriminants(dmax):
     fundamental = ((d % 4 == 1) & squarefree[np.abs(d)]) | (
         (d % 4 == 0) & (m % 4 >= 2) & squarefree[np.abs(m)]
     )
-    return d[fundamental].tolist()
+    return tuple(d[fundamental].tolist())
 
 
 def twist_scan(e: EllipticCurveQ, p: int, dmax: int, cfg: RunConfig = DEFAULT_CONFIG) -> TwistScanReport:
@@ -489,7 +495,7 @@ def twist_scan(e: EllipticCurveQ, p: int, dmax: int, cfg: RunConfig = DEFAULT_CO
         raise ValueError("twist caps are stated for p in {3, 5, 7}")
     if dmax > 10 ** 4:
         raise ValueError("dmax capped at 10^4")
-    ds = tuple(fundamental_discriminants(dmax))
+    ds = _fundamental_discriminants(dmax)
     return TwistScanReport(e, p, dmax, ds, *_twist_columns(e, p, cfg, ds), TWIST_FAILURE_CAPS[p])
 
 

@@ -1,4 +1,4 @@
-"""Explicit subgroups of GL2(F_p): closure, enumeration, sampling, classification.
+"""Explicit subgroups of GL2(F_p): closure, enumeration and sampling.
 
 A per-prime ambient context indexes every element of GL2(F_p) in
 lexicographic order of its entry 4-tuple (a, b, c, d); that ordering is
@@ -27,12 +27,11 @@ lives for one stream.  Either way the stream is a pure function of
 import random
 import threading
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .arith import is_prime, legendre_symbol, prime_factors
+from .arith import is_prime, prime_factors
 from .errors import (
     InternalInconsistency,
     ModeUnsupported,
@@ -84,10 +83,6 @@ class GL2Ambient:
         inv_codes = _encode(d * di % p, (-b) * di % p, (-c) * di % p, a * di % p, p)
         self.inv = self.code_to_id[inv_codes].astype(np.int32)
         self.identity_id = int(self.code_to_id[_encode(1, 0, 0, 1, p)])
-        self.scalar_ids = np.array(
-            [int(self.code_to_id[_encode(s, 0, 0, s, p)]) for s in range(1, p)],
-            dtype=np.int32,
-        )
         self.table = self._build_mul_table() if p <= TABLE_MAX_P else None
         self._ad_mats = None
         self._orders = None
@@ -166,9 +161,17 @@ class GL2Ambient:
         """The order of every element, indexed by id."""
         with self._lock:
             if self._orders is None:
-                identity = np.zeros(self.size, dtype=bool)
-                identity[self.identity_id] = True
-                self._orders = _first_power_in(self, np.arange(self.size), identity)
+                # one power walk over all ids at once
+                orders = np.ones(self.size, dtype=np.intp)
+                walking = cur = np.delete(np.arange(self.size), self.identity_id)
+                k = 1
+                while walking.size:
+                    k += 1
+                    cur = self.mul(cur, walking)
+                    done = cur == self.identity_id
+                    orders[walking[done]] = k
+                    walking, cur = walking[~done], cur[~done]
+                self._orders = orders
         return self._orders
 
     @property
@@ -204,41 +207,11 @@ class GL2Ambient:
         return self._lines
 
 
-def _first_power_in(amb, ids, stop_mask):
-    """For each id x, the least k >= 1 with x^k in the set `stop_mask` marks.
-
-    One power walk over all ids at once; every power of x reaches the
-    identity, so the stop set must hold it.
-    """
-    ids = np.asarray(ids, dtype=np.intp)
-    out = np.ones(len(ids), dtype=np.intp)
-    walking = np.flatnonzero(~stop_mask[ids])
-    cur = ids[walking]
-    k = 1
-    while walking.size:
-        k += 1
-        cur = amb.mul(cur, ids[walking])
-        done = stop_mask[cur]
-        out[walking[done]] = k
-        walking, cur = walking[~done], cur[~done]
-    return out
-
-
 def ambient(p):
     with _ambient_lock:
         if p not in _ambient_cache:
             _ambient_cache[p] = GL2Ambient(p)
         return _ambient_cache[p]
-
-
-class ClassificationTag(Enum):
-    BOREL_CONTAINED = "BorelContained"
-    CONTAINS_SL2 = "ContainsSL2"
-    SPLIT_TORUS_NORMALIZER = "SplitTorusNormalizer"
-    NONSPLIT_TORUS_NORMALIZER = "NonsplitTorusNormalizer"
-    EXCEPTIONAL_A4 = "Exceptional(A4)"
-    EXCEPTIONAL_S4 = "Exceptional(S4)"
-    EXCEPTIONAL_A5 = "Exceptional(A5)"
 
 
 @dataclass(frozen=True)
@@ -372,16 +345,6 @@ def subgroup_from_ids(p, element_ids):
     return Subgroup(p, tuple(gens), _pack(have))
 
 
-def meets_center(g: Subgroup) -> bool:
-    """True iff the subgroup contains a nontrivial scalar matrix."""
-    # scalar_ids[0] is the identity
-    return bool(g.mask[g.ambient.scalar_ids[1:]].any())
-
-
-def det_image_order(g: Subgroup) -> int:
-    return int(np.count_nonzero(np.bincount(g.ambient.dets[g.mask], minlength=g.p)))
-
-
 def p_sylow(g: Subgroup) -> Subgroup:
     """One Sylow p-subgroup, chosen deterministically.
 
@@ -401,22 +364,6 @@ def normalizer_in(g: Subgroup, h: Subgroup) -> Subgroup:
         raise ValueError("h must be a subgroup of g")
     x = np.asarray(g.element_ids, dtype=np.intp)
     return subgroup_from_ids(g.p, x[h.mask[_conjugates(g.ambient, x, h.generator_ids)].all(axis=1)])
-
-
-def s3_copy(p):
-    """The standard S3 inside GL2(F_p), from its 2-dimensional integral model.
-
-    The representation is the sum-zero plane of the coordinate-permutation
-    action on F_p^3 in the basis (e1 - e2, e2 - e3); it is faithful for
-    every prime p and its determinant is the sign of the permutation.
-    Returns (subgroup, transposition_id, three_cycle_id).
-    """
-    transposition = ((-1, 1), (0, 1))
-    three_cycle = ((0, -1), (1, -1))
-    group = closure(p, (transposition, three_cycle))
-    if group.order != 6:
-        raise InternalInconsistency(f"S3 model degenerated at p={p}")
-    return (group, *group.generator_ids)
 
 
 def embeds_in_s3(g: Subgroup) -> bool:
@@ -444,111 +391,6 @@ def invariant_line(g: Subgroup):
     image = g.ambient.lines[0][list(g.generator_ids)]
     fixed = np.flatnonzero((image == np.arange(g.p + 1)).all(axis=0))
     return int(fixed[0]) if fixed.size else None
-
-
-def _fp2_mul(x, y, r, p):
-    return (x[0] * y[0] + r * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
-
-
-def _fp2_inv(x, r, p):
-    n = (x[0] * x[0] - r * x[1] * x[1]) % p
-    ninv = pow(n, -1, p)
-    return x[0] * ninv % p, (-x[1]) * ninv % p
-
-
-def _stabilizes_nonsplit_pair(amb, gen_ids, z, r):
-    """Whether all generators stabilize the conjugate line pair [1 : z], [1 : z~]."""
-    p = amb.p
-    zbar = (z[0], (-z[1]) % p)
-    for g in gen_ids:
-        m = amb.mats[g]
-        a, b = int(m[0, 0]), int(m[0, 1])
-        c, d = int(m[1, 0]), int(m[1, 1])
-        num = ((c + d * z[0]) % p, d * z[1] % p)
-        den = ((a + b * z[0]) % p, b * z[1] % p)
-        w = _fp2_mul(num, _fp2_inv(den, r, p), r, p)
-        if w != z and w != zbar:
-            return False
-    return True
-
-
-def _in_split_torus_normalizer(g: Subgroup):
-    """Whether the generators all stabilize one pair of distinct lines."""
-    image = g.ambient.lines[0][list(g.generator_ids)]
-    l1, l2 = np.triu_indices(g.p + 1, 1)
-    a, b = image[:, l1], image[:, l2]
-    pair = ((a == l1) | (a == l2)) & ((b == l1) | (b == l2))
-    return bool(pair.all(axis=0).any())
-
-
-def _in_nonsplit_torus_normalizer(g: Subgroup):
-    amb = g.ambient
-    p = g.p
-    if p == 2:
-        # the nonsplit torus of GL2(F_2) is the cyclic C_3, whose
-        # normalizer is all of GL2(F_2): everything qualifies
-        return True
-    gens = g.generator_ids if g.generator_ids else (amb.identity_id,)
-    r = next(x for x in range(2, p) if legendre_symbol(x, p) == -1)
-    for za in range(p):
-        for zb in range(1, (p - 1) // 2 + 1):
-            if _stabilizes_nonsplit_pair(amb, gens, (za, zb), r):
-                return True
-    return False
-
-
-_EXCEPTIONAL_ORDER_PROFILES = {
-    12: ("A4", {1: 1, 2: 3, 3: 8}),
-    24: ("S4", {1: 1, 2: 9, 3: 8, 4: 6}),
-    60: ("A5", {1: 1, 2: 15, 3: 20, 5: 24}),
-}
-
-
-def classify(g: Subgroup) -> ClassificationTag:
-    """Classification tag per the subgroup taxonomy of GL2(F_p).
-
-    The p | #G dichotomy is settled first; overlapping prime-to-p cases are
-    resolved with priority split > nonsplit > exceptional.
-    """
-    p = g.p
-    amb = g.ambient
-    if g.order % p == 0:
-        if invariant_line(g) is not None:
-            return ClassificationTag.BOREL_CONTAINED
-        t1 = amb.id_of_mat(((1, 1), (0, 1)))
-        t2 = amb.id_of_mat(((1, 0), (1, 1)))
-        if t1 in g and t2 in g:
-            return ClassificationTag.CONTAINS_SL2
-        raise InternalInconsistency(
-            "subgroup with p | order is neither Borel-contained nor contains SL2"
-        )
-    if _in_split_torus_normalizer(g):
-        return ClassificationTag.SPLIT_TORUS_NORMALIZER
-    if _in_nonsplit_torus_normalizer(g):
-        return ClassificationTag.NONSPLIT_TORUS_NORMALIZER
-    # each coset of the scalars, by its least id, in id order
-    least = amb.mul(amb.scalar_ids[:, None], g.element_ids).min(axis=0)
-    cosets = np.flatnonzero(np.bincount(least, minlength=amb.size))
-    image_order = len(cosets)
-    if image_order in _EXCEPTIONAL_ORDER_PROFILES:
-        name, profile = _EXCEPTIONAL_ORDER_PROFILES[image_order]
-        scalar = np.zeros(amb.size, dtype=bool)
-        scalar[amb.scalar_ids] = True
-        counts = np.bincount(_first_power_in(amb, cosets, scalar))
-        observed = {k: c for k, c in enumerate(counts.tolist()) if c}
-        if observed != profile:
-            raise InternalInconsistency(
-                f"projective image of order {image_order} has order profile "
-                f"{observed}, expected {profile}"
-            )
-        return {
-            "A4": ClassificationTag.EXCEPTIONAL_A4,
-            "S4": ClassificationTag.EXCEPTIONAL_S4,
-            "A5": ClassificationTag.EXCEPTIONAL_A5,
-        }[name]
-    raise InternalInconsistency(
-        f"no classification case matched (order {g.order}, image order {image_order})"
-    )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from factor_oracle import factors_by_splitting
+from factor_oracle import factors_by_splitting, isomorphic_by_scan
 from fp_oracle import (
     LinearSystemInconsistent,
     invariant_subspaces_by_filter,
@@ -16,17 +16,17 @@ from fp_oracle import (
     rank_of,
     solve_linear,
 )
+from gl2_helpers import s3_copy
 from h1_oracle import RELATIONS_MAX_ORDER, h1_by_relations, h1_star_by_relations
+from module_fixtures import character_module, gmodule_from_action
 from shadiv import cohomology
 from shadiv.cohomology import (
     GModule,
     _line_characters,
     _sylow_cosets,
     borel_datum,
-    character_module,
     common_irreducible_factor,
     composition_factors,
-    gmodule_from_action,
     groupcrit_side_analytic,
     groupcrit_side_structural,
     h1,
@@ -37,7 +37,7 @@ from shadiv.cohomology import (
     reducible_characters,
     sylow_hom_bound,
 )
-from shadiv.gl2 import Exhaustive, Sampled, closure, enumerate_subgroups, invariant_line, s3_copy
+from shadiv.gl2 import Exhaustive, Sampled, ambient, closure, enumerate_subgroups, invariant_line
 
 
 def h1_dims_bruteforce(g, mod):
@@ -345,8 +345,6 @@ def test_gmodule_from_action_validates():
 
 
 def test_character_module_roundtrip():
-    from shadiv.cohomology import character_module
-
     g = closure(5, [((2, 0), (0, 1))])
     amb = g.ambient
     values = {eid: int(amb.dets[eid]) for eid in g.element_ids}
@@ -511,10 +509,15 @@ def test_adjoint_splits_for_torus_normalizer():
 def test_modules_isomorphic_basics():
     g = closure(5, [((2, 0), (0, 1))])
     std = make_standard_module(g)
-    assert modules_isomorphic(std, std)
     factors = composition_factors(std)
     assert len(factors) == 2
+    assert modules_isomorphic(factors[0], factors[0])
     assert not modules_isomorphic(factors[0], factors[1])  # chi = 2 vs 1
+    # Schur's lemma decides irreducible modules only: V is reducible here
+    with pytest.raises(ValueError):
+        modules_isomorphic(std, std)
+    with pytest.raises(ValueError):
+        modules_isomorphic(factors[0], std)
 
 
 def test_modules_isomorphic_requires_same_subgroup():
@@ -534,7 +537,8 @@ def _isomorphic_by_search(a, b):
 
 def test_modules_isomorphic_on_twists_of_the_standard_module(subgroups_p3, sampled_p5):
     # V against V (x) det^k, n = 2, against a search over every 2 x 2
-    # matrix; where det^k is not 1 on the generators their matrices differ
+    # matrix where V is irreducible; where det^k is not 1 on the generators
+    # their matrices differ.  A reducible V raises.
     found = {True: 0, False: 0}
     for s in list(subgroups_p3) + list(sampled_p5):
         amb = s.ambient
@@ -542,6 +546,10 @@ def test_modules_isomorphic_on_twists_of_the_standard_module(subgroups_p3, sampl
         std = make_standard_module(s)
         for k in range(1, p - 1):
             twist = gmodule_from_action(s, 2, lambda eid: amb.mats[eid] * pow(int(amb.dets[eid]), k, p))
+            if len(std.factors) > 1:
+                with pytest.raises(ValueError):
+                    modules_isomorphic(std, twist)
+                continue
             expected = _isomorphic_by_search(std, twist)
             assert modules_isomorphic(std, twist) == expected, (s.generator_ids, k)
             if not np.array_equal(std.gen_mats, twist.gen_mats):
@@ -549,24 +557,38 @@ def test_modules_isomorphic_on_twists_of_the_standard_module(subgroups_p3, sampl
     assert found[True] > 10 and found[False] > 10, found
 
 
-def test_modules_isomorphic_on_a_conjugate_of_the_adjoint_module(subgroups_p3, sampled_p5):
-    # C End(V) C^-1 is isomorphic to End(V), through C^-1, for every
-    # invertible C; its generator matrices differ from End(V)'s
+def _random_invertible(rng, n, p):
+    """A random invertible n x n matrix mod p and its inverse."""
     from sympy import Matrix
 
+    c = Matrix(n, n, lambda i, j: rng.randrange(p))
+    while c.det() % p == 0:
+        c = Matrix(n, n, lambda i, j: rng.randrange(p))
+    return (np.array(x.tolist(), dtype=np.int64) for x in (c, c.inv_mod(p)))
+
+
+def test_modules_isomorphic_on_a_conjugate_of_the_adjoint_module(subgroups_p3, sampled_p5):
+    # C End(V) C^-1 is isomorphic to End(V), through C^-1, for every
+    # invertible C, and its generator matrices differ from End(V)'s; but
+    # End(V) is reducible (the scalars are a fixed line), so both raise
     rng = random.Random(25)
     unequal = 0
     for s in list(subgroups_p3) + list(sampled_p5[:100]):
         p = s.p
         adj = make_adjoint_module(s)
-        c = Matrix(4, 4, lambda i, j: rng.randrange(p))
-        while c.det() % p == 0:
-            c = Matrix(4, 4, lambda i, j: rng.randrange(p))
-        c, c_inv = (np.array(x.tolist(), dtype=np.int64) for x in (c, c.inv_mod(p)))
+        c, c_inv = _random_invertible(rng, 4, p)
         conj = GModule(s, 4, c @ adj.mats @ c_inv % p)
-        assert modules_isomorphic(adj, conj), s.generator_ids
+        with pytest.raises(ValueError):
+            modules_isomorphic(adj, conj)
+        with pytest.raises(ValueError):
+            modules_isomorphic(conj, conj)
         unequal += not np.array_equal(adj.gen_mats, conj.gen_mats)
     assert unequal > 100, unequal
+    # End V of <380> at p = 5, where the intertwiner scan took 16,400 determinants
+    g = closure(5, [ambient(5).mat_of(380)])
+    adj = make_adjoint_module(g)
+    with pytest.raises(ValueError):
+        modules_isomorphic(adj, GModule(g, 4, adj.mats[:, ::-1, ::-1]))
 
 
 def test_one_dimensional_isomorphism_is_equality_of_characters(subgroups_p5):
@@ -590,6 +612,53 @@ def test_one_dimensional_isomorphism_is_equality_of_characters(subgroups_p5):
     assert character(dets[0]) == character(dets[1])
     with pytest.raises(ValueError):
         modules_isomorphic(*dets)
+
+
+def test_modules_isomorphic_on_irreducible_factors_matches_the_scan(subgroups_p3, subgroups_p5):
+    # Schur's lemma against the intertwiner scan, and against the search
+    # over every matrix where n <= 2: every same-dimension pair of the
+    # factors of V and End V, and each factor F against C F C^-1
+    rng = random.Random(27)
+    seen = {True: 0, False: 0}
+    unequal = 0
+    for s in list(subgroups_p3) + list(subgroups_p5):
+        p = s.p
+        factors = [f for mod in (make_standard_module(s), make_adjoint_module(s)) for f in mod.factors]
+        pairs = [(a, b) for a in factors for b in factors if a.dim == b.dim]
+        for f in factors:
+            c, c_inv = _random_invertible(rng, f.dim, p)
+            pairs.append((f, GModule(s, f.dim, c @ f.mats @ c_inv % p)))
+        for a, b in pairs:
+            got = modules_isomorphic(a, b)
+            assert got == isomorphic_by_scan(a, b), (p, s.generator_ids, a.dim)
+            if a.dim <= 2:
+                assert got == _isomorphic_by_search(a, b), (p, s.generator_ids, a.dim)
+            seen[got] += 1
+            unequal += not np.array_equal(a.gen_mats, b.gen_mats)
+    assert seen[True] > 100 and seen[False] > 100 and unequal > 100, (seen, unequal)
+
+
+def test_isomorphism_domain_check_scans_no_factor(monkeypatch, subgroups_p5):
+    # each module in a chain of factors is scanned once: a scan that finds
+    # a subspace splits the module, and one that finds none ends the chain
+    # at its last quotient.  The sub split off is recorded irreducible, so
+    # the domain check of modules_isomorphic scans no factor again.
+    found = []
+    scan = cohomology._first_invariant_subspace
+
+    def counted(*args):
+        basis, pivots = scan(*args)
+        found.append(basis is not None)
+        return basis, pivots
+
+    monkeypatch.setattr(cohomology, "_first_invariant_subspace", counted)
+    splits = 0
+    for s in subgroups_p5:
+        std, adj = (GModule(s, m.dim, m.mats) for m in (make_standard_module(s), make_adjoint_module(s)))
+        common_irreducible_factor(std, adj)
+        splits += len(std.factors) + len(adj.factors) - 2
+    assert sum(found) == splits
+    assert len(found) - sum(found) == 2 * len(subgroups_p5)
 
 
 def test_s3_standard_inside_adjoint():

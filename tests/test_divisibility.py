@@ -633,6 +633,22 @@ def test_fundamental_discriminants_match_definition():
         assert fundamental_discriminants(dmax) == expected
 
 
+def test_twist_scans_of_one_dmax_sieve_once(monkeypatch):
+    # the discriminants of a dmax are computed once a process and read by
+    # every scan; the public function still returns a fresh list
+    calls = []
+    sieve = divisibility.squarefree_sieve
+    monkeypatch.setattr(divisibility, "squarefree_sieve", lambda n: calls.append(n) or sieve(n))
+    divisibility._fundamental_discriminants.cache_clear()
+    e = embedded_curve("121-B1")
+    first, second = twist_scan(e, 3, 499), twist_scan(e, 5, 499)
+    assert calls == [499] and first.ds is second.ds
+    ds = fundamental_discriminants(499)
+    assert ds == list(first.ds) and ds is not fundamental_discriminants(499)
+    ds.append(0)
+    assert fundamental_discriminants(499) == list(first.ds) and calls == [499]
+
+
 def test_twist_scan_rejects_large_p():
     with pytest.raises(ValueError):
         twist_scan(embedded_curve("121-B1"), 11, 10)

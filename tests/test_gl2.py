@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from gl2_helpers import det_image_order, meets_center, s3_copy
 from lattice_oracle import fixpoint_subgroups
 
 import shadiv
@@ -20,24 +21,18 @@ from shadiv.cohomology import (
 )
 from shadiv.errors import ModeUnsupported, NonInvertibleGenerator
 from shadiv.gl2 import (
-    ClassificationTag,
     Exhaustive,
     Sampled,
     _close,
-    _in_split_torus_normalizer,
     _lattice,
     ambient,
-    classify,
     closure,
-    det_image_order,
     embeds_in_s3,
     enumerate_subgroups,
     gl2_order,
     invariant_line,
-    meets_center,
     normalizer_in,
     p_sylow,
-    s3_copy,
     subgroup_from_ids,
 )
 
@@ -242,70 +237,6 @@ def test_embeds_implies_order_divides_6(sampled_p5):
             assert not embeds_in_s3(s)
 
 
-def test_classify_examples():
-    torus = closure(5, [((2, 0), (0, 1)), ((1, 0), (0, 2))])
-    assert classify(torus) == ClassificationTag.SPLIT_TORUS_NORMALIZER
-    gl2f3 = closure(3, [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (0, 1))])
-    assert classify(gl2f3) == ClassificationTag.CONTAINS_SL2
-    borel_s3 = closure(3, [((1, 1), (0, 1)), ((2, 0), (0, 1))])
-    assert classify(borel_s3) == ClassificationTag.BOREL_CONTAINED
-    # order 16, inside both torus normalizers: split takes priority
-    nonsplit = closure(5, [((0, 2), (1, 0)), ((1, 0), (0, 4))])
-    assert nonsplit.order % 5 != 0
-    assert classify(nonsplit) == ClassificationTag.SPLIT_TORUS_NORMALIZER
-    # a cyclic nonsplit Cartan subgroup, order 24
-    cartan = closure(5, [((0, 1), (2, 2))])
-    assert cartan.order == 24
-    assert classify(cartan) == ClassificationTag.NONSPLIT_TORUS_NORMALIZER
-
-
-def test_classify_total_and_consistent(subgroups_p3, sampled_p5):
-    tags = {}
-    for s in list(subgroups_p3) + list(sampled_p5[:400]):
-        tag = classify(s)
-        tags[tag] = tags.get(tag, 0) + 1
-        p = s.p
-        if s.order % p == 0:
-            assert tag in (
-                ClassificationTag.BOREL_CONTAINED,
-                ClassificationTag.CONTAINS_SL2,
-            )
-        else:
-            assert tag not in (ClassificationTag.CONTAINS_SL2,)
-        if tag == ClassificationTag.BOREL_CONTAINED and s.order % p == 0:
-            assert invariant_line(s) is not None
-        if tag in (
-            ClassificationTag.EXCEPTIONAL_A4,
-            ClassificationTag.EXCEPTIONAL_S4,
-            ClassificationTag.EXCEPTIONAL_A5,
-        ):
-            assert meets_center(s)  # exceptional images meet the center
-    assert tags[ClassificationTag.CONTAINS_SL2] >= 1
-    assert tags[ClassificationTag.BOREL_CONTAINED] >= 1
-
-
-def test_classify_finds_exceptional_a5_at_11():
-    # 5 divides |A5|, so exceptional A5 needs 5 | p^2 - 1; p = 11 works.
-    amb = ambient(11)
-    base = ((3, 0), (0, 1))  # eigenvalue ratio of order 5: projective order 5
-    found = None
-    rng = random.Random(4)
-    for _ in range(4000):
-        cand = ((rng.randrange(11), rng.randrange(11)), (rng.randrange(11), rng.randrange(11)))
-        try:
-            g = closure(11, [base, cand])
-        except NonInvertibleGenerator:
-            continue
-        if g.order % 11 == 0:
-            continue
-        tag = classify(g)
-        if tag == ClassificationTag.EXCEPTIONAL_A5:
-            found = g
-            break
-    assert found is not None
-    assert meets_center(found)
-
-
 def test_enumerate_exhaustive_p3(subgroups_p3):
     assert len(subgroups_p3) == 55
     orders = sorted(s.order for s in subgroups_p3)
@@ -367,7 +298,7 @@ def test_sampling_deterministic_and_distinct():
 
 def test_sampling_saturates_instead_of_looping(sampled_p5):
     # GL2(F_5) has exactly 466 subgroups; a large request (the fixture's
-    # Sampled(5000, 1)) saturates early
+    # Sampled(5000, 1)) stops on its attempt budget instead of looping
     subs = list(sampled_p5)
     assert 400 <= len(subs) <= 466
     assert len({s.element_ids for s in subs}) == len(subs)
@@ -645,8 +576,6 @@ def _helper_outputs(s):
         embeds_in_s3(s),
         invariant_line(s),
         reducible_characters(s),
-        classify(s).value,
-        _in_split_torus_normalizer(s),
         sylow_hom_bound(s),
         chars,
     )
@@ -662,7 +591,8 @@ def test_subgroup_helpers_are_pinned(subgroups_p3, subgroups_p5, helper_samples)
     # sha256 over the outputs above on every subgroup of GL2(F_3) and
     # GL2(F_5) and on the seeded samples at p = 7, 11, 13, 881 subgroups;
     # computed with the per-element loops these helpers had before the
-    # ambient arrays
+    # ambient arrays, and recomputed over the same subgroups without the
+    # two fields of the deleted subgroup classification
     digest = hashlib.sha256()
     count = 0
     for stream in [subgroups_p3, subgroups_p5] + helper_samples:
@@ -670,7 +600,7 @@ def test_subgroup_helpers_are_pinned(subgroups_p3, subgroups_p5, helper_samples)
             digest.update(repr(_helper_outputs(s)).encode())
             count += 1
     assert count == 881
-    assert digest.hexdigest() == "abe1c1138112629d7b7208e8a69c334a59eef858d1f6eeb8895361df3d25354d"
+    assert digest.hexdigest() == "d9a6ddf07d86344eeafdefbd2986d25592ba127141daa0bb5bc385b35c423a16"
 
 
 def test_center_and_det_image_match_sets(subgroups_p3, subgroups_p5, helper_samples):
@@ -679,7 +609,8 @@ def test_center_and_det_image_match_sets(subgroups_p3, subgroups_p5, helper_samp
         for s in stream:
             amb = s.ambient
             ids = set(s.element_ids)
-            center = [int(z) for z in amb.scalar_ids if int(z) != amb.identity_id]
+            (a, b), (c, d) = amb.mats.transpose(1, 2, 0)
+            center = np.flatnonzero((a == d) & (b == 0) & (c == 0) & (a != 1)).tolist()
             assert meets_center(s) == any(z in ids for z in center)
             assert det_image_order(s) == len({int(amb.dets[e]) for e in ids})
 
