@@ -44,7 +44,6 @@ from .galois_image import (
     RefutedAt,
     chi_cubed_equals_epsilon,
     cyclotomic_pair_candidates,
-    dirichlet_pair_scan,
     nv3_bad_sets,
     nv_sieve_bound,
     test_cyclotomic_pair,

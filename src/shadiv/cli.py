@@ -177,7 +177,7 @@ def groupcrit_verify(prime, mode, count, seed, fmt):
         payload["requested"] = count
         payload["seed"] = seed
         if checked < count:
-            payload["note"] = "sample saturated: GL2(F_p) has fewer reachable subgroups than requested"
+            payload["note"] = "the draw budget ran out before the requested number of distinct subgroups was found"
     if fmt == "json":
         _dump_json(payload)
     else:

@@ -21,7 +21,6 @@ from .datasets import regular_prime_resolutions
 from .elliptic import (
     TRACE_BOUND_MAX,
     EllipticCurveQ,
-    FrobeniusData,
     ReductionType,
     _reduction_type,
     _twist_model,
@@ -34,8 +33,8 @@ from .errors import BudgetExceeded, UnsupportedPrime
 from .galois_image import (
     Consistent,
     RefutedAt,
+    chi_cubed_equals_epsilon,
     default_character_modulus,
-    dirichlet_pair_scan,
     nv_sieve_bound,
     passes_torsion_bound,
     passes_uniform_degree_bound,
@@ -119,8 +118,9 @@ class RunConfig:
 DEFAULT_CONFIG = RunConfig()
 
 # shapes scanned per small prime: exponent pairs (a, b) for eps^a + eps^b.
-# Over Q a character valued in F_p* with chi^3 = eps_p exists only when
-# 3 does not divide p - 1, and then chi is cyclotomic; so the cyclotomic
+# 1 (+) eps, and chi (+) chi^2 for the one chi = eps^x with chi^3 = eps_p
+# where it exists (chi_cubed_equals_epsilon: x = 1 at p = 3, where the pair
+# is again (0, 1), and x = 3 at p = 5; none at p = 7); so the cyclotomic
 # list below is complete for p in {3, 5, 7}.
 BAD_SHAPE_PAIRS = {3: ((0, 1),), 5: ((0, 1), (2, 3)), 7: ((0, 1),)}
 
@@ -235,18 +235,22 @@ def _exclusion_chain(p, tests):
     )
 
 
-def _scan_bad_shapes(e, p, cfg, tests, entries):
-    """The verdict of e at p with a bad shape left unrefuted, (tests, entries) as _shape_tests gives them.
+def _scan_bad_shapes(e, p, cfg, tests):
+    """The verdict of e at p with a bad shape left unrefuted, tests as _shape_tests gives them.
 
-    entries, e's FrobeniusData entries, are read only in dirichlet mode.
+    In dirichlet mode the characters chi with chi^3 = eps_p, on any
+    modulus, are eps^x alone (chi_cubed_equals_epsilon), and chi + chi^2 is
+    the shape eps^x (+) eps^2x on the same primes: so it is consistent
+    exactly when that pair is.
     """
     consistent = [(pair, v) for pair, v in tests if isinstance(v, Consistent)]
     if cfg.character_mode == "dirichlet":
         modulus = default_character_modulus(e, p)
-        extra = dirichlet_pair_scan(FrobeniusData(e, entries), p, modulus)
+        x = chi_cubed_equals_epsilon(p).exponent
+        chi_pair = None if x is None else tuple(sorted((x, 2 * x % (p - 1))))
         dirichlet_note = {
             "modulus": modulus,
-            "consistent_chi_chi_squared": len(extra),
+            "consistent_chi_chi_squared": int(any(pair == chi_pair for pair, _ in consistent)),
         }
     else:
         dirichlet_note = {"note": "cyclotomic-only scan; complete over Q for p in {3,5,7}"}
@@ -527,10 +531,12 @@ def _twist_columns(e, p, cfg, ds):
     u = 4 * np.where(d % 4 == 1, d, d // 4) % p
     opened = np.array([chain is None for chain in by_class])[u]
     outcomes, index = _shape_tests(lambda bound: frobenius_traces(e, bound), p, d[opened], cfg.trace_bound)
-    exclusions = [None if entries is not None else _exclusion_chain(p, tests) for tests, entries in outcomes]
+    exclusions = [
+        None if any(isinstance(v, Consistent) for _, v in tests) else _exclusion_chain(p, tests) for tests in outcomes
+    ]
     u[opened] = len(by_class) + index  # each row's chain, early or exclusion, by one index
     chains = tuple(map((by_class + exclusions).__getitem__, u.tolist()))
-    open_rows = {dj: _scan_bad_shapes(_twist_row(e, dj), p, cfg, *outcomes[i])
+    open_rows = {dj: _scan_bad_shapes(_twist_row(e, dj), p, cfg, outcomes[i])
                  for dj, i in zip(d[opened].tolist(), index.tolist()) if exclusions[i] is None}
     return chains, open_rows
 
@@ -547,14 +553,12 @@ def _shape_tests(traces, p, ds, trace_bound):
     ell tests E^d where E^d is good and ell != p (_twist_symbols), and
     there a_ell(E^d) = chi_d(ell) a_ell(E) must be ell^a + ell^b mod p.
 
-    Returns (outcomes, index), ds[j]'s outcome (tests, entries) being
-    outcomes[index[j]].  tests holds (pair, RefutedAt) for each refuted
-    shape, at its first refuting prime, in the order found (block, then
-    pair order), followed by (pair, Consistent(checked primes)) for each
-    shape consistent up to the trace bound, in pair order.  When a shape is
-    consistent, entries are E^d's FrobeniusData entries up to the trace
-    bound, read off E's (_twisted_entries); otherwise None, one outcome
-    shared by the twists with the same refutations (equal int64 keys).
+    Returns (outcomes, index), ds[j]'s tests being outcomes[index[j]]: a
+    tuple of (pair, RefutedAt) for each refuted shape, at its first
+    refuting prime, in the order found (block, then pair order), followed
+    by (pair, Consistent(checked primes)) for each shape consistent up to
+    the trace bound, in pair order.  Twists with every shape refuted at
+    the same primes alike share one outcome (equal int64 keys).
     """
     pairs = BAD_SHAPE_PAIRS[p]
     bounds = _escalation_bounds(trace_bound)
@@ -598,10 +602,10 @@ def _shape_tests(traces, p, ds, trace_bound):
     survivors = np.flatnonzero((first < 0).any(axis=0))
     key[survivors] = survivors - len(d)
     _, firsts, index = np.unique(key, return_index=True, return_inverse=True)
+    checked = _twist_symbols(ells, good & (ells != p), d[survivors]).T != 0
     outcomes = [
-        (tests_of(j, Consistent(tuple(ell for ell, _, good in entries if good and ell != p))), entries)
-        for j, entries in zip(survivors.tolist(), _twisted_entries(ells, a, good, d[survivors]))
-    ] + [(tests_of(j, None), None) for j in firsts[len(survivors) :].tolist()]
+        tests_of(j, Consistent(tuple(ells[primes].tolist()))) for j, primes in zip(survivors.tolist(), checked)
+    ] + [tests_of(j, None) for j in firsts[len(survivors) :].tolist()]
     return outcomes, index
 
 
@@ -631,18 +635,6 @@ def _twist_symbols(ells, good, ds):
         odd = good & (ells > 2)
         chi[odd] = legendre_symbols(ds, ells[odd])  # (1/ell) = 1 leaves d = 1 as set
     return chi
-
-
-def _twisted_entries(ells, a, good, ds):
-    """The FrobeniusData entries of each E^d, d in ds, read off E's trace arrays."""
-    ell_list = ells.tolist()
-    return [
-        tuple(
-            (ell, t, True) if c else (ell, None, False)
-            for ell, t, c in zip(ell_list, (col * a).tolist(), col.tolist())
-        )
-        for col in _twist_symbols(ells, good, ds).T
-    ]
 
 
 def unipotent_lift_exception(p) -> bool:

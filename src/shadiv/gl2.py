@@ -649,7 +649,7 @@ def _sample(p, count, seed):
     """Distinct subgroups from seeded <=3-generator draws.
 
     GL2(F_p) can have fewer subgroups than requested (GL2(F_5) has exactly
-    466 in total), so the stream saturates: it stops early, after yielding
+    466 in total), and a stream may stop short of count, after yielding
     everything it found, once a deterministic attempt or stall budget runs
     out.  Output is a pure function of (p, count, seed): the generator ids
     are the drawn tuple and the element ids its closure.  For p <=

@@ -10,7 +10,8 @@ from functools import cache
 import pytest
 
 import shadiv.divisibility as divisibility
-from shadiv.datasets import embedded_curve, regular_prime_resolutions
+from character_oracle import cube_roots_of_eps
+from shadiv.datasets import EMBEDDED_AINVS, embedded_curve, regular_prime_resolutions
 from shadiv.divisibility import (
     BAD_SHAPE_PAIRS,
     ChainStep,
@@ -36,7 +37,7 @@ from shadiv.elliptic import (
     trace_at,
 )
 from shadiv.errors import BudgetExceeded, UnsupportedPrime
-from shadiv.galois_image import RefutedAt, test_cyclotomic_pair
+from shadiv.galois_image import RefutedAt, chi_cubed_equals_epsilon, test_cyclotomic_pair
 
 
 def test_large_prime_rule():
@@ -421,7 +422,7 @@ _ORACLE_CURVES = [embedded_curve(label) for label in ("121-B1", "selmer-jacobian
 
 
 def _base_outcome(e, p, bound):
-    """_shape_tests' (tests, entries) for d = 1 alone."""
+    """_shape_tests' tests for d = 1 alone."""
     outcomes, index = divisibility._shape_tests(lambda b: frobenius_traces(e, b), p, [1], bound)
     return outcomes[index[0]]
 
@@ -436,22 +437,65 @@ def test_shape_tests_match_test_cyclotomic_pair(bound):
     for e in _ORACLE_CURVES:
         fd = frobenius_traces(e, bound)
         for p in (3, 5, 7):
-            tests, entries = _base_outcome(e, p, bound)
+            tests = _base_outcome(e, p, bound)
             expected = sorted(
                 ((pair, test_cyclotomic_pair(fd, p, pair)) for pair in BAD_SHAPE_PAIRS[p]),
                 key=lambda t: bisect_left(blocks, t[1].ell) if isinstance(t[1], RefutedAt) else len(blocks),
             )
             assert tests == tuple(expected), (e.label, p)
-            refuted = all(isinstance(v, RefutedAt) for _, v in tests)
-            assert entries == (None if refuted else fd.entries), (e.label, p)
 
 
 def test_shape_tests_keep_ell_2_for_the_base_curve():
     e = _ORACLE_CURVES[-1]
     for p, expected in ((3, 0), (7, 3)):
-        tests, _ = _base_outcome(e, p, 1000)
-        assert tests == (((0, 1), RefutedAt(2, -2, expected)),)
+        assert _base_outcome(e, p, 1000) == (((0, 1), RefutedAt(2, -2, expected)),)
     assert verdict_over_Q(e, 3).chain[0].inputs["ell"] == 2
+
+
+def test_bad_shape_pairs_are_one_plus_eps_and_chi_plus_chi_squared():
+    # dirichlet mode counts chi + chi^2 by looking up the pair of
+    # chi = eps^x in this table, so a pair missing here would read as 0
+    assert set(BAD_SHAPE_PAIRS) == {3, 5, 7}
+    for p in (3, 5, 7):
+        x = chi_cubed_equals_epsilon(p).exponent
+        chi_pair = set() if x is None else {tuple(sorted((x, 2 * x % (p - 1))))}
+        assert BAD_SHAPE_PAIRS[p] == tuple(sorted({(0, 1)} | chi_pair)), p
+
+
+_DIRICHLET_CURVES = [embedded_curve(label) for label in sorted(EMBEDDED_AINVS)] + [
+    curve((0, -1, 1, 0, 0), label="11a3"),
+    curve((-2, -3, -3, 0, 0), label="tate-5"),
+]
+
+
+def _oracle_count(e, p, modulus, bound):
+    """How many characters chi mod modulus with chi^3 = eps, found by brute
+    force, give a_ell = chi(ell) + chi(ell)^2 mod p at every good ell <=
+    bound prime to the modulus."""
+    entries = [(ell % modulus, a) for ell, a, good in frobenius_traces(e, bound).entries if good and modulus % ell]
+    return sum(
+        all((a - chi[r] - chi[r] ** 2) % p == 0 for r, a in entries) for chi in cube_roots_of_eps(modulus, p)
+    )
+
+
+def test_dirichlet_counts_match_character_oracle():
+    # dirichlet mode counts chi + chi^2 by the theorem (chi = eps^x); the
+    # oracle counts it over every character mod the reported modulus, on
+    # the traces of each open row's own curve
+    cfg = RunConfig(character_mode="dirichlet")
+    counts = {}
+    for e in _DIRICHLET_CURVES:
+        for p in (3, 5, 7):
+            for _, v in twist_scan(e, p, 300, cfg).rows:
+                if v.outcome == Outcome.CRITERION_FAILS:
+                    scan = v.evidence["scan"]
+                    counts[v.curve_name, p] = _oracle_count(v.curve, p, scan["modulus"], cfg.trace_bound)
+                    assert scan["consistent_chi_chi_squared"] == counts[v.curve_name, p], (v.curve_name, p)
+    assert counts["selmer-jacobian", 3] == 1
+    assert counts["11a3", 5] == 0
+    assert counts["11a3^(5)", 5] == 1
+    # at p = 7 chi^3 = eps has no solution valued in F_7*, on any modulus
+    assert cube_roots_of_eps(7 * 11, 7) == []
 
 
 def test_run_config_rejects_unknown_character_mode():

@@ -12,11 +12,10 @@ import pytest
 from count_oracle import count_points_enumeration
 from shadiv.arith import legendre_symbol, primes_up_to
 from shadiv.datasets import EMBEDDED_AINVS, embedded_curve
-from shadiv.divisibility import _trace_arrays, _twisted_entries, twist_scan
+from shadiv.divisibility import _trace_arrays, _twist_symbols, twist_scan
 from shadiv.elliptic import (
     BSGS_MIN_ELL,
     COLUMN_PRIMES,
-    FrobeniusData,
     ReductionType,
     _character_sum_count,
     _column_traces,
@@ -461,17 +460,19 @@ def test_scaled_twist_models_equal_derive_invariants():
 
 
 def test_frobenius_twist_matches_direct_traces():
-    # the twisted FrobeniusData that the shape-test engine hands to the
-    # dirichlet scan is read off the base curve's trace arrays; here the
-    # traces are counted on the twisted model itself, including at 2, at
-    # the primes of d and at the bad primes of the base
+    # the shape-test engine reads a_ell(E^d) = (d/ell) a_ell(E) off the base
+    # curve's trace arrays, 0 where E^d is bad; here the traces are counted
+    # on the twisted model itself, including at 2, at the primes of d and
+    # at the bad primes of the base
     ds = (-1, 2, -2, 3, -3, 5, -5, 6, 7, -11, 13, 15, -30, 105, -1155)
     for label in ("121-B1", "121-C1", "selmer-jacobian", "legendre-test", "cm-j1728"):
         base = embedded_curve(label)
-        arrays = _trace_arrays(frobenius_traces(base, 1000).entries)
-        for d, entries in zip(ds, _twisted_entries(*arrays, np.array(ds)), strict=True):
-            tw = quadratic_twist(base, d)
-            assert FrobeniusData(tw, entries) == frobenius_traces(tw, 1000), (label, d)
+        ells, a, good = _trace_arrays(frobenius_traces(base, 1000).entries)
+        for d, symbols in zip(ds, _twist_symbols(ells, good, np.array(ds)).T, strict=True):
+            tw_ells, tw_a, tw_good = _trace_arrays(frobenius_traces(quadratic_twist(base, d), 1000).entries)
+            assert tw_ells.tolist() == ells.tolist()
+            assert (symbols != 0).tolist() == tw_good.tolist(), (label, d)
+            assert (symbols * a).tolist() == tw_a.tolist(), (label, d)
 
 
 def test_two_torsion_detection():

@@ -1,12 +1,8 @@
 import math
 import time
 
-import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-
+from character_oracle import cube_roots_of_eps
 from shadiv.elliptic import curve, frobenius_traces, quadratic_twist, trace_at
-from shadiv.errors import BudgetExceeded
 from shadiv.galois_image import (
     Consistent,
     CyclotomicPair,
@@ -14,8 +10,6 @@ from shadiv.galois_image import (
     chi_cubed_equals_epsilon,
     cyclotomic_pair_candidates,
     default_character_modulus,
-    dirichlet_pair_scan,
-    enumerate_characters,
     exceeds_sqrt_sum_square,
     minimal_admissible_prime,
     nv3_bad_sets,
@@ -24,7 +18,6 @@ from shadiv.galois_image import (
     passes_torsion_bound,
     passes_uniform_degree_bound,
     test_cyclotomic_pair,
-    unit_group_generators,
 )
 
 CURVE_121 = {
@@ -99,102 +92,17 @@ def test_chi_cubed_solutions():
     assert chi_cubed_equals_epsilon(13).exponent is None
 
 
-def test_unit_group_generators():
-    for m in (5, 8, 12, 45, 77, 120):
-        gens = unit_group_generators(m)
-        total = 1
-        for g, order in gens:
-            assert math.gcd(g, m) == 1
-            assert pow(g, order, m) == 1
-            total *= order
-        phi = 1
-        q = 2
-        mm = m
-        while mm > 1:
-            if mm % q == 0:
-                e = 0
-                while mm % q == 0:
-                    mm //= q
-                    e += 1
-                phi *= (q - 1) * q ** (e - 1)
-            q += 1
-        assert total == phi
-
-
-def test_enumerate_characters_count_and_multiplicativity():
-    chars = enumerate_characters(11, 5)
-    # hom((Z/11)*, F_5*) has gcd(10, 4) = 2 elements
-    assert len(chars) == 2
-    for chi in chars:
-        for a in (2, 3, 7):
-            for b in (2, 5, 8):
-                assert chi(a * b % 11) == chi(a) * chi(b) % 5
-
-
-def test_characters_mod_15_are_homomorphisms():
-    # (Z/15)* = Z/2 x Z/4, whose factor orders share the factor 2
-    chars = enumerate_characters(15, 5)
-    assert len(chars) == 8
-    units = [a for a in range(1, 15) if math.gcd(a, 15) == 1]
-    tables = set()
-    for chi in chars:
-        for (g, _), v in zip(chi.generators, chi.values):
-            assert chi(g) == v
-        for a in units:
-            for b in units:
-                assert chi(a * b) == chi(a) * chi(b) % 5
-        tables.add(tuple(chi(a) for a in units))
-    assert len(tables) == 8
-
-
-COMPOSITE_MODULI = [m for m in range(4, 400) if any(m % q == 0 for q in range(2, math.isqrt(m) + 1))]
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    m=st.sampled_from(COMPOSITE_MODULI),
-    p=st.sampled_from([3, 5, 7, 11, 13]),
-    pick=st.integers(min_value=0),
-    a=st.integers(min_value=1, max_value=10 ** 6),
-    b=st.integers(min_value=1, max_value=10 ** 6),
-)
-def test_dirichlet_characters_are_multiplicative(m, p, pick, a, b):
-    assume(math.gcd(a * b, m) == 1)
-    chars = enumerate_characters(m, p)
-    chi = chars[pick % len(chars)]
-    assert chi(a * b) == chi(a) * chi(b) % p
-    for (g, _), v in zip(chi.generators, chi.values):
-        assert chi(g) == v
-
-
-def test_dirichlet_scan_chi_chi_squared():
-    e = curve((0, -1, 1, 0, 0))
-    fd = frobenius_traces(e, 300)
-    # p = 7: chi^3 = eps_7 has no solution among characters valued in F_7*
-    assert dirichlet_pair_scan(fd, 7, 7 * 11) == []
-    # p = 5, modulus 5: the only character with chi^3 = eps is eps^3
-    chars = enumerate_characters(5, 5)
-    cube_roots = [
-        c
-        for c in chars
-        if all(pow(v, 3, 5) == g % 5 for (g, _), v in zip(c.generators, c.values))
-    ]
-    assert len(cube_roots) == 1
-    gen = cube_roots[0].generators[0][0]
-    assert cube_roots[0].values[0] == pow(gen, 3, 5)
-
-
-def test_dirichlet_scan_needs_p_in_modulus():
-    e = curve((0, -1, 1, 0, 0))
-    fd = frobenius_traces(e, 100)
-    with pytest.raises(ValueError):
-        dirichlet_pair_scan(fd, 5, 11)
-
-
-def test_character_budget():
-    with pytest.raises(BudgetExceeded):
-        # modulus with massive unit group against a large p
-        enumerate_characters(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19, 9241)
+def test_cube_roots_of_eps_are_eps_to_the_x():
+    # the characters valued in F_p* form a group of exponent dividing
+    # p - 1 on every modulus, so chi^3 = eps has the one solution eps^x
+    # when 3 does not divide p - 1, and none otherwise; the oracle finds
+    # the characters by brute force on every m < 1200 with p | m
+    for p in (3, 5, 7, 11, 13):
+        x = chi_cubed_equals_epsilon(p).exponent
+        for m in range(p, 1200, p):
+            units = [n for n in range(1, m) if math.gcd(n, m) == 1]
+            expected = [] if x is None else [{n: pow(n, x, p) for n in units}]
+            assert cube_roots_of_eps(m, p) == expected, (m, p)
 
 
 def test_twist_coherence_of_consistent_pairs():

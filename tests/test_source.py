@@ -14,8 +14,6 @@ _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _PAPER_STATEMENTS = {
     # the uniform and refined degree criteria over a number field of degree d
     "verdict_number_field",
-    # chi^3 = epsilon has a unique solution exactly when 3 does not divide p - 1
-    "chi_cubed_equals_epsilon",
     # p = 3 is the one odd prime where a quasi-unipotent lift with unipotent
     # reduction mod p can fail to be unipotent
     "unipotent_lift_exception",
