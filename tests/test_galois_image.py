@@ -1,6 +1,8 @@
 import math
 import time
 
+import pytest
+
 from character_oracle import cube_roots_of_eps
 from shadiv.elliptic import curve, frobenius_traces, quadratic_twist, trace_at
 from shadiv.galois_image import (
@@ -92,17 +94,26 @@ def test_chi_cubed_solutions():
     assert chi_cubed_equals_epsilon(13).exponent is None
 
 
-def test_cube_roots_of_eps_are_eps_to_the_x():
+def test_dirichlet_scan_chi_chi_squared():
+    # p = 7: chi^3 = eps_7 has no solution among characters valued in F_7*
+    assert chi_cubed_equals_epsilon(7).exponent is None
+    assert cube_roots_of_eps(7 * 11, 7) == []
+    # p = 5, modulus 5: the only character with chi^3 = eps is eps^3
+    assert chi_cubed_equals_epsilon(5).exponent == 3
+    assert cube_roots_of_eps(5, 5) == [{n: pow(n, 3, 5) for n in range(1, 5)}]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_cube_roots_of_eps_are_eps_to_the_x(p):
     # the characters valued in F_p* form a group of exponent dividing
     # p - 1 on every modulus, so chi^3 = eps has the one solution eps^x
     # when 3 does not divide p - 1, and none otherwise; the oracle finds
     # the characters by brute force on every m < 1200 with p | m
-    for p in (3, 5, 7, 11, 13):
-        x = chi_cubed_equals_epsilon(p).exponent
-        for m in range(p, 1200, p):
-            units = [n for n in range(1, m) if math.gcd(n, m) == 1]
-            expected = [] if x is None else [{n: pow(n, x, p) for n in units}]
-            assert cube_roots_of_eps(m, p) == expected, (m, p)
+    x = chi_cubed_equals_epsilon(p).exponent
+    for m in range(p, 1200, p):
+        units = [n for n in range(1, m) if math.gcd(n, m) == 1]
+        expected = [] if x is None else [{n: pow(n, x, p) for n in units}]
+        assert cube_roots_of_eps(m, p) == expected, m
 
 
 def test_twist_coherence_of_consistent_pairs():
