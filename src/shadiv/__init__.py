@@ -42,7 +42,6 @@ from .galois_image import (
     Consistent,
     CyclotomicPair,
     RefutedAt,
-    chi_cubed_equals_epsilon,
     cyclotomic_pair_candidates,
     nv3_bad_sets,
     nv_sieve_bound,

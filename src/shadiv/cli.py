@@ -84,10 +84,8 @@ def main():
 @click.option("--label", default=None, help="label for --curve input")
 @click.option("--primes", required=True, help="comma-separated odd primes")
 @click.option("--trace-bound", default=1000, show_default=True)
-@click.option("--character-mode", type=click.Choice(["cyclotomic", "dirichlet"]), default="cyclotomic", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "tsv", "text"]), default="text", show_default=True)
-def analyze(curve_spec, curve_file, embedded, label, primes, trace_bound,
-            character_mode, fmt):
+def analyze(curve_spec, curve_file, embedded, label, primes, trace_bound, fmt):
     """Divisibility verdicts for curves at odd primes."""
     if label is not None and not curve_spec:
         raise click.UsageError("--label names the --curve input; give it with --curve")
@@ -108,7 +106,7 @@ def analyze(curve_spec, curve_file, embedded, label, primes, trace_bound,
     except ValueError:
         raise click.ClickException(f"--primes: {primes!r} is not a comma-separated integer list")
     try:
-        cfg = RunConfig(trace_bound=trace_bound, character_mode=character_mode)
+        cfg = RunConfig(trace_bound=trace_bound)
         verdicts = [verdict_over_Q(e, p, cfg) for e in curves for p in plist]
     except (ShadivError, ValueError) as exc:
         raise click.ClickException(str(exc))

@@ -27,14 +27,11 @@ from .elliptic import (
     frobenius_traces,
     has_full_rational_2torsion,
     is_supersingular,
-    reduction_type,
 )
 from .errors import BudgetExceeded, UnsupportedPrime
 from .galois_image import (
     Consistent,
     RefutedAt,
-    chi_cubed_equals_epsilon,
-    default_character_modulus,
     nv_sieve_bound,
     passes_torsion_bound,
     passes_uniform_degree_bound,
@@ -102,15 +99,11 @@ class DivisibilityVerdict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Engine knobs; every default is explicit."""
+    """The engine's one knob: the primes ell <= trace_bound whose traces test the bad shapes."""
 
     trace_bound: int = 1000
-    character_mode: str = "cyclotomic"  # or "dirichlet"
-    semistable_outside_p: bool = None  # user-supplied metadata
 
     def __post_init__(self):
-        if self.character_mode not in ("cyclotomic", "dirichlet"):
-            raise ValueError(f"character mode {self.character_mode!r} is neither 'cyclotomic' nor 'dirichlet'")
         if not 0 <= self.trace_bound <= TRACE_BOUND_MAX:
             raise ValueError(f"trace bound {self.trace_bound} is outside 0..{TRACE_BOUND_MAX}")
 
@@ -118,10 +111,14 @@ class RunConfig:
 DEFAULT_CONFIG = RunConfig()
 
 # shapes scanned per small prime: exponent pairs (a, b) for eps^a + eps^b.
-# 1 (+) eps, and chi (+) chi^2 for the one chi = eps^x with chi^3 = eps_p
-# where it exists (chi_cubed_equals_epsilon: x = 1 at p = 3, where the pair
-# is again (0, 1), and x = 3 at p = 5; none at p = 7); so the cyclotomic
-# list below is complete for p in {3, 5, 7}.
+# The bad shapes are 1 (+) eps and chi (+) chi^2 with chi^3 = eps_p.  The
+# characters valued in F_p*, on any modulus, form a group of exponent
+# dividing p - 1, so when 3 does not divide p - 1 cubing is a bijection on
+# it and chi = eps^x with 3x = 1 mod (p - 1) is the one solution; when
+# 3 | p - 1 a chi of order n | p - 1 has chi^3 of order n / gcd(3, n),
+# never p - 1, and there is none.  So x = 1 at p = 3, where the pair is
+# again (0, 1), x = 3 at p = 5, and none at p = 7: the list below is
+# complete for p in {3, 5, 7}.
 BAD_SHAPE_PAIRS = {3: ((0, 1),), 5: ((0, 1), (2, 3)), 7: ((0, 1),)}
 
 TRACE_ESCALATION = (50, 200)
@@ -236,25 +233,8 @@ def _exclusion_chain(p, tests):
 
 
 def _scan_bad_shapes(e, p, cfg, tests):
-    """The verdict of e at p with a bad shape left unrefuted, tests as _shape_tests gives them.
-
-    In dirichlet mode the characters chi with chi^3 = eps_p, on any
-    modulus, are eps^x alone (chi_cubed_equals_epsilon), and chi + chi^2 is
-    the shape eps^x (+) eps^2x on the same primes: so it is consistent
-    exactly when that pair is.
-    """
+    """The verdict of e at p with a bad shape left unrefuted, tests as _shape_tests gives them."""
     consistent = [(pair, v) for pair, v in tests if isinstance(v, Consistent)]
-    if cfg.character_mode == "dirichlet":
-        modulus = default_character_modulus(e, p)
-        x = chi_cubed_equals_epsilon(p).exponent
-        chi_pair = None if x is None else tuple(sorted((x, 2 * x % (p - 1))))
-        dirichlet_note = {
-            "modulus": modulus,
-            "consistent_chi_chi_squared": int(any(pair == chi_pair for pair, _ in consistent)),
-        }
-    else:
-        dirichlet_note = {"note": "cyclotomic-only scan; complete over Q for p in {3,5,7}"}
-
     checked_any = any(len(v.checked_primes) > 0 for _, v in consistent)
     if not checked_any:
         step = ChainStep(
@@ -276,14 +256,11 @@ def _scan_bad_shapes(e, p, cfg, tests):
             for pair, v in consistent
         ],
         "interpretation": "criterion-level failure, not a disproof of divisibility",
-        "scan": dirichlet_note,
+        "scan": {"note": "cyclotomic-only scan; complete over Q for p in {3,5,7}"},
     }
-    if cfg.semistable_outside_p:
-        evidence["semistability"] = "user-supplied: semistable outside p"
-    else:
-        warnings = _semistability_warnings(e, p) if p in (5, 7) else []
-        if warnings:
-            evidence["semistability_warnings"] = warnings
+    warnings = _semistability_warnings(e, p) if p in (5, 7) else []
+    if warnings:
+        evidence["semistability_warnings"] = warnings
     chain = tuple(
         ChainStep(
             "rational.bad_shape_scan",
@@ -304,18 +281,20 @@ def _semistability_warnings(e, p):
     """Real shape failures at p in {5,7} force semistability outside p.
 
     Additive reduction elsewhere on the supplied model therefore signals
-    either a non-minimal model or a spurious consistency.  The verdict
-    needs no factorisation, so a discriminant rho cannot factor within its
-    budget skips the check, with a warning saying so.
+    either a non-minimal model or a spurious consistency.  At an odd prime
+    q the model is additive exactly when q divides both disc and c4, so
+    only gcd(disc, c4) is factored.  The verdict needs no factorisation,
+    so a gcd rho cannot factor within its budget skips the check, with a
+    warning saying so.
     """
     warnings = []
     try:
-        primes = prime_factors(abs(e.discriminant))
+        primes = prime_factors(math.gcd(e.discriminant, e.c4))
     except BudgetExceeded:
         primes = []
-        warnings.append("discriminant not factored within budget; additive-reduction check skipped")
+        warnings.append("gcd(disc, c4) not factored within budget; additive-reduction check skipped")
     for q in primes:
-        if q not in (2, p) and reduction_type(e, q) == ReductionType.ADDITIVE:
+        if q not in (2, p):
             warnings.append(
                 f"additive reduction at {q} on the supplied model; "
                 "a real shape failure would be semistable outside "
@@ -330,8 +309,7 @@ def _semistability_warnings(e, p):
 # number-field criterion (degree-parameterized; no number-field arithmetic)
 
 
-def verdict_number_field(degree, p, good_place_norms=(), cfg=DEFAULT_CONFIG,
-                         torsion_bound_supplied=False, curve_label=None):
+def verdict_number_field(degree, p, good_place_norms=(), torsion_bound_supplied=False, curve_label=None):
     """Uniform and refined degree-based criteria for a curve over a degree-d field.
 
     The caller supplies norms Nv of auxiliary places of good reduction;

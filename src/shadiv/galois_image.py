@@ -6,8 +6,8 @@ that asymmetry explicit.  All threshold comparisons are exact integer
 arithmetic (radicals cleared by squaring), never floating point.
 """
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import is_prime, prime_factors
 
@@ -15,8 +15,7 @@ from .arith import is_prime, prime_factors
 # hypothesis and verdict records
 
 
-@dataclass(frozen=True)
-class CyclotomicPair:
+class CyclotomicPair(NamedTuple):
     """E_p^ss = eps^a + eps^b with a + b = 1 mod (p-1), normalized a <= b."""
 
     a: int
@@ -54,9 +53,10 @@ def cyclotomic_pair_candidates(p):
 
 def shape_values(ells, p, pair):
     """ell^a + ell^b mod p, the trace mod p that the shape eps^a (+) eps^b
-    predicts at ell != p.  Elementwise on a numpy int64 array of primes,
-    exact while (p - 1)^(p - 2) fits int64, so for p <= 17."""
-    a, b = (pair.a, pair.b) if isinstance(pair, CyclotomicPair) else pair
+    predicts at ell != p, for pair (a, b) a tuple or a CyclotomicPair.
+    Elementwise on a numpy int64 array of primes, exact while
+    (p - 1)^(p - 2) fits int64, so for p <= 17."""
+    a, b = pair
     r = ells % p
     return (r ** a + r ** b) % p
 
@@ -79,40 +79,6 @@ def test_cyclotomic_pair(fd, p, pair):
 
 
 test_cyclotomic_pair.__test__ = False  # not a pytest case despite the name
-
-
-@dataclass(frozen=True)
-class ChiCubedSolution:
-    """Solvability of chi^3 = eps_p among the characters valued in F_p*.
-
-    Those characters form a group of exponent dividing p - 1, on any
-    modulus.  When 3 does not divide p - 1 cubing is a bijection on it, so
-    chi = eps^x with 3x = 1 mod (p-1) is the one solution, and exponent is
-    x.  Otherwise there is none: chi of order n | p - 1 has chi^3 of order
-    n / gcd(3, n), never p - 1 = the order of eps when 3 | p - 1; exponent
-    is None, and needs_noncyclotomic_scan flags that a cube root would
-    need values outside F_p*.
-    """
-
-    p: int
-    exponent: int
-    needs_noncyclotomic_scan: bool
-
-
-def chi_cubed_equals_epsilon(p) -> ChiCubedSolution:
-    if math.gcd(3, p - 1) == 1:
-        return ChiCubedSolution(p, pow(3, -1, p - 1), False)
-    return ChiCubedSolution(p, None, True)
-
-
-def default_character_modulus(e, p):
-    """rad(disc) * p: characters unramified outside the bad primes and p.
-
-    Raises BudgetExceeded when the discriminant is not factored within
-    arith.RHO_BUDGET.
-    """
-    rad = math.prod(prime_factors(abs(e.discriminant)))
-    return rad * p if rad % p else rad
 
 
 # ---------------------------------------------------------------------------

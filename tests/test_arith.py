@@ -1,5 +1,6 @@
 import ast
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from shadiv.arith import (
     is_squarefree,
     legendre_symbol,
     legendre_symbols,
+    prime_factors,
     primes_up_to,
     squarefree_sieve,
     valuation_split,
@@ -21,7 +23,6 @@ from shadiv.arith import (
 from shadiv.datasets import embedded_curve
 from shadiv.elliptic import curve, quadratic_twist
 from shadiv.errors import BudgetExceeded
-from shadiv.galois_image import default_character_modulus
 
 
 def test_is_prime_matches_sympy():
@@ -160,6 +161,17 @@ def test_valuation_split_matches_multiplicity():
             assert u * p ** v == n and u % p != 0, (n, p)
 
 
+def test_prime_factors_of_a_discriminant_with_factors_near_1e9():
+    # Delta = -2^4 3^3 (p q)^2 for y^2 = x^3 + p q; trial division would run to q
+    p, q = 1000000007, 998244353
+    e = curve((0, 0, 0, 0, p * q))
+    t0 = time.monotonic()
+    primes = prime_factors(abs(e.discriminant))
+    elapsed = time.monotonic() - t0
+    assert primes == [2, 3, q, p]
+    assert elapsed < 1
+
+
 def test_rho_factors_a_1e12_semiprime_within_budget():
     p, q = 1000000000039, 3000000000013
     assert factorize(p * q) == {p: 1, q: 1}
@@ -171,8 +183,6 @@ def test_rho_budget_raises_typed_error(monkeypatch):
     monkeypatch.setattr(arith, "RHO_BUDGET", 64)
     with pytest.raises(BudgetExceeded):
         factorize(p * q)
-    with pytest.raises(BudgetExceeded):
-        default_character_modulus(curve((0, 0, 0, 0, p * q)), 5)
     with pytest.raises(BudgetExceeded):
         quadratic_twist(embedded_curve("121-B1"), p * q)
 

@@ -64,6 +64,16 @@ def test_analyze_rejects_ignored_metadata_flags(runner):
         assert "No such option" in result.output
 
 
+@pytest.mark.parametrize("mode", ["cyclotomic", "dirichlet"])
+def test_analyze_has_no_character_mode(runner, mode):
+    # the cyclotomic scan already tests chi (+) chi^2 as the pair (x, 2x)
+    # of BAD_SHAPE_PAIRS, so the option is gone, not ignored
+    result = runner.invoke(main, ["analyze", "--embedded", "121-C1", "--primes", "5", "--character-mode", mode])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert "--character-mode" not in runner.invoke(main, ["analyze", "--help"]).output
+
+
 def test_invalid_trace_bound_exits_through_value_error(runner):
     for command in (["analyze", "--primes", "3"], ["twist-scan", "--p", "3"]):
         result = runner.invoke(main, command + ["--embedded", "121-B1", "--trace-bound", "-5"])
@@ -187,8 +197,8 @@ def test_selmer_example_output_pinned(runner):
 # sha256 of the JSON output of each command, computed before the integer
 # arithmetic moved into one module; selmer-example is pinned above
 JSON_DIGESTS = {
-    "analyze --embedded selmer-jacobian --primes 3,5,7 --character-mode dirichlet":
-        "4c6491fb065463d37086058a500572040dd0cb87649a99087e68fab64557109a",
+    "analyze --embedded selmer-jacobian --primes 3,5,7":
+        "36d8b6b26695e59b8c62a49c8a71d823963e49df25cdccbf2415e933370ce20d",
     "analyze --curve -2,-3,-3,0,0 --primes 5 --trace-bound 100000":
         "a9868c2adc00b7cb1c3eca7a26ffd0a3dc1bb010856a00473b8ffe7cb88664b1",
     "twist-scan --embedded selmer-jacobian --p 3 --dmax 10000":

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import time
 from bisect import bisect_left
 from collections import Counter
@@ -10,8 +11,8 @@ from functools import cache
 import pytest
 
 import shadiv.divisibility as divisibility
-from character_oracle import cube_roots_of_eps
-from shadiv.datasets import EMBEDDED_AINVS, embedded_curve, regular_prime_resolutions
+from shadiv.arith import prime_factors
+from shadiv.datasets import embedded_curve, regular_prime_resolutions
 from shadiv.divisibility import (
     BAD_SHAPE_PAIRS,
     ChainStep,
@@ -36,8 +37,8 @@ from shadiv.elliptic import (
     reduction_type,
     trace_at,
 )
-from shadiv.errors import BudgetExceeded, UnsupportedPrime
-from shadiv.galois_image import RefutedAt, chi_cubed_equals_epsilon, test_cyclotomic_pair
+from shadiv.errors import BudgetExceeded, SingularCurve, UnsupportedPrime
+from shadiv.galois_image import RefutedAt, test_cyclotomic_pair
 
 
 def test_large_prime_rule():
@@ -194,15 +195,6 @@ def test_large_prime_route_tags():
     for p, route in routes.items():
         v = verdict_over_Q(e, p)
         assert v.chain[0].inputs["route"] == route
-
-
-def test_user_supplied_semistability_suppresses_warning():
-    e = curve((0, -9, 27, 0, 0), label="11a3-scaled")
-    cfg = RunConfig(semistable_outside_p=True)
-    v = verdict_over_Q(e, 5, cfg)
-    assert v.outcome == Outcome.CRITERION_FAILS
-    assert "semistability_warnings" not in v.evidence
-    assert v.evidence["semistability"].startswith("user-supplied")
 
 
 def test_semistability_warning_on_nonminimal_model():
@@ -369,10 +361,7 @@ def test_twist_scans_to_1e4_are_pinned():
     assert h.hexdigest() == "ad79cac191a8e697ccac54632cefed967ee016756a30c5c57f9d842dbefad324"
 
 
-_EDGE_CONFIGS = [RunConfig(trace_bound=b) for b in (0, 2, 13, 49, 50, 51, 199, 200, 201)] + [
-    RunConfig(character_mode="dirichlet"),
-    RunConfig(semistable_outside_p=True),
-]
+_EDGE_CONFIGS = [RunConfig(trace_bound=b) for b in (0, 2, 13, 49, 50, 51, 199, 200, 201)]
 
 
 # rows first refuted past the first escalation step; tate-5 is the Tate
@@ -386,10 +375,10 @@ _LATE_ROWS = [
 
 @pytest.mark.parametrize("cfg", _EDGE_CONFIGS, ids=repr)
 def test_twist_scan_rows_equal_direct_verdicts_at_escalation_edges(cfg, monkeypatch):
-    # trace bounds on both sides of each TRACE_ESCALATION step, a prime
-    # bound whose own trace refutes shapes, and the options that only
-    # shape the CriterionFails evidence; one call of the shape-test engine
-    # decides every twist of a scan, d = 1 and the surviving shapes included
+    # trace bounds on both sides of each TRACE_ESCALATION step and a prime
+    # bound whose own trace refutes shapes; one call of the shape-test
+    # engine decides every twist of a scan, d = 1 and the surviving shapes
+    # included
     engine_calls = []
     engine = divisibility._shape_tests
     monkeypatch.setattr(divisibility, "_shape_tests", lambda *args: engine_calls.append(args) or engine(*args))
@@ -454,58 +443,13 @@ def test_shape_tests_keep_ell_2_for_the_base_curve():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_bad_shape_pairs_are_one_plus_eps_and_chi_plus_chi_squared(p):
-    # dirichlet mode counts chi + chi^2 by looking up the pair of
-    # chi = eps^x in this table, so a pair missing here would read as 0
+    # chi^3 = eps has the one solution chi = eps^x, 3x = 1 mod p - 1, when
+    # 3 does not divide p - 1, and none otherwise: chi (+) chi^2 is the
+    # pair (x, 2x) or nothing
     assert set(BAD_SHAPE_PAIRS) == {3, 5, 7}
-    x = chi_cubed_equals_epsilon(p).exponent
+    x = pow(3, -1, p - 1) if (p - 1) % 3 else None
     chi_pair = set() if x is None else {tuple(sorted((x, 2 * x % (p - 1))))}
     assert BAD_SHAPE_PAIRS[p] == tuple(sorted({(0, 1)} | chi_pair))
-
-
-_DIRICHLET_CURVES = [embedded_curve(label) for label in sorted(EMBEDDED_AINVS)] + [
-    curve((0, -1, 1, 0, 0), label="11a3"),
-    curve((-2, -3, -3, 0, 0), label="tate-5"),
-]
-
-
-def _oracle_count(e, p, modulus, bound):
-    """How many characters chi mod modulus with chi^3 = eps, found by brute
-    force, give a_ell = chi(ell) + chi(ell)^2 mod p at every good ell <=
-    bound prime to the modulus."""
-    entries = [(ell % modulus, a) for ell, a, good in frobenius_traces(e, bound).entries if good and modulus % ell]
-    return sum(
-        all((a - chi[r] - chi[r] ** 2) % p == 0 for r, a in entries) for chi in cube_roots_of_eps(modulus, p)
-    )
-
-
-# each open row's count at p; no row is open at p = 7, where chi^3 = eps
-# has no solution valued in F_7*
-_DIRICHLET_COUNTS = {
-    3: {"selmer-jacobian": 1, "selmer-jacobian^(-3)": 1},
-    5: {"11a3": 0, "11a3^(5)": 1, "tate-5": 0, "tate-5^(5)": 1},
-    7: {},
-}
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_dirichlet_counts_match_character_oracle(p):
-    # dirichlet mode counts chi + chi^2 by the theorem (chi = eps^x); the
-    # oracle counts it over every character mod the reported modulus, on
-    # the traces of each open row's own curve
-    cfg = RunConfig(character_mode="dirichlet")
-    counts = {}
-    for e in _DIRICHLET_CURVES:
-        for _, v in twist_scan(e, p, 300, cfg).rows:
-            if v.outcome == Outcome.CRITERION_FAILS:
-                scan = v.evidence["scan"]
-                counts[v.curve_name] = _oracle_count(v.curve, p, scan["modulus"], cfg.trace_bound)
-                assert scan["consistent_chi_chi_squared"] == counts[v.curve_name], v.curve_name
-    assert counts == _DIRICHLET_COUNTS[p]
-
-
-def test_run_config_rejects_unknown_character_mode():
-    with pytest.raises(ValueError, match="dirichet"):
-        RunConfig(character_mode="dirichet")
 
 
 def test_run_config_rejects_negative_trace_bound():
@@ -660,15 +604,14 @@ def test_twist_scan_raises_from_its_open_rows(monkeypatch):
     # the open rows' verdicts are built by the scan itself, so an error in
     # one surfaces at the call, not at a later read of the rows
     e = curve((-2, -3, -3, 0, 0), label="tate-5")
-    cfg = RunConfig(character_mode="dirichlet")
-    assert twist_scan(e, 5, 300, cfg).failure_count == 2
+    assert twist_scan(e, 5, 300).failure_count == 2
 
     def over_budget(*args):
-        raise BudgetExceeded("character modulus")
+        raise BudgetExceeded("semistability check")
 
-    monkeypatch.setattr(divisibility, "default_character_modulus", over_budget)
-    with pytest.raises(BudgetExceeded, match="character modulus"):
-        twist_scan(e, 5, 300, cfg)
+    monkeypatch.setattr(divisibility, "_semistability_warnings", over_budget)
+    with pytest.raises(BudgetExceeded, match="semistability check"):
+        twist_scan(e, 5, 300)
 
 
 def test_fundamental_discriminants_match_definition():
@@ -729,21 +672,115 @@ def test_semistability_scan_factors_two_large_primes():
     assert elapsed < 2
 
 
-def test_semistability_scan_skips_an_unfactored_discriminant(monkeypatch):
+def _scaled(ainvs, u):
+    """The model of the same curve with a_i multiplied by u^i."""
+    return tuple(a * u ** i for a, i in zip(ainvs, (1, 2, 3, 4, 6)))
+
+
+def _tate_5(t):
+    """Tate normal form with b = c = t: a rational point of order 5."""
+    return (1 - t, -t, -t, 0, 0)
+
+
+def _tate_7(t):
+    """Tate normal form with b = t^3 - t^2, c = t^2 - t: a rational point of order 7."""
+    b, c = t ** 3 - t ** 2, t ** 2 - t
+    return (1 - c, -b, -b, 0, 0)
+
+
+def _additive_warning(q, p):
+    return (
+        f"additive reduction at {q} on the supplied model; "
+        f"a real shape failure would be semistable outside {p} (check model minimality)"
+    )
+
+
+def test_semistability_scan_skips_an_unfactored_gcd(monkeypatch):
     # the verdict needs no factorisation, so running out of rho budget on
-    # the discriminant only skips the additive-reduction check
+    # gcd(disc, c4) only skips the additive-reduction check.  The t =
+    # 100000007 model of the 5-torsion family scaled by u = q1 q2 is
+    # additive at q1 and q2, and gcd(disc, c4) = u^4 needs rho to split u
     import shadiv.arith as arith
 
-    t = 100000007  # disc = 271 * 37199 * t^5 * 991972099
-    ainvs = (1 - t, -t, -t, 0, 0)
+    t, q1, q2 = 100000007, 1000003, 1000033
+    ainvs = _scaled(_tate_5(t), q1 * q2)
     factored, _ = _timed_verdict(ainvs, 5)
-    monkeypatch.setattr(arith, "RHO_BUDGET", 2 ** 10)
+    assert factored.evidence["semistability_warnings"] == [_additive_warning(q1, 5), _additive_warning(q2, 5)]
+    monkeypatch.setattr(arith, "RHO_BUDGET", 64)
     v, _ = _timed_verdict(ainvs, 5)
     assert v.outcome == factored.outcome == Outcome.CRITERION_FAILS
     assert v.chain == factored.chain
     assert v.evidence["semistability_warnings"] == [
-        "discriminant not factored within budget; additive-reduction check skipped"
+        "gcd(disc, c4) not factored within budget; additive-reduction check skipped"
     ]
+
+
+@pytest.mark.parametrize(
+    "p, ainvs, warnings",
+    ids=["tate-5", "tate-7"],
+    argvalues=[
+        # t = 100000007 in the 5-torsion family: disc = 3^12 * 271 * 37199 * t^5 * 991972099
+        (5, _scaled(_tate_5(100000007), 3), [_additive_warning(3, 5)]),
+        # t = 1000003 in the 7-torsion family: disc = 2^7 * 3^19 * 83 * 21391 * 166667^7 * t^7 * 563237100607
+        (
+            7,
+            _scaled(_tate_7(1000003), 3),
+            [_additive_warning(3, 7), "reduction type at 2 not analyzed (odd primes only)"],
+        ),
+    ],
+)
+def test_semistability_scan_factors_only_gcd_of_disc_and_c4(monkeypatch, p, ainvs, warnings):
+    # the model scaled by u = 3 is additive at 3; its disc keeps a
+    # cofactor only rho can split, while gcd(disc, c4) = 3^4, so the check
+    # finds 3 within any rho budget
+    import shadiv.arith as arith
+
+    monkeypatch.setattr(arith, "RHO_BUDGET", 2 ** 10)
+    with pytest.raises(BudgetExceeded):
+        arith.prime_factors(abs(curve(ainvs).discriminant))
+    v, _ = _timed_verdict(ainvs, p)
+    assert v.outcome == Outcome.CRITERION_FAILS
+    assert v.evidence["semistability_warnings"] == warnings
+
+
+def _additive_by_reduction_type(e, p):
+    """The odd primes q != p where e is additive, by reduction_type at each prime factor of disc."""
+    return [
+        q
+        for q in prime_factors(abs(e.discriminant))
+        if q not in (2, p) and reduction_type(e, q) == ReductionType.ADDITIVE
+    ]
+
+
+def _random_models(family, rng):
+    a = [rng.randint(-60, 60) for _ in range(5)]
+    if family == "j0-j1728":
+        a = [0, 0, 0, 0, a[4]] if rng.random() < 0.5 else [0, 0, 0, a[3], 0]
+    if family == "scaled":
+        a = _scaled(a, rng.randint(2, 40))
+    return a
+
+
+@pytest.mark.parametrize("family", ["random", "scaled", "j0-j1728"])
+def test_semistability_warnings_match_reduction_types(family):
+    # additive at an odd q means q | disc and q | c4, so the warnings read
+    # off gcd(disc, c4) name the primes where reduction_type is additive
+    rng = random.Random(f"semistability-{family}")
+    seen = Counter()
+    for _ in range(400):
+        ainvs = _random_models(family, rng)
+        try:
+            e = curve(ainvs)
+        except SingularCurve:
+            continue
+        for p in (5, 7):
+            additive = _additive_by_reduction_type(e, p)
+            expected = [_additive_warning(q, p) for q in additive]
+            if e.discriminant % 2 == 0:
+                expected.append("reduction type at 2 not analyzed (odd primes only)")
+            assert divisibility._semistability_warnings(e, p) == expected, (ainvs, p)
+            seen[bool(additive)] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_semistability_scan_divides_out_two():

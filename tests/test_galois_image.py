@@ -1,17 +1,16 @@
 import math
-import time
 
+import numpy as np
 import pytest
 
 from character_oracle import cube_roots_of_eps
+from shadiv.arith import primes_up_to
 from shadiv.elliptic import curve, frobenius_traces, quadratic_twist, trace_at
 from shadiv.galois_image import (
     Consistent,
     CyclotomicPair,
     RefutedAt,
-    chi_cubed_equals_epsilon,
     cyclotomic_pair_candidates,
-    default_character_modulus,
     exceeds_sqrt_sum_square,
     minimal_admissible_prime,
     nv3_bad_sets,
@@ -19,6 +18,7 @@ from shadiv.galois_image import (
     nv_sieve_bound,
     passes_torsion_bound,
     passes_uniform_degree_bound,
+    shape_values,
     test_cyclotomic_pair,
 )
 
@@ -86,34 +86,28 @@ def test_consistent_is_labeled_heuristic():
     assert len(verdict.checked_primes) > 100
 
 
-def test_chi_cubed_solutions():
-    assert chi_cubed_equals_epsilon(5).exponent == 3
-    assert chi_cubed_equals_epsilon(7).exponent is None
-    assert chi_cubed_equals_epsilon(7).needs_noncyclotomic_scan
-    assert chi_cubed_equals_epsilon(11).exponent == 7
-    assert chi_cubed_equals_epsilon(13).exponent is None
-
-
-def test_dirichlet_scan_chi_chi_squared():
-    # p = 7: chi^3 = eps_7 has no solution among characters valued in F_7*
-    assert chi_cubed_equals_epsilon(7).exponent is None
-    assert cube_roots_of_eps(7 * 11, 7) == []
-    # p = 5, modulus 5: the only character with chi^3 = eps is eps^3
-    assert chi_cubed_equals_epsilon(5).exponent == 3
-    assert cube_roots_of_eps(5, 5) == [{n: pow(n, 3, 5) for n in range(1, 5)}]
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_cube_roots_of_eps_are_eps_to_the_x(p):
     # the characters valued in F_p* form a group of exponent dividing
     # p - 1 on every modulus, so chi^3 = eps has the one solution eps^x
-    # when 3 does not divide p - 1, and none otherwise; the oracle finds
-    # the characters by brute force on every m < 1200 with p | m
-    x = chi_cubed_equals_epsilon(p).exponent
+    # (3x = 1 mod p - 1) when 3 does not divide p - 1, and none otherwise;
+    # the oracle finds the characters by brute force on every m < 1200
+    # with p | m
+    x = pow(3, -1, p - 1) if (p - 1) % 3 else None
     for m in range(p, 1200, p):
         units = [n for n in range(1, m) if math.gcd(n, m) == 1]
         expected = [] if x is None else [{n: pow(n, x, p) for n in units}]
         assert cube_roots_of_eps(m, p) == expected, m
+
+
+def test_shape_values_read_either_pair_form():
+    # a CyclotomicPair unpacks as the tuple (a, b) it equals
+    ells = np.array(primes_up_to(200))
+    for p in (3, 5, 7, 11, 13):
+        for c in cyclotomic_pair_candidates(p):
+            assert c == (c.a, c.b)
+            expected = [(pow(ell, c.a, p) + pow(ell, c.b, p)) % p for ell in ells.tolist()]
+            assert shape_values(ells, p, c).tolist() == shape_values(ells, p, (c.a, c.b)).tolist() == expected
 
 
 def test_twist_coherence_of_consistent_pairs():
@@ -184,14 +178,3 @@ def test_hasse_window_holds_everywhere():
             assert hasse_window_holds(n, a)
     # outside the Hasse range the inequality can fail, so the window matters
     assert not hasse_window_holds(4, 100)
-
-
-def test_default_character_modulus_with_factors_near_1e9():
-    # Delta = -2^4 3^3 (p q)^2 for y^2 = x^3 + p q; trial division would run to q
-    p, q = 1000000007, 998244353
-    e = curve((0, 0, 0, 0, p * q))
-    t0 = time.monotonic()
-    modulus = default_character_modulus(e, 5)
-    elapsed = time.monotonic() - t0
-    assert modulus == 2 * 3 * p * q * 5
-    assert elapsed < 1

@@ -86,3 +86,23 @@ def test_public_names_are_read_in_src_or_perfbench():
         and not _is_command(node)
     ]
     assert not offences, offences
+
+
+def _run_config_keywords(path):
+    return {
+        kw.arg
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "RunConfig"
+        for kw in node.keywords
+    }
+
+
+def test_run_config_fields_are_set_by_a_command_or_the_benchmark():
+    # a RunConfig field that neither the CLI nor perfbench passes is a knob
+    # no run can turn
+    tree = ast.parse((_SRC / "divisibility.py").read_text())
+    config = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RunConfig")
+    fields = {n.target.id for n in config.body if isinstance(n, ast.AnnAssign)}
+    passed = set().union(*map(_run_config_keywords, [_SRC / "cli.py", *sorted(_PERFBENCH.glob("*.py"))]))
+    assert fields, "RunConfig has no fields"
+    assert not fields - passed, sorted(fields - passed)
